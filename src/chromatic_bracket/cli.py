@@ -55,14 +55,6 @@ from .penrose import (
 from .state_calculus import logical_expansion_count
 
 
-def _workers() -> int:
-    raw = os.environ.get("CHROMATIC_BRACKET_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _load_file(path: str) -> object:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -124,11 +116,10 @@ def _emit(args: argparse.Namespace, payload: dict, summary: str) -> None:
 
 def cmd_count(args: argparse.Namespace) -> int:
     kind, obj = _load_input(args)
-    workers = _workers()
     extras: dict = {}
     t0 = time.perf_counter()
     if args.method == "brute":
-        value = count_colorings(_input_graph(kind, obj), workers=workers)
+        value = count_colorings(_input_graph(kind, obj))
     elif args.method == "penrose-skein":
         value = skein_evaluate(_input_diagram(kind, obj, args))
     elif args.method == "penrose":
@@ -154,7 +145,7 @@ def cmd_count(args: argparse.Namespace) -> int:
             )
         m = ms[args.matching_index]
         extras["matching"] = sorted(m)
-        value = logical_expansion_count(g, m, workers=workers)
+        value = logical_expansion_count(g, m)
     payload = {
         "input": args.input,
         "method": args.method,
@@ -166,7 +157,7 @@ def cmd_count(args: argparse.Namespace) -> int:
     return 0
 
 
-def run_crosscheck(g: CubicGraph, d: Diagram, workers: int = 1) -> dict:
+def run_crosscheck(g: CubicGraph, d: Diagram) -> dict:
     """All methods on one instance; raises MethodDisagreement on any split."""
     methods: dict[str, int] = {}
     timings: dict[str, float] = {}
@@ -176,7 +167,7 @@ def run_crosscheck(g: CubicGraph, d: Diagram, workers: int = 1) -> dict:
         methods[name] = fn()
         timings[name] = round(time.perf_counter() - t0, 6)
 
-    run("brute", lambda: count_colorings(g, workers=workers))
+    run("brute", lambda: count_colorings(g))
     run("even_matchings", lambda: count_from_even_matchings(g))
     run("penrose_extended", lambda: contract_extended(d))
     run("penrose_skein", lambda: skein_evaluate(d))
@@ -186,7 +177,7 @@ def run_crosscheck(g: CubicGraph, d: Diagram, workers: int = 1) -> dict:
     t0 = time.perf_counter()
     matchings = enumerate_perfect_matchings(g)
     for i, m in enumerate(matchings):
-        states[str(i)] = logical_expansion_count(g, m, workers=workers)
+        states[str(i)] = logical_expansion_count(g, m)
     timings["states"] = round(time.perf_counter() - t0, 6)
 
     values = set(methods.values()) | set(states.values())
@@ -209,7 +200,7 @@ def cmd_crosscheck(args: argparse.Namespace) -> int:
     d = obj if kind == "diagram" else chord_immersion(g)
     assert isinstance(d, Diagram)
     try:
-        report = run_crosscheck(g, d, workers=_workers())
+        report = run_crosscheck(g, d)
     except MethodDisagreement as exc:
         payload = {"input": args.input, **json.loads(str(exc))}
         _emit(args, payload, f"{args.input}: METHODS DISAGREE")

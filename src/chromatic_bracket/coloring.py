@@ -8,7 +8,6 @@ colored frontier stays connected and clashes surface early.
 from __future__ import annotations
 
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from typing import Sequence
 
 from .errors import PartialColoring
@@ -70,15 +69,15 @@ def _bfs_edge_order(g: CubicGraph) -> list[int]:
     return order
 
 
-def _count_with_prefix(g: CubicGraph, order: list[int], prefix: tuple[int, ...]) -> int:
-    """Count completions after forcing colors (as bitmasks) onto order[:len(prefix)]."""
+def count_colorings(g: CubicGraph) -> int:
+    """Exact number of proper 3-edge-colorings."""
+    if has_loop(g):
+        return 0
+    order = _bfs_edge_order(g)
+    if not order:
+        return 0
     ends = [g.edges[e] for e in order]
     used = [0] * g.node_count
-    for (u, v), bit in zip(ends, prefix):
-        if (used[u] | used[v]) & bit:
-            return 0
-        used[u] |= bit
-        used[v] |= bit
 
     def rec(i: int) -> int:
         if i == len(order):
@@ -96,25 +95,7 @@ def _count_with_prefix(g: CubicGraph, order: list[int], prefix: tuple[int, ...])
             used[v] ^= bit
         return total
 
-    return rec(len(prefix))
-
-
-def count_colorings(g: CubicGraph, workers: int = 1) -> int:
-    """Exact number of proper 3-edge-colorings.
-
-    workers > 1 partitions the search by the first edge's color; the three
-    subtree counts are independent and summed.
-    """
-    if has_loop(g):
-        return 0
-    order = _bfs_edge_order(g)
-    if not order:
-        return 0
-    if workers <= 1:
-        return _count_with_prefix(g, order, ())
-    with ThreadPoolExecutor(max_workers=min(workers, 3)) as pool:
-        parts = [pool.submit(_count_with_prefix, g, order, (1 << c,)) for c in COLORS]
-        return sum(p.result() for p in parts)
+    return rec(0)
 
 
 def enumerate_colorings(g: CubicGraph) -> list[EdgeColoring]:

@@ -361,12 +361,13 @@ def _port_to_json(p: Port) -> list:
 
 
 def _port_from_json(obj: object) -> Port:
+    # type() rather than isinstance(): JSON true/false must not pass as 1/0
     if (
         not isinstance(obj, list)
         or len(obj) != 3
         or obj[0] not in (NODE, CROSSING)
-        or not isinstance(obj[1], int)
-        or not isinstance(obj[2], int)
+        or type(obj[1]) is not int
+        or type(obj[2]) is not int
     ):
         raise ParseError(f"bad port {obj!r}")
     return Port(obj[0], obj[1], obj[2])
@@ -405,7 +406,7 @@ def diagram_from_json_dict(data: object) -> Diagram:
             raise ParseError(f"diagram JSON needs list field {key!r}")
     node_ids = []
     for entry in data["nodes"]:
-        if not isinstance(entry, dict) or not isinstance(entry.get("id"), int):
+        if not isinstance(entry, dict) or type(entry.get("id")) is not int:
             raise ParseError(f"bad node entry {entry!r}")
         node_ids.append(entry["id"])
     if sorted(node_ids) != list(range(len(node_ids))):
@@ -414,7 +415,7 @@ def diagram_from_json_dict(data: object) -> Diagram:
     for entry in data["crossings"]:
         if (
             not isinstance(entry, dict)
-            or not isinstance(entry.get("id"), int)
+            or type(entry.get("id")) is not int
             or entry.get("kind") not in CROSSING_KINDS
         ):
             raise ParseError(f"bad crossing entry {entry!r}")
@@ -422,7 +423,7 @@ def diagram_from_json_dict(data: object) -> Diagram:
     if sorted(kinds) != list(range(len(kinds))):
         raise ParseError("crossing ids must be dense from 0")
     free_loops = data.get("free_loops", 0)
-    if not isinstance(free_loops, int) or free_loops < 0:
+    if type(free_loops) is not int or free_loops < 0:
         raise ParseError("free_loops must be a nonnegative integer")
     arcs = []
     for entry in data["arcs"]:

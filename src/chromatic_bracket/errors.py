@@ -48,6 +48,10 @@ class NotAMatching(ChromaticBracketError):
     """The given edge set is not a perfect matching of the graph."""
 
 
+class IncompleteState(ChromaticBracketError):
+    """A state's loops and sites do not cover every edge of its graph."""
+
+
 class OddCycle(ChromaticBracketError):
     """A complement cycle of odd length blocks the requested construction."""
 

@@ -187,10 +187,11 @@ def graph_from_json_dict(data: object) -> CubicGraph:
         edges = data["edges"]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"graph JSON is missing key: {exc}") from exc
-    if not isinstance(nodes, int) or not isinstance(edges, list):
+    # type() rather than isinstance(): JSON true/false must not pass as 1/0
+    if type(nodes) is not int or not isinstance(edges, list):
         raise ParseError("graph JSON: 'nodes' must be an int and 'edges' a list")
     for item in edges:
-        if not (isinstance(item, list) and len(item) == 2 and all(isinstance(x, int) for x in item)):
+        if not (isinstance(item, list) and len(item) == 2 and all(type(x) is int for x in item)):
             raise ParseError(f"graph JSON: bad edge entry {item!r}")
     try:
         return build_graph(nodes, edges)

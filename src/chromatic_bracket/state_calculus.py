@@ -10,16 +10,28 @@ so that the two loops meeting at every site differ.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from .errors import IncompleteState
 from .graph_core import CubicGraph, bridges_per_component, build_graph
 from .matching import PerfectMatching, complement_cycles, validate_matching
 
 PARALLEL = "parallel"
 CROSSED = "crossed"
 SWITCH_SETTINGS = (PARALLEL, CROSSED)
+
+Pair = tuple[int, int]
+Links = tuple[Pair, Pair]
+
+
+def _links(ends_u: Pair, ends_v: Pair, switch: str) -> Links:
+    """Parallel links departing-at-u with arriving-at-v (and vice versa);
+    crossed links departing with departing and arriving with arriving."""
+    (out_u, in_u), (out_v, in_v) = ends_u, ends_v
+    if switch == PARALLEL:
+        return (out_u, in_v), (in_u, out_v)
+    return (out_u, out_v), (in_u, in_v)
 
 
 @dataclass(frozen=True)
@@ -28,20 +40,16 @@ class Site:
 
     ends_u / ends_v hold the complement half-edges at the two removed
     endpoints as (departing, arriving) with respect to the complement-cycle
-    traversal. Parallel links departing-at-u with arriving-at-v (and vice
-    versa); Crossed links departing with departing and arriving with arriving.
+    traversal; _links says how the switch joins them.
     """
 
     edge: int
-    ends_u: tuple[int, int]
-    ends_v: tuple[int, int]
+    ends_u: Pair
+    ends_v: Pair
     switch: str
 
-    def links(self) -> tuple[tuple[int, int], tuple[int, int]]:
-        (out_u, in_u), (out_v, in_v) = self.ends_u, self.ends_v
-        if self.switch == PARALLEL:
-            return (out_u, in_v), (in_u, out_v)
-        return (out_u, out_v), (in_u, in_v)
+    def links(self) -> Links:
+        return _links(self.ends_u, self.ends_v, self.switch)
 
 
 @dataclass(frozen=True)
@@ -62,60 +70,47 @@ class State:
         return tuple(s.switch for s in self.sites)
 
 
-def make_state(g: CubicGraph, matching: Iterable[int], switches: Sequence[str]) -> State:
-    m = validate_matching(g, matching)
-    ordered = sorted(m)
-    if len(switches) != len(ordered):
-        raise ValueError(f"need {len(ordered)} switch settings, got {len(switches)}")
-    for s in switches:
-        if s not in SWITCH_SETTINGS:
-            raise ValueError(f"unknown switch setting {s!r}")
-
+def _site_ends(g: CubicGraph, m: PerfectMatching) -> list[tuple[Pair, Pair]]:
+    """(ends_u, ends_v) of every site, in edge-id order."""
     passages = complement_cycles(g, m).passages
-    sites = []
-    for e, sw in zip(ordered, switches):
-        u, v = g.edges[e]
-        in_u, out_u = passages[u]
-        in_v, out_v = passages[v]
-        sites.append(Site(e, (out_u, in_u), (out_v, in_v), sw))
+    ends = []
+    for e in sorted(m):
+        (in_u, out_u), (in_v, out_v) = (passages[n] for n in g.edges[e])
+        ends.append(((out_u, in_u), (out_v, in_v)))
+    return ends
 
-    link: dict[int, int] = {}
-    for site in sites:
-        for a, b in site.links():
-            link[a] = b
-            link[b] = a
 
-    loops: list[tuple[int, ...]] = []
-    loop_of: dict[int, int] = {}
-    for start in sorted(link):
-        if start in loop_of:
+def _trace_loops(half_edges: int, site_links: Sequence[Links]) -> tuple[list[list[int]], list[Pair]]:
+    """Loops as edge lists, plus per site the loops of its two strands.
+
+    Each loop starts at the lowest untraced complement edge and walks it
+    from endpoint 0.
+    """
+    link = [-1] * half_edges
+    for (a, b), (c, d) in site_links:
+        link[a], link[b], link[c], link[d] = b, a, d, c
+    loop_of = [-1] * half_edges
+    loops: list[list[int]] = []
+    for start in range(0, half_edges, 2):
+        if link[start] < 0 or loop_of[start] >= 0:
             continue
         idx = len(loops)
         edges_on: list[int] = []
         h = start
         while True:
             loop_of[h] = loop_of[h ^ 1] = idx
-            edges_on.append(h // 2)
+            edges_on.append(h >> 1)
             h = link[h ^ 1]
             if h == start:
                 break
-        loops.append(tuple(edges_on))
-
-    site_graph = tuple(
-        (loop_of[site.links()[0][0]], loop_of[site.links()[1][0]]) for site in sites
-    )
-    return State(g, m, tuple(sites), tuple(loops), site_graph)
+        loops.append(edges_on)
+    return loops, [(loop_of[p[0]], loop_of[q[0]]) for p, q in site_links]
 
 
-def count_state_colorings(s: State) -> int:
-    """Maps loops -> {R,B,P} with the two loops at every site distinct.
-
-    This is the number of proper 3-colorings of the site multigraph; a site
-    whose strands lie on one loop makes it zero.
-    """
-    k = s.loop_count
+def _count_loop_colorings(k: int, site_pairs: Iterable[Pair]) -> int:
+    """Proper 3-colorings of k loops; 0 as soon as a site pair is one loop."""
     earlier: list[list[int]] = [[] for _ in range(k)]
-    for a, b in s.site_graph:
+    for a, b in site_pairs:
         if a == b:
             return 0
         earlier[max(a, b)].append(min(a, b))
@@ -135,25 +130,44 @@ def count_state_colorings(s: State) -> int:
     return rec(0)
 
 
-def _expansion_slice(g: CubicGraph, m: PerfectMatching, vectors: Iterable[tuple[str, ...]]) -> int:
-    return sum(count_state_colorings(make_state(g, m, v)) for v in vectors)
+def make_state(g: CubicGraph, matching: Iterable[int], switches: Sequence[str]) -> State:
+    m = validate_matching(g, matching)
+    ordered = sorted(m)
+    if len(switches) != len(ordered):
+        raise ValueError(f"need {len(ordered)} switch settings, got {len(switches)}")
+    for s in switches:
+        if s not in SWITCH_SETTINGS:
+            raise ValueError(f"unknown switch setting {s!r}")
+    ends = _site_ends(g, m)
+    sites = tuple(Site(e, eu, ev, sw) for e, (eu, ev), sw in zip(ordered, ends, switches))
+    loops, site_graph = _trace_loops(2 * g.edge_count, [s.links() for s in sites])
+    return State(g, m, sites, tuple(map(tuple, loops)), tuple(site_graph))
 
 
-def logical_expansion_count(g: CubicGraph, matching: Iterable[int], workers: int = 1) -> int:
+def count_state_colorings(s: State) -> int:
+    """Maps loops -> {R,B,P} with the two loops at every site distinct.
+
+    This is the number of proper 3-colorings of the site multigraph; a site
+    whose strands lie on one loop makes it zero.
+    """
+    return _count_loop_colorings(s.loop_count, s.site_graph)
+
+
+def logical_expansion_count(g: CubicGraph, matching: Iterable[int]) -> int:
     """Sum count_state_colorings over all 2^|M| switch vectors.
 
     Equals count_colorings(g) for every perfect matching: each proper
     coloring selects exactly one switch per site (the pairing whose linked
     edges it colors equally) and then colors the loops of that state.
     """
-    m = validate_matching(g, matching)
-    vectors = list(itertools.product(SWITCH_SETTINGS, repeat=len(m)))
-    if workers <= 1 or len(vectors) < 4:
-        return _expansion_slice(g, m, vectors)
-    workers = min(workers, 4)
-    chunks = [vectors[i::workers] for i in range(workers)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return sum(pool.map(lambda ch: _expansion_slice(g, m, ch), chunks))
+    ends = _site_ends(g, validate_matching(g, matching))
+    half_edges = 2 * g.edge_count
+    choices = [[_links(eu, ev, sw) for sw in SWITCH_SETTINGS] for eu, ev in ends]
+    total = 0
+    for site_links in itertools.product(*choices):  # streamed, one vector at a time
+        loops, site_graph = _trace_loops(half_edges, site_links)
+        total += _count_loop_colorings(len(loops), site_graph)
+    return total
 
 
 def squeeze(s: State) -> CubicGraph:
@@ -173,7 +187,8 @@ def squeeze(s: State) -> CubicGraph:
         v = g.half_edge_node(site.ends_v[0])
         edge_list[site.edge] = (u, v)
     filled = [pair for pair in edge_list if pair is not None]
-    assert len(filled) == g.edge_count
+    if len(filled) != g.edge_count:
+        raise IncompleteState(f"loops and sites cover {len(filled)} of {g.edge_count} edges")
     return build_graph(g.node_count, filled)
 
 

@@ -225,15 +225,6 @@ def test_json_only_silences_stderr(capsys):
     assert err == ""
 
 
-def test_thread_env_var_is_respected(capsys, monkeypatch):
-    monkeypatch.setenv("CHROMATIC_BRACKET_THREADS", "2")
-    code, payload, _ = run(capsys, "count", "k33")
-    assert (code, payload["count"]) == (0, 12)
-    monkeypatch.setenv("CHROMATIC_BRACKET_THREADS", "not-a-number")
-    code, payload, _ = run(capsys, "count", "k33")
-    assert (code, payload["count"]) == (0, 12)
-
-
 def test_usage_error_exits_one(capsys):
     assert main(["count", "theta", "--method", "sorcery"]) == 1
     assert main([]) == 1

@@ -68,12 +68,6 @@ def test_is_proper_rejects_bad_input():
         cb.is_proper(g, (0, 1, 5))
 
 
-def test_worker_partition_agrees_with_serial():
-    for g in (gen.k33(), gen.prism(), gen.isaacs_j(4)):
-        assert cb.count_colorings(g, workers=2) == cb.count_colorings(g)
-        assert cb.count_colorings(g, workers=3) == cb.count_colorings(g)
-
-
 def test_color_constants_and_names():
     assert cb.COLORS == (cb.RED, cb.BLUE, cb.PURPLE) == (0, 1, 2)
     assert [cb.color_name(c) for c in cb.COLORS] == ["R", "B", "P"]

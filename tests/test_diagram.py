@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 from collections import Counter
 
 import pytest
@@ -182,6 +183,37 @@ def test_diagram_json_parse_errors():
         cb.diagram_from_json('{"nodes": [], "crossings": []}')
     with pytest.raises(ParseError):
         cb.diagram_from_json('{"nodes": [], "crossings": [], "arcs": [[["n", 0, 0]]]}')
+
+
+def test_diagram_json_rejects_bools_as_ints():
+    # true/false would otherwise be read as 1/0; k33 has nodes and a crossing
+    base = cb.diagram_to_json_dict(gen.k33_diagram())
+    ports = [p for arc in base["arcs"] for p in arc]
+    owner = next(i for i, p in enumerate(ports) if p[1] == 1)
+    slot = next(i for i, p in enumerate(ports) if p[2] in (0, 1))
+
+    def node_id(data):
+        data["nodes"][1]["id"] = True
+
+    def crossing_id(data):
+        data["crossings"][0]["id"] = False
+
+    def port_owner(data):
+        data["arcs"][owner // 2][owner % 2][1] = True
+
+    def port_slot(data):
+        port = data["arcs"][slot // 2][slot % 2]
+        port[2] = bool(port[2])
+
+    def free_loops(data):
+        data["free_loops"] = True
+
+    assert cb.diagram_from_json_dict(copy.deepcopy(base)) == gen.k33_diagram()
+    for mutate in (node_id, crossing_id, port_owner, port_slot, free_loops):
+        data = copy.deepcopy(base)
+        mutate(data)
+        with pytest.raises(ParseError):
+            cb.diagram_from_json_dict(data)
 
 
 def test_free_loops_survive_json():

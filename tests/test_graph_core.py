@@ -105,6 +105,16 @@ def test_graph_json_parse_errors():
         cb.graph_from_json('{"nodes": 2, "edges": [[0, 1], [0, 1], [0, 5]]}')
 
 
+def test_graph_json_rejects_bools_as_ints():
+    # true/false would otherwise be read as node 1/0 (the first is a theta)
+    with pytest.raises(ParseError):
+        cb.graph_from_json('{"nodes": 2, "edges": [[0, 1], [0, 1], [false, true]]}')
+    with pytest.raises(ParseError):
+        cb.graph_from_json_dict({"nodes": 2, "edges": [[0, 1], [0, 1], [True, 1]]})
+    with pytest.raises(ParseError):
+        cb.graph_from_json_dict({"nodes": True, "edges": [[0, 0], [0, 0]]})
+
+
 def test_graph_json_dict_form():
     g = gen.prism()
     d = cb.graph_to_json_dict(g)

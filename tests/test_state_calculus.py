@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import chromatic_bracket as cb
 from chromatic_bracket import generators as gen
-from chromatic_bracket.errors import NotAMatching
+from chromatic_bracket.errors import IncompleteState, NotAMatching
 from chromatic_bracket.state_calculus import (
     CROSSED,
     PARALLEL,
@@ -131,10 +132,33 @@ def test_expansion_matches_brute_force_on_fixtures():
             assert logical_expansion_count(g, m) == want, name
 
 
-def test_expansion_workers_agree_with_serial():
-    g = gen.k33()
-    m = cb.enumerate_perfect_matchings(g)[0]
-    assert logical_expansion_count(g, m, workers=2) == logical_expansion_count(g, m)
+def test_expansion_on_flower_snarks():
+    # j(4) is colorable (96), j(5) is a snark; every matching must say so
+    for n, want in ((4, 96), (5, 0)):
+        g = gen.isaacs_j(n)
+        ms = cb.enumerate_perfect_matchings(g)
+        assert ms
+        assert {logical_expansion_count(g, m) for m in ms} == {want}, n
+
+
+def test_squeeze_rejects_a_state_missing_edges():
+    g = gen.k4()
+    s = make_state(g, cb.enumerate_perfect_matchings(g)[0], [PARALLEL, PARALLEL])
+    with pytest.raises(IncompleteState):
+        squeeze(dataclasses.replace(s, loops=s.loops[1:]))
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 10_000))
+def test_expansion_is_the_sum_over_built_states(seed: int) -> None:
+    # the definition: one make_state per switch vector, summed
+    g = gen.random_cubic(10, seed)
+    for m in cb.enumerate_perfect_matchings(g):
+        by_definition = sum(
+            count_state_colorings(make_state(g, m, vec))
+            for vec in itertools.product(SWITCH_SETTINGS, repeat=len(m))
+        )
+        assert logical_expansion_count(g, m) == by_definition
 
 
 @settings(max_examples=15, deadline=None)
