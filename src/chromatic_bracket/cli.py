@@ -47,10 +47,11 @@ from .matching import (
     enumerate_perfect_matchings,
 )
 from .penrose import (
+    coloring_weight,
     contract_extended,
     contract_plain,
-    per_coloring_weight,
     skein_evaluate,
+    weight_tables,
 )
 from .state_calculus import logical_expansion_count
 
@@ -61,27 +62,23 @@ def _load_file(path: str) -> object:
             return json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, or an integer past the digit limit
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _load_input(args: argparse.Namespace) -> tuple[str, object]:
-    """Resolve the input argument to ("graph", g) or ("diagram", d)."""
+def _load_input(args: argparse.Namespace) -> CubicGraph | Diagram:
     name = args.input
     if os.path.exists(name):
         data = _load_file(name)
-        kind = args.as_kind
-        if kind is None:
-            kind = "diagram" if looks_like_diagram_json(data) else "graph"
+        kind = args.as_kind or ("diagram" if looks_like_diagram_json(data) else "graph")
         if kind == "diagram":
-            return "diagram", diagram_from_json_dict(data)
-        return "graph", graph_from_json_dict(data)
+            return diagram_from_json_dict(data)
+        return graph_from_json_dict(data)
     if name in generators.GENERATOR_NAMES:
-        kind = args.as_kind or "graph"
         try:
-            if kind == "diagram":
-                return "diagram", generators.named_diagram(name, args.n, args.seed)
-            return "graph", generators.named_graph(name, args.n, args.seed)
+            if args.as_kind == "diagram":
+                return generators.named_diagram(name, args.n, args.seed)
+            return generators.named_graph(name, args.n, args.seed)
         except ValueError as exc:
             raise ParseError(str(exc)) from exc
     raise ParseError(
@@ -90,20 +87,14 @@ def _load_input(args: argparse.Namespace) -> tuple[str, object]:
     )
 
 
-def _input_graph(kind: str, obj: object) -> CubicGraph:
-    if kind == "diagram":
-        assert isinstance(obj, Diagram)
-        return underlying_graph(obj).graph
-    assert isinstance(obj, CubicGraph)
-    return obj
+def _input_graph(obj: CubicGraph | Diagram) -> CubicGraph:
+    return underlying_graph(obj).graph if isinstance(obj, Diagram) else obj
 
 
-def _input_diagram(kind: str, obj: object, args: argparse.Namespace) -> Diagram:
-    if kind == "diagram":
-        assert isinstance(obj, Diagram)
+def _input_diagram(obj: CubicGraph | Diagram, args: argparse.Namespace) -> Diagram:
+    if isinstance(obj, Diagram):
         return obj
     if getattr(args, "auto_immerse", False):
-        assert isinstance(obj, CubicGraph)
         return chord_immersion(obj)
     raise ParseError("this method needs a diagram input, or pass --auto-immerse")
 
@@ -114,28 +105,24 @@ def _emit(args: argparse.Namespace, payload: dict, summary: str) -> None:
         print(summary, file=sys.stderr)
 
 
-def cmd_count(args: argparse.Namespace) -> int:
-    kind, obj = _load_input(args)
+def cmd_count(args: argparse.Namespace, obj: CubicGraph | Diagram) -> int:
     extras: dict = {}
     t0 = time.perf_counter()
     if args.method == "brute":
-        value = count_colorings(_input_graph(kind, obj))
+        value = count_colorings(_input_graph(obj))
     elif args.method == "penrose-skein":
-        value = skein_evaluate(_input_diagram(kind, obj, args))
+        value = skein_evaluate(_input_diagram(obj, args))
     elif args.method == "penrose":
-        d = _input_diagram(kind, obj, args)
+        d = _input_diagram(obj, args)
         value = contract_plain(d) if args.plain else contract_extended(d)
         if args.per_coloring:
-            ug = underlying_graph(d)
+            g, nodes, crossings = weight_tables(d, include_crossings=not args.plain)
             extras["per_coloring"] = [
-                {
-                    "coloring": coloring_names(c),
-                    "weight": per_coloring_weight(d, c, include_crossings=not args.plain),
-                }
-                for c in enumerate_colorings(ug.graph)
+                {"coloring": coloring_names(c), "weight": coloring_weight(c, nodes, crossings)}
+                for c in enumerate_colorings(g)
             ]
     else:  # states
-        g = _input_graph(kind, obj)
+        g = _input_graph(obj)
         ms = enumerate_perfect_matchings(g)
         if not ms:
             raise NoPerfectMatching("the states method needs a perfect matching")
@@ -194,11 +181,9 @@ def run_crosscheck(g: CubicGraph, d: Diagram) -> dict:
     return report
 
 
-def cmd_crosscheck(args: argparse.Namespace) -> int:
-    kind, obj = _load_input(args)
-    g = _input_graph(kind, obj)
-    d = obj if kind == "diagram" else chord_immersion(g)
-    assert isinstance(d, Diagram)
+def cmd_crosscheck(args: argparse.Namespace, obj: CubicGraph | Diagram) -> int:
+    g = _input_graph(obj)
+    d = obj if isinstance(obj, Diagram) else chord_immersion(g)
     try:
         report = run_crosscheck(g, d)
     except MethodDisagreement as exc:
@@ -210,9 +195,8 @@ def cmd_crosscheck(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_matchings(args: argparse.Namespace) -> int:
-    kind, obj = _load_input(args)
-    g = _input_graph(kind, obj)
+def cmd_matchings(args: argparse.Namespace, obj: CubicGraph | Diagram) -> int:
+    g = _input_graph(obj)
     ms = enumerate_perfect_matchings(g)
     rows = []
     even_count = 0
@@ -235,9 +219,8 @@ def cmd_matchings(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_formation(args: argparse.Namespace) -> int:
-    kind, obj = _load_input(args)
-    g = _input_graph(kind, obj)
+def cmd_formation(args: argparse.Namespace, obj: CubicGraph | Diagram) -> int:
+    g = _input_graph(obj)
     colorings = enumerate_colorings(g)
     k = args.coloring_index
     if not 0 <= k < len(colorings):
@@ -258,17 +241,15 @@ def cmd_formation(args: argparse.Namespace) -> int:
         f"{args.input}: coloring {k} has {len(f.red_curves)} red and "
         f"{len(f.blue_curves)} blue curves, {len(f.shared_segments)} shared segments"
     )
-    if kind == "diagram":
-        assert isinstance(obj, Diagram)
-        if obj.crossing_count == 0 and genus(obj) == 0:
-            classes = classify_meetings(obj, c)
-            payload["meetings"] = {str(e): cls for e, cls in sorted(classes.items())}
-            payload["crossing_parity"] = crossing_parity(obj, c)
+    if isinstance(obj, Diagram) and obj.crossing_count == 0 and genus(obj) == 0:
+        classes = classify_meetings(obj, c)
+        payload["meetings"] = {str(e): cls for e, cls in sorted(classes.items())}
+        payload["crossing_parity"] = crossing_parity(obj, c)
     _emit(args, payload, summary)
     return 0
 
 
-def cmd_gen(args: argparse.Namespace) -> int:
+def cmd_gen(args: argparse.Namespace, _: None) -> int:
     try:
         if args.format == "diagram":
             d = generators.named_diagram(args.name, args.n, args.seed)
@@ -280,16 +261,12 @@ def cmd_gen(args: argparse.Namespace) -> int:
             summary = f"{args.name}: {g.node_count} nodes, {g.edge_count} edges"
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
-    print(json.dumps(payload, separators=(",", ":"), sort_keys=True))
-    if not args.json_only:
-        print(summary, file=sys.stderr)
+    _emit(args, payload, summary)
     return 0
 
 
-def cmd_validate(args: argparse.Namespace) -> int:
-    kind, obj = _load_input(args)
-    if kind == "diagram":
-        assert isinstance(obj, Diagram)
+def cmd_validate(args: argparse.Namespace, obj: CubicGraph | Diagram) -> int:
+    if isinstance(obj, Diagram):
         payload = {
             "kind": "diagram",
             "nodes": obj.node_count,
@@ -305,7 +282,6 @@ def cmd_validate(args: argparse.Namespace) -> int:
             payload["underlying"] = None
         summary = f"{args.input}: valid diagram, genus {payload['genus']}"
     else:
-        assert isinstance(obj, CubicGraph)
         payload = {
             "kind": "graph",
             "nodes": obj.node_count,
@@ -385,14 +361,20 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
+    limit = sys.get_int_max_str_digits()
     try:
-        return args.func(args)
+        obj = _load_input(args) if "input" in args else None
+        # input is parsed under the digit limit; exact counts may print past it
+        sys.set_int_max_str_digits(0)
+        return args.func(args, obj)
     except MethodDisagreement as exc:
         print(f"method disagreement: {exc}", file=sys.stderr)
         return 2
     except ChromaticBracketError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def console_main() -> None:

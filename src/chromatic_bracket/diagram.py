@@ -21,6 +21,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     DegenerateLayout,
+    NotPlane,
     ParseError,
     StrandClosesWithoutNode,
     UnmatchedPort,
@@ -40,14 +41,6 @@ class Port(NamedTuple):
     kind: str  # NODE or CROSSING
     owner: int
     slot: int
-
-
-def node_port(owner: int, slot: int) -> Port:
-    return Port(NODE, owner, slot)
-
-
-def crossing_port(owner: int, slot: int) -> Port:
-    return Port(CROSSING, owner, slot)
 
 
 def strand_partner_slot(slot: int) -> int:
@@ -108,19 +101,15 @@ def build_diagram(
         norm.append((min(p, q), max(p, q)))
     norm.sort()
     d = Diagram(node_count, kinds, tuple(norm), free_loops)
+    ports = d.ports()
+    valid = set(ports)
     counts: dict[Port, int] = {}
     for p, q in d.arcs:
         for port in (p, q):
-            if port.kind == NODE:
-                ok = 0 <= port.owner < node_count and 0 <= port.slot < 3
-            elif port.kind == CROSSING:
-                ok = 0 <= port.owner < len(kinds) and 0 <= port.slot < 4
-            else:
-                ok = False
-            if not ok:
+            if port not in valid:
                 raise UnmatchedPort(f"port {port} does not exist")
             counts[port] = counts.get(port, 0) + 1
-    for port in d.ports():
+    for port in ports:
         if counts.get(port, 0) != 1:
             raise UnmatchedPort(f"port {port} is covered {counts.get(port, 0)} times, expected 1")
     return d
@@ -151,44 +140,35 @@ def trace_faces(d: Diagram) -> list[list[Port]]:
     return faces
 
 
-def _vertex_components(d: Diagram) -> list[set[tuple[str, int]]]:
-    parent: dict[tuple[str, int], tuple[str, int]] = {}
+def _component_count(d: Diagram) -> int:
+    """Connected components of the node-and-crossing graph, by union-find."""
+    parent = list(range(d.node_count + d.crossing_count))
 
-    def find(v: tuple[str, int]) -> tuple[str, int]:
+    def find(v: int) -> int:
         while parent[v] != v:
             parent[v] = parent[parent[v]]
             v = parent[v]
         return v
 
-    for n in range(d.node_count):
-        parent[(NODE, n)] = (NODE, n)
-    for x in range(d.crossing_count):
-        parent[(CROSSING, x)] = (CROSSING, x)
+    count = len(parent)
     for p, q in d.arcs:
-        a, b = find((p.kind, p.owner)), find((q.kind, q.owner))
+        a = find(p.owner if p.kind == NODE else d.node_count + p.owner)
+        b = find(q.owner if q.kind == NODE else d.node_count + q.owner)
         if a != b:
             parent[a] = b
-    groups: dict[tuple[str, int], set[tuple[str, int]]] = {}
-    for v in parent:
-        groups.setdefault(find(v), set()).add(v)
-    return list(groups.values())
+            count -= 1
+    return count
 
 
 def genus(d: Diagram) -> int:
     """Total genus over connected components; 0 means the diagram is plane.
 
-    Free loops are plain circles and never contribute.
+    Each component has Euler characteristic 2 - 2g = V - A + F, so summing
+    over C components gives 2 * genus = 2C - V + A - F. Free loops are plain
+    circles and never contribute.
     """
-    faces = trace_faces(d)
-    total = 0
-    for comp in _vertex_components(d):
-        v = len(comp)
-        a = sum(1 for p, q in d.arcs if (p.kind, p.owner) in comp)
-        f = sum(1 for walk in faces if (walk[0].kind, walk[0].owner) in comp)
-        euler = v - a + f
-        assert (2 - euler) % 2 == 0
-        total += (2 - euler) // 2
-    return total
+    v = d.node_count + d.crossing_count
+    return (2 * _component_count(d) - v + len(d.arcs) - len(trace_faces(d))) // 2
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +272,8 @@ def chord_immersion(g: CubicGraph, node_order: Sequence[int] | None = None) -> D
         except DegenerateLayout as exc:
             last_error = exc
             continue
-        assert genus(d) == 0
+        if genus(d) != 0:
+            raise NotPlane("chord layout came out with positive genus")
         return d
     raise DegenerateLayout(f"all layout attempts degenerate: {last_error}")
 
@@ -455,7 +436,7 @@ def diagram_from_json_dict(data: object) -> Diagram:
 def diagram_from_json(text: str) -> Diagram:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, or an integer past the digit limit
         raise ParseError(f"invalid JSON: {exc}") from exc
     return diagram_from_json_dict(data)
 

@@ -13,10 +13,11 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .coloring import BLUE, PURPLE, RED, is_proper
-from .diagram import NODE, Diagram, Port, genus, underlying_graph
+from .diagram import Diagram, genus
 from .errors import ImproperColoring, NotPlane
 from .graph_core import CubicGraph
-from .penrose import node_weight
+from .matching import complement_cycles
+from .penrose import coloring_weight, weight_tables
 
 BOUNCE = "bounce"
 CROSS = "cross"
@@ -29,37 +30,11 @@ class Formation:
     shared_segments: frozenset[int]
 
 
-def _cycles(g: CubicGraph, edge_ids: list[int]) -> tuple[tuple[int, ...], ...]:
-    # edge_ids must induce a 2-regular subgraph; true for any color pair of
-    # a proper coloring
-    at: list[list[int]] = [[] for _ in range(g.node_count)]
-    for e in edge_ids:
-        at[g.edges[e][0]].append(2 * e)
-        at[g.edges[e][1]].append(2 * e + 1)
-    used: set[int] = set()
-    cycles: list[tuple[int, ...]] = []
-    for e0 in edge_ids:
-        if e0 in used:
-            continue
-        cycle: list[int] = []
-        depart = 2 * e0
-        while True:
-            used.add(depart // 2)
-            cycle.append(depart // 2)
-            arrive = depart ^ 1
-            a, b = at[g.half_edge_node(arrive)]
-            depart = b if arrive == a else a
-            if depart == 2 * e0:
-                break
-        cycles.append(tuple(cycle))
-    return tuple(cycles)
-
-
 def formation_from_coloring(g: CubicGraph, c: Sequence[int]) -> Formation:
     if not is_proper(g, c):
         raise ImproperColoring("formations exist only for proper colorings")
-    red = _cycles(g, [e for e in range(g.edge_count) if c[e] != BLUE])
-    blue = _cycles(g, [e for e in range(g.edge_count) if c[e] != RED])
+    red = complement_cycles(g, (e for e in range(g.edge_count) if c[e] == BLUE)).cycles
+    blue = complement_cycles(g, (e for e in range(g.edge_count) if c[e] == RED)).cycles
     shared = frozenset(e for e in range(g.edge_count) if c[e] == PURPLE)
     return Formation(red, blue, shared)
 
@@ -75,32 +50,22 @@ def coloring_from_formation(g: CubicGraph, f: Formation) -> tuple[int, ...]:
     return tuple(colors)
 
 
-def _node_exponents(d: Diagram, c: Sequence[int]) -> list[int]:
-    ug = underlying_graph(d)
-    if not is_proper(ug.graph, c):
-        raise ImproperColoring("meeting classes need a proper coloring")
-    exps = []
-    for n in range(d.node_count):
-        triple = tuple(c[ug.edge_of_port[Port(NODE, n, s)]] for s in range(3))
-        exps.append(node_weight(triple).i_power)
-    return exps
-
-
 def classify_meetings(d: Diagram, c: Sequence[int]) -> dict[int, str]:
     """Per P edge: do its red and blue curves cross or bounce?
 
     A P edge crosses exactly when its two endpoint node weights multiply
-    to -1, i.e. the i-exponents sum to 2 mod 4. Defined only for plane
-    crossing-free diagrams; the classes have no meaning elsewhere.
+    to -1. Defined only for plane crossing-free diagrams; the classes have
+    no meaning elsewhere.
     """
     if d.crossing_count or genus(d) != 0:
         raise NotPlane("meeting classes need a plane, crossing-free diagram")
-    ug = underlying_graph(d)
-    exps = _node_exponents(d, c)
+    g, nodes, _ = weight_tables(d, include_crossings=False)
+    if not is_proper(g, c):
+        raise ImproperColoring("meeting classes need a proper coloring")
     out: dict[int, str] = {}
-    for e, (u, v) in enumerate(ug.graph.edges):
+    for e, (u, v) in enumerate(g.edges):
         if c[e] == PURPLE:
-            out[e] = BOUNCE if (exps[u] + exps[v]) % 4 == 0 else CROSS
+            out[e] = BOUNCE if coloring_weight(c, (nodes[u], nodes[v])) == 1 else CROSS
     return out
 
 

@@ -9,7 +9,8 @@ from __future__ import annotations
 import random
 from typing import Callable
 
-from .diagram import CIRCLED, Diagram, Port, build_diagram, chord_immersion, genus
+from .diagram import CIRCLED, Diagram, Port, build_diagram, chord_immersion, genus, underlying_graph
+from .errors import NotPlane
 from .graph_core import CubicGraph, build_graph
 
 
@@ -187,10 +188,7 @@ def random_plane_cubic(n: int, seed: int) -> Diagram:
     if n < 2 or n % 2:
         raise ValueError("random_plane_cubic needs even n >= 2")
     rng = random.Random(seed)
-    mate: dict[Port, Port] = {}
-    for p, q in theta_diagram().arcs:
-        mate[p] = q
-        mate[q] = p
+    mate = dict(theta_diagram().mate)
     live: set[int] = {0, 1}
     next_id = 2
 
@@ -225,14 +223,14 @@ def random_plane_cubic(n: int, seed: int) -> Diagram:
             live.update((a, b))
 
     dense = {old: new for new, old in enumerate(sorted(live))}
-    arcs = sorted(
-        {
-            tuple(sorted((Port("n", dense[p.owner], p.slot), Port("n", dense[q.owner], q.slot))))
-            for p, q in mate.items()
-        }
-    )
+    arcs = [
+        (Port("n", dense[p.owner], p.slot), Port("n", dense[q.owner], q.slot))
+        for p, q in mate.items()
+        if p < q
+    ]
     d = build_diagram(len(live), (), arcs)
-    assert genus(d) == 0
+    if genus(d) != 0:
+        raise NotPlane("plane growth came out with positive genus")
     return d
 
 
@@ -266,28 +264,21 @@ GENERATOR_NAMES = tuple(
 def named_graph(name: str, n: int | None = None, seed: int = 0) -> CubicGraph:
     if name in _PLAIN_GRAPHS:
         return _PLAIN_GRAPHS[name]()
+    if name not in GENERATOR_NAMES:
+        raise ValueError(f"unknown generator {name!r}; known: {', '.join(GENERATOR_NAMES)}")
+    if n is None:
+        raise ValueError(f"{name} needs --n")
     if name == "isaacs_j":
-        if n is None:
-            raise ValueError("isaacs_j needs --n")
         return isaacs_j(n)
     if name == "random_cubic":
-        if n is None:
-            raise ValueError("random_cubic needs --n")
         return random_cubic(n, seed)
-    if name == "random_plane_cubic":
-        if n is None:
-            raise ValueError("random_plane_cubic needs --n")
-        from .diagram import underlying_graph
-
-        return underlying_graph(random_plane_cubic(n, seed)).graph
-    raise ValueError(f"unknown generator {name!r}; known: {', '.join(GENERATOR_NAMES)}")
+    return underlying_graph(random_plane_cubic(n, seed)).graph
 
 
 def named_diagram(name: str, n: int | None = None, seed: int = 0) -> Diagram:
     if name in _PLANE_DIAGRAMS:
         return _PLANE_DIAGRAMS[name]()
-    if name == "random_plane_cubic":
-        if n is None:
-            raise ValueError("random_plane_cubic needs --n")
+    if name == "random_plane_cubic" and n is not None:
         return random_plane_cubic(n, seed)
+    # named_graph reports an unknown name or a missing --n
     return chord_immersion(named_graph(name, n, seed))

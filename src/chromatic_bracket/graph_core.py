@@ -61,10 +61,15 @@ def build_graph(node_count: int, edges: Iterable[Sequence[int]]) -> CubicGraph:
     for u, v in edge_tuple:
         if not (0 <= u < node_count and 0 <= v < node_count):
             raise ValueError(f"edge endpoint out of range: ({u}, {v})")
-    degree = [0] * node_count
+    # The edges touch at most 2|E| nodes, so when node_count is larger some
+    # node below 2|E| + 1 has degree 0 and the lowest violation lies in range.
+    size = min(node_count, 2 * len(edge_tuple) + 1)
+    degree = [0] * size
     for u, v in edge_tuple:
-        degree[u] += 1
-        degree[v] += 1
+        if u < size:
+            degree[u] += 1
+        if v < size:
+            degree[v] += 1
     for n, d in enumerate(degree):
         if d != 3:
             raise DegreeViolation(n, d)
@@ -76,17 +81,7 @@ def has_loop(g: CubicGraph) -> bool:
 
 
 def is_connected(g: CubicGraph) -> bool:
-    seen = [False] * g.node_count
-    stack = [0]
-    seen[0] = True
-    while stack:
-        n = stack.pop()
-        for h in g.incidence[n]:
-            m = g.half_edge_node(g.other_end(h))
-            if not seen[m]:
-                seen[m] = True
-                stack.append(m)
-    return all(seen)
+    return len(connected_components(g)) == 1
 
 
 def connected_components(g: CubicGraph) -> list[list[NodeId]]:
@@ -202,6 +197,6 @@ def graph_from_json_dict(data: object) -> CubicGraph:
 def graph_from_json(text: str) -> CubicGraph:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, or an integer past the digit limit
         raise ParseError(f"invalid JSON: {exc}") from exc
     return graph_from_json_dict(data)

@@ -34,6 +34,7 @@ from .errors import (
     RecursionBudgetExceeded,
     StrandClosesWithoutNode,
 )
+from .graph_core import CubicGraph
 
 
 class NodeWeight(NamedTuple):
@@ -72,29 +73,42 @@ def _sign_of_i_power(exp: int, context: str) -> int:
     return 1 if exp % 4 == 0 else -1
 
 
+def weight_tables(d: Diagram, include_crossings: bool) -> tuple[CubicGraph, list, list]:
+    """The underlying graph of d, and the two tables coloring_weight reads:
+    clockwise edge ids per node, and (kind, axis edge ids) per crossing,
+    left empty unless include_crossings."""
+    ug = underlying_graph(d)
+    nodes = [tuple(ug.edge_of_port[Port(NODE, n, s)] for s in range(3))
+             for n in range(d.node_count)]
+    axes = crossing_axis_edges(ug, d.crossing_count) if include_crossings else []
+    return ug.graph, nodes, list(zip(d.crossing_kinds, axes))
+
+
+def coloring_weight(
+    c: Sequence[int], nodes: Sequence[tuple[int, int, int]], crossings: Sequence = ()
+) -> int:
+    """Weight of one proper coloring: node weights times crossing weights.
+
+    The node i-powers are summed first and must leave a real sign.
+    """
+    exp = 0
+    for a, b, e in nodes:
+        exp += node_weight((c[a], c[b], c[e])).i_power
+    term = _sign_of_i_power(exp, "node-weight product")
+    for kind, (ea, eb) in crossings:
+        term *= crossing_weight(kind, c[ea], c[eb])
+        if term == 0:
+            break
+    return term
+
+
 def _contract(d: Diagram, include_crossings: bool) -> int:
     if d.node_count == 0:
         if d.crossing_count:
             raise StrandClosesWithoutNode("contraction needs node-anchored strands")
         return 3**d.free_loops
-    ug = underlying_graph(d)
-    node_edges = [
-        tuple(ug.edge_of_port[Port(NODE, n, s)] for s in range(3))
-        for n in range(d.node_count)
-    ]
-    axes = crossing_axis_edges(ug, d.crossing_count)
-    total = 0
-    for c in enumerate_colorings(ug.graph):
-        exp = 0
-        for triple in node_edges:
-            exp += node_weight((c[triple[0]], c[triple[1]], c[triple[2]])).i_power
-        term = _sign_of_i_power(exp, "contraction")
-        if include_crossings:
-            for x, (ea, eb) in enumerate(axes):
-                term *= crossing_weight(d.crossing_kinds[x], c[ea], c[eb])
-                if term == 0:
-                    break
-        total += term
+    g, nodes, crossings = weight_tables(d, include_crossings)
+    total = sum(coloring_weight(c, nodes, crossings) for c in enumerate_colorings(g))
     return total * 3**d.free_loops
 
 
@@ -113,18 +127,10 @@ def contract_extended(d: Diagram) -> int:
 
 
 def per_coloring_weight(d: Diagram, c: Sequence[int], include_crossings: bool = True) -> int:
-    ug = underlying_graph(d)
-    if not is_proper(ug.graph, c):
+    g, nodes, crossings = weight_tables(d, include_crossings)
+    if not is_proper(g, c):
         raise ImproperColoring("per-coloring weight needs a proper coloring")
-    exp = 0
-    for n in range(d.node_count):
-        triple = tuple(c[ug.edge_of_port[Port(NODE, n, s)]] for s in range(3))
-        exp += node_weight(triple).i_power
-    sign = _sign_of_i_power(exp, "per-coloring weight")
-    if include_crossings:
-        for x, (ea, eb) in enumerate(crossing_axis_edges(ug, d.crossing_count)):
-            sign *= crossing_weight(d.crossing_kinds[x], c[ea], c[eb])
-    return sign
+    return coloring_weight(c, nodes, crossings)
 
 
 # ---------------------------------------------------------------------------

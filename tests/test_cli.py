@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -243,3 +244,44 @@ def test_python_dash_m_entry_point():
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["count"] == 6
     assert proc.stderr == ""
+
+
+def test_validate_huge_node_count_fails_cleanly(tmp_path: Path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"nodes": 10**15, "edges": []}))
+    code, _, err = run(capsys, "validate", str(path))
+    assert code == 1
+    assert "error: node 0 has degree 0" in err
+
+
+def test_input_integer_past_the_digit_limit_fails_cleanly(tmp_path: Path, capsys):
+    path = tmp_path / "long.json"
+    path.write_text('{"nodes": 1' + "0" * 5000 + ', "edges": []}')
+    code, _, err = run(capsys, "validate", str(path))
+    assert code == 1
+    assert "error:" in err
+
+
+def test_counts_past_the_int_digit_limit_print_in_full(tmp_path: Path, capsys):
+    data = cb.diagram_to_json_dict(gen.theta_diagram())
+    data["free_loops"] = 9100
+    path = tmp_path / "theta_loops.json"
+    path.write_text(json.dumps(data))
+    bracket = 6 * 3**9100  # 4 345 digits, past Python's default 4 300
+    limit = sys.get_int_max_str_digits()
+    outcomes = []
+    for argv in (["count", str(path), "--method", "penrose"], ["crosscheck", str(path)]):
+        code = main(argv)
+        assert sys.get_int_max_str_digits() == limit
+        out = capsys.readouterr().out
+        sys.set_int_max_str_digits(0)
+        try:
+            outcomes.append((code, json.loads(out)))
+        finally:
+            sys.set_int_max_str_digits(limit)
+    (code, payload), (xcode, report) = outcomes
+    assert (code, payload["count"]) == (0, bracket)
+    # the free loops weigh 3 each in the bracket but not in the graph count
+    assert (xcode, report["agree"]) == (2, False)
+    assert report["methods"]["penrose_extended"] == bracket
+    assert report["methods"]["brute"] == 6

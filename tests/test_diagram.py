@@ -9,8 +9,9 @@ import pytest
 
 import chromatic_bracket as cb
 from chromatic_bracket import CIRCLED, DOTTED, PLAIN, Port
+from chromatic_bracket import diagram as diagram_module
 from chromatic_bracket import generators as gen
-from chromatic_bracket.errors import ParseError, StrandClosesWithoutNode, UnmatchedPort
+from chromatic_bracket.errors import NotPlane, ParseError, StrandClosesWithoutNode, UnmatchedPort
 
 N = lambda o, s: Port("n", o, s)
 X = lambda o, s: Port("x", o, s)
@@ -227,3 +228,44 @@ def test_dotted_kind_accepted():
         0, (DOTTED,), [(X(0, 0), X(0, 1)), (X(0, 2), X(0, 3))]
     )
     assert d.crossing_kinds == (DOTTED,)
+
+
+def _scrambled_k4() -> cb.Diagram:
+    """The genus-1 drawing of K4: node 3's slots 0 and 1 swapped."""
+    k4d = gen.k4_diagram()
+
+    def fix(p: Port) -> Port:
+        if p.kind == "n" and p.owner == 3 and p.slot in (0, 1):
+            return Port("n", 3, 1 - p.slot)
+        return p
+
+    return cb.build_diagram(
+        k4d.node_count, k4d.crossing_kinds, [tuple(fix(p) for p in arc) for arc in k4d.arcs]
+    )
+
+
+def _disjoint_union(a: cb.Diagram, b: cb.Diagram) -> cb.Diagram:
+    def shift(p: Port) -> Port:
+        return Port(p.kind, p.owner + (a.node_count if p.kind == "n" else a.crossing_count), p.slot)
+
+    arcs = list(a.arcs) + [(shift(p), shift(q)) for p, q in b.arcs]
+    return cb.build_diagram(
+        a.node_count + b.node_count, a.crossing_kinds + b.crossing_kinds, arcs
+    )
+
+
+def test_genus_adds_up_over_components():
+    torus = _scrambled_k4()
+    assert cb.genus(torus) == 1
+    assert cb.genus(_disjoint_union(torus, gen.theta_diagram())) == 1
+    assert cb.genus(_disjoint_union(gen.theta_diagram(), torus)) == 1
+    assert cb.genus(_disjoint_union(torus, torus)) == 2
+    assert cb.genus(_disjoint_union(gen.k33_diagram(), torus)) == 1
+    assert cb.genus(_disjoint_union(gen.theta_diagram(), gen.k4_diagram())) == 0
+
+
+def test_chord_immersion_refuses_a_layout_of_positive_genus(monkeypatch):
+    # the genus check is a raise, not an assert, so it holds under python -O
+    monkeypatch.setattr(diagram_module, "_chord_layout", lambda g, order: _scrambled_k4())
+    with pytest.raises(NotPlane):
+        cb.chord_immersion(gen.k4())

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import chromatic_bracket as cb
 from chromatic_bracket import generators as gen
+from chromatic_bracket.errors import NotPlane
 
 
 def degrees(g: cb.CubicGraph) -> list[int]:
@@ -160,3 +161,17 @@ def test_random_plane_cubic_always_plane(n: int, seed: int) -> None:
     g = cb.underlying_graph(d).graph
     assert g.node_count == n
     assert cb.is_connected(g)
+
+
+@pytest.mark.parametrize("name", ["isaacs_j", "random_cubic", "random_plane_cubic"])
+def test_sized_generators_need_n(name):
+    for make in (gen.named_graph, gen.named_diagram):
+        with pytest.raises(ValueError, match=f"{name} needs --n"):
+            make(name)
+
+
+def test_random_plane_cubic_refuses_positive_genus(monkeypatch):
+    # the genus check is a raise, not an assert, so it holds under python -O
+    monkeypatch.setattr(gen, "genus", lambda d: 1)
+    with pytest.raises(NotPlane):
+        gen.random_plane_cubic(6, 0)

@@ -121,3 +121,25 @@ def test_graph_json_dict_form():
     assert d["nodes"] == 6
     assert len(d["edges"]) == 9
     assert cb.graph_from_json_dict(d) == g
+
+
+def test_huge_node_count_is_a_degree_violation_not_an_allocation():
+    # the degree table is bounded by what the edges can reach, so a node
+    # count far past any memory still reports the lowest bad node
+    with pytest.raises(DegreeViolation) as info:
+        cb.graph_from_json_dict({"nodes": 10**15, "edges": []})
+    assert (info.value.node, info.value.degree) == (0, 0)
+    with pytest.raises(DegreeViolation) as info:
+        cb.build_graph(10**15, [(0, 1), (0, 1), (0, 1)])
+    assert (info.value.node, info.value.degree) == (2, 0)
+    with pytest.raises(DegreeViolation) as info:
+        cb.build_graph(10**15, [(0, 1), (0, 1), (0, 2)])
+    assert (info.value.node, info.value.degree) == (1, 2)
+
+
+def test_graph_json_integer_past_the_digit_limit_is_a_parse_error():
+    with pytest.raises(ParseError):
+        cb.graph_from_json('{"nodes": 1' + "0" * 5000 + ', "edges": []}')
+    with pytest.raises(ParseError):
+        cb.diagram_from_json('{"nodes": [], "crossings": [], "arcs": [], "free_loops": 1'
+                             + "0" * 5000 + "}")
