@@ -178,6 +178,7 @@ def trace_strand(d: Diagram, start: Port) -> tuple[Port, list[tuple[int, int]]]:
     """Walk from a node port through crossings to the far node port.
 
     Returns the far port and the (crossing id, entry slot) list in walk order.
+    Reads only d.mate, so the skein's working port pairing walks the same way.
     """
     if start.kind != NODE:
         raise ValueError("strand tracing starts at a node port")

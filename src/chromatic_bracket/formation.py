@@ -69,7 +69,11 @@ def classify_meetings(d: Diagram, c: Sequence[int]) -> dict[int, str]:
     return out
 
 
+def meeting_parity(classes: dict[int, str]) -> int:
+    """Number of Cross meetings mod 2, from classify_meetings' classes."""
+    return sum(1 for kind in classes.values() if kind == CROSS) % 2
+
+
 def crossing_parity(d: Diagram, c: Sequence[int]) -> int:
     """Number of Cross meetings mod 2; zero on every plane diagram."""
-    classes = classify_meetings(d, c)
-    return sum(1 for kind in classes.values() if kind == CROSS) % 2
+    return meeting_parity(classify_meetings(d, c))

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
-from .coloring import BLUE, PURPLE, RED, enumerate_colorings, is_proper
+from .coloring import BLUE, PURPLE, RED, is_proper
 from .diagram import (
     CIRCLED,
     CROSSING,
@@ -25,6 +25,7 @@ from .diagram import (
     build_diagram,
     crossing_axis_edges,
     strand_partner_slot,
+    trace_strand,
     underlying_graph,
 )
 from .errors import (
@@ -57,14 +58,19 @@ def node_weight(cw_colors: Sequence[int]) -> NodeWeight:
     return NodeWeight(True, 0)
 
 
+# Each crossing weighs a + b*[its two strand colors agree].
+_PAIR_FACTOR = {PLAIN: (1, 0), CIRCLED: (-1, 2), DOTTED: (0, 1)}
+
+
 def crossing_weight(kind: str, color_a: int, color_b: int) -> int:
-    if kind == PLAIN:
-        return 1
-    if kind == CIRCLED:
-        return 1 if color_a == color_b else -1
-    if kind == DOTTED:
-        return 1 if color_a == color_b else 0
-    raise ValueError(f"unknown crossing kind {kind!r}")
+    if kind not in _PAIR_FACTOR:
+        raise ValueError(f"unknown crossing kind {kind!r}")
+    a, b = _PAIR_FACTOR[kind]
+    return a + b if color_a == color_b else a
+
+
+# i-power of each proper node coloring, read by both weights below
+_NODE_I_POWER = {t: node_weight(t).i_power for t in itertools.permutations((RED, BLUE, PURPLE))}
 
 
 def _sign_of_i_power(exp: int, context: str) -> int:
@@ -74,14 +80,15 @@ def _sign_of_i_power(exp: int, context: str) -> int:
 
 
 def weight_tables(d: Diagram, include_crossings: bool) -> tuple[CubicGraph, list, list]:
-    """The underlying graph of d, and the two tables coloring_weight reads:
-    clockwise edge ids per node, and (kind, axis edge ids) per crossing,
-    left empty unless include_crossings."""
+    """The underlying graph of d, and the two tables the weights read:
+    clockwise edge ids per node, and per crossing its axis edge ids with its
+    pair factor (ea, eb, a, b), left empty unless include_crossings."""
     ug = underlying_graph(d)
     nodes = [tuple(ug.edge_of_port[Port(NODE, n, s)] for s in range(3))
              for n in range(d.node_count)]
     axes = crossing_axis_edges(ug, d.crossing_count) if include_crossings else []
-    return ug.graph, nodes, list(zip(d.crossing_kinds, axes))
+    return ug.graph, nodes, [(ea, eb, *_PAIR_FACTOR[kind])
+                             for kind, (ea, eb) in zip(d.crossing_kinds, axes)]
 
 
 def coloring_weight(
@@ -91,15 +98,129 @@ def coloring_weight(
 
     The node i-powers are summed first and must leave a real sign.
     """
-    exp = 0
-    for a, b, e in nodes:
-        exp += node_weight((c[a], c[b], c[e])).i_power
+    exp = sum(_NODE_I_POWER[c[a], c[b], c[e]] for a, b, e in nodes)
     term = _sign_of_i_power(exp, "node-weight product")
-    for kind, (ea, eb) in crossings:
-        term *= crossing_weight(kind, c[ea], c[eb])
+    for ea, eb, a, b in crossings:
+        term *= a + b if c[ea] == c[eb] else a
         if term == 0:
             break
     return term
+
+
+def _link(adj: list[dict[int, tuple[int, int]]], i: int, j: int, a: int, b: int) -> int:
+    """Multiply a + b*[strands i and j agree] into their factor; return the
+    constant split off: a + b on one strand, a when no coupling is left, else 1."""
+    if i == j:
+        return a + b
+    if j in adj[i]:
+        a0, b0 = adj[i].pop(j)
+        del adj[j][i]
+        a, b = a0 * a, a0 * b + b0 * a + b0 * b  # [agree] is idempotent
+    if b == 0:
+        return a
+    adj[i][j] = adj[j][i] = (a, b)
+    return 1
+
+
+def _strand_sum(
+    k: int, nodes: Sequence[tuple[int, ...]], pairs: Iterable[tuple[int, int, int, int]]
+) -> int:
+    """Sum over the colorings of k strands of node weights times pair factors.
+
+    nodes holds each node's clockwise strand triple; a pair (i, j, a, b)
+    weighs a + b*[strands i and j share a color]. Closed strands (on no node)
+    with at most two pair neighbours are summed out first. The rest are
+    backtracked with the nodes in BFS order, refusing a color a node already
+    holds, and the node i-powers must leave a real sign.
+    """
+    if k == 0:
+        return 1
+    if any(len(set(t)) < 3 for t in nodes):
+        return 0  # a strand meeting a node twice repeats an epsilon index
+    adj: list[dict[int, tuple[int, int]]] = [{} for _ in range(k)]
+    mult = 1
+    for i, j, a, b in pairs:
+        mult *= _link(adj, i, j, a, b)
+    at: list[list[int]] = [[] for _ in range(k)]
+    for n, t in enumerate(nodes):
+        for s in t:
+            at[s].append(n)
+    todo = [s for s in range(k) if not at[s]]
+    gone: set[int] = set()
+    while todo:
+        v = todo.pop()
+        if v in gone or len(adj[v]) > 2:
+            continue
+        gone.add(v)
+        nbrs = sorted(adj[v].items())
+        for w, _ in nbrs:
+            del adj[w][v]
+        todo += [w for w, _ in nbrs if not at[w]]
+        if len(nbrs) == 2:
+            (w1, (a1, b1)), (w2, (a2, b2)) = nbrs
+            mult *= _link(adj, w1, w2, 3 * a1 * a2 + a1 * b2 + a2 * b1, b1 * b2)
+        else:
+            a, b = nbrs[0][1] if nbrs else (1, 0)  # a lone strand sums to 3
+            mult *= 3 * a + b
+    if not mult:
+        return 0
+    core = [s for s in range(k) if not at[s] and s not in gone]
+    if len(core) > 14:
+        raise RecursionBudgetExceeded("closed strand core too large to sum")
+
+    bfs: list[int] = []
+    seen: set[int] = set()
+    for root in range(len(nodes)):
+        if root not in seen:
+            seen.add(root)
+            queue = [root]
+            for n in queue:  # grows while it is walked
+                for s in nodes[n]:
+                    queue += [m for m in at[s] if m not in seen]
+                    seen.update(at[s])
+            bfs += queue
+    order = list(dict.fromkeys(s for n in bfs for s in nodes[n])) + core
+    for j, s in enumerate(core):  # two private nodes each, so no color is refused
+        at[s] = [len(nodes) + 2 * j, len(nodes) + 2 * j + 1]
+    pos = {s: d for d, s in enumerate(order)}
+    done: list[list[list[int]]] = [[] for _ in order]
+    for t in nodes:
+        p = [pos[s] for s in t]
+        done[max(p)].append(p)
+    links = [[(pos[w], a, b) for w, (a, b) in adj[s].items() if pos[w] < d]
+             for d, s in enumerate(order)]
+    ends = [at[s] for s in order]
+    colors = [0] * len(order)
+    held = [0] * (len(nodes) + 2 * len(core))
+    total = 0
+
+    def rec(d: int, term: int, exp: int) -> None:
+        nonlocal total
+        if d == len(order):
+            total += term * _sign_of_i_power(exp, "node-weight product")
+            return
+        u, v = ends[d]
+        taken = held[u] | held[v]
+        for c in (RED, BLUE, PURPLE):
+            bit = 1 << c
+            if taken & bit:
+                continue
+            colors[d] = c
+            t, e = term, exp
+            for p, a, b in links[d]:
+                t *= a + b if colors[p] == c else a
+            if not t:
+                continue
+            for x, y, z in done[d]:
+                e += _NODE_I_POWER[colors[x], colors[y], colors[z]]
+            held[u] |= bit
+            held[v] |= bit
+            rec(d + 1, t, e)
+            held[u] ^= bit
+            held[v] ^= bit
+
+    rec(0, 1, 0)
+    return mult * total
 
 
 def _contract(d: Diagram, include_crossings: bool) -> int:
@@ -107,9 +228,8 @@ def _contract(d: Diagram, include_crossings: bool) -> int:
         if d.crossing_count:
             raise StrandClosesWithoutNode("contraction needs node-anchored strands")
         return 3**d.free_loops
-    g, nodes, crossings = weight_tables(d, include_crossings)
-    total = sum(coloring_weight(c, nodes, crossings) for c in enumerate_colorings(g))
-    return total * 3**d.free_loops
+    g, nodes, pairs = weight_tables(d, include_crossings)
+    return _strand_sum(g.edge_count, nodes, pairs) * 3**d.free_loops
 
 
 def contract_plain(d: Diagram) -> int:
@@ -201,14 +321,6 @@ class _Work:
     kinds: dict[int, str]
     free_loops: int
 
-    def copy(self) -> "_Work":
-        return _Work(dict(self.mate), set(self.nodes), dict(self.kinds), self.free_loops)
-
-
-class _Strand(NamedTuple):
-    ends: tuple[Port, ...]  # two node ports, or () for a closed strand
-    passes: tuple[tuple[int, int], ...]  # (crossing id, axis) in walk order
-
 
 def _reconnect(work: _Work, wiring: dict[Port, Port]) -> None:
     """Splice strands across a removed entity.
@@ -249,53 +361,43 @@ def _reconnect(work: _Work, wiring: dict[Port, Port]) -> None:
 
 
 def _dissolve_crossing(work: _Work, x: int) -> None:
-    wiring: dict[Port, Port] = {}
-    for a, b in ((0, 2), (1, 3)):
-        pa, pb = Port(CROSSING, x, a), Port(CROSSING, x, b)
-        wiring[pa] = pb
-        wiring[pb] = pa
-    _reconnect(work, wiring)
+    _reconnect(work, {Port(CROSSING, x, s): Port(CROSSING, x, strand_partner_slot(s))
+                      for s in range(4)})
     del work.kinds[x]
 
 
-def _trace_strands(work: _Work) -> tuple[list[_Strand], dict[tuple[int, int], int]]:
-    strands: list[_Strand] = []
+def _trace_strands(
+    work: _Work,
+) -> tuple[int, list[tuple[int, ...]], dict[tuple[int, int], int]] | None:
+    """Number the strands: node strands from the lowest node port, then closed ones.
+
+    Returns the strand count, the clockwise strand triple of each live node
+    (in node order) and the strand on each (crossing, axis); None when a
+    strand runs from a node back to itself, which repeats an epsilon index.
+    """
+    triples = {n: [-1, -1, -1] for n in sorted(work.nodes)}
     axis_strand: dict[tuple[int, int], int] = {}
-    visited: set[Port] = set()
-
-    def walk_through(entry: Port, passes: list[tuple[int, int]]) -> Port:
-        visited.add(entry)
-        out = Port(CROSSING, entry.owner, strand_partner_slot(entry.slot))
-        visited.add(out)
-        passes.append((entry.owner, entry.slot % 2))
-        axis_strand[(entry.owner, entry.slot % 2)] = len(strands)
-        return work.mate[out]
-
-    for n in sorted(work.nodes):
+    k = 0
+    for n, triple in triples.items():
         for s in range(3):
-            start = Port(NODE, n, s)
-            if start in visited:
-                continue
-            visited.add(start)
-            passes: list[tuple[int, int]] = []
-            cur = work.mate[start]
-            while cur.kind == CROSSING:
-                cur = walk_through(cur, passes)
-            visited.add(cur)
-            strands.append(_Strand((start, cur), tuple(passes)))
+            if triple[s] < 0:
+                end, walk = trace_strand(work, Port(NODE, n, s))
+                if end.owner == n:
+                    return None
+                triple[s] = triples[end.owner][end.slot] = k
+                for x, slot in walk:
+                    axis_strand[x, slot % 2] = k
+                k += 1
     for x in sorted(work.kinds):
-        for slot in range(4):
-            p0 = Port(CROSSING, x, slot)
-            if p0 in visited:
+        for axis in (0, 1):
+            if (x, axis) in axis_strand:
                 continue
-            passes = []
-            cur = p0
-            while True:
-                cur = walk_through(cur, passes)
-                if cur == p0:
-                    break
-            strands.append(_Strand((), tuple(passes)))
-    return strands, axis_strand
+            cur = Port(CROSSING, x, axis)
+            while (cur.owner, cur.slot % 2) not in axis_strand:
+                axis_strand[cur.owner, cur.slot % 2] = k
+                cur = work.mate[Port(CROSSING, cur.owner, strand_partner_slot(cur.slot))]
+            k += 1
+    return k, [tuple(t) for t in triples.values()], axis_strand
 
 
 def _edge_branches(
@@ -310,138 +412,6 @@ def _edge_branches(
     return (1, parallel), (-1, crossed)
 
 
-def _stuck_sum(
-    work: _Work, strands: list[_Strand], axis_strand: dict[tuple[int, int], int]
-) -> int:
-    """Direct sum over strand colorings when nodes remain but no arc joins
-    two nodes crossing-free. Node epsilon weights and crossing weights are
-    both in play; backtracks on completed nodes."""
-    end_strand = {p: i for i, st in enumerate(strands) for p in st.ends}
-    order: list[int] = []
-    pos: dict[int, int] = {}
-    for n in sorted(work.nodes):
-        for s in range(3):
-            i = end_strand[Port(NODE, n, s)]
-            if i not in pos:
-                pos[i] = len(order)
-                order.append(i)
-    for i in range(len(strands)):
-        if i not in pos:
-            pos[i] = len(order)
-            order.append(i)
-
-    nodes_at: list[list[tuple[int, int, int]]] = [[] for _ in order]
-    for n in sorted(work.nodes):
-        slots = tuple(pos[end_strand[Port(NODE, n, s)]] for s in range(3))
-        nodes_at[max(slots)].append(slots)
-    xs_at: list[list[tuple[str, int, int]]] = [[] for _ in order]
-    for x in sorted(work.kinds):
-        a, b = pos[axis_strand[(x, 0)]], pos[axis_strand[(x, 1)]]
-        xs_at[max(a, b)].append((work.kinds[x], a, b))
-
-    colors = [0] * len(order)
-    total = 0
-
-    def rec(depth: int, sign: int, exp: int) -> None:
-        nonlocal total
-        if depth == len(order):
-            total += sign * _sign_of_i_power(exp, "stuck-state sum")
-            return
-        for c in range(3):
-            colors[depth] = c
-            sg, ex = sign, exp
-            ok = True
-            for slots in nodes_at[depth]:
-                w = node_weight((colors[slots[0]], colors[slots[1]], colors[slots[2]]))
-                if w.zero:
-                    ok = False
-                    break
-                ex += w.i_power
-            if not ok:
-                continue
-            for kind, a, b in xs_at[depth]:
-                wx = crossing_weight(kind, colors[a], colors[b])
-                if wx == 0:
-                    ok = False
-                    break
-                sg *= wx
-            if ok:
-                rec(depth + 1, sg, ex)
-
-    rec(0, 1, 0)
-    return total
-
-
-def _merge_parallel(f1: tuple[int, int], f2: tuple[int, int]) -> tuple[int, int]:
-    # (a1 + b1*d)(a2 + b2*d) with d idempotent
-    a1, b1 = f1
-    a2, b2 = f2
-    return a1 * a2, a1 * b2 + b1 * a2 + b1 * b2
-
-
-def _terminal_value(
-    work: _Work, strands: list[_Strand], axis_strand: dict[tuple[int, int], int]
-) -> int:
-    """Closed strands coupled by circled/dotted crossings, summed exactly.
-
-    Each strand pair carries a factor a + b*[equal colors]; strands reduce by
-    isolated/leaf/series elimination and a small brute-forced core.
-    """
-    k = len(strands)
-    adj: dict[int, dict[int, tuple[int, int]]] = {i: {} for i in range(k)}
-
-    def add_edge(i: int, j: int, f: tuple[int, int]) -> None:
-        if j in adj[i]:
-            f = _merge_parallel(adj[i][j], f)
-        adj[i][j] = adj[j][i] = f
-
-    for x in sorted(work.kinds):
-        i, j = axis_strand[(x, 0)], axis_strand[(x, 1)]
-        add_edge(i, j, (-1, 2) if work.kinds[x] == CIRCLED else (0, 1))
-
-    mult = 1
-    live = set(range(k))
-    while True:
-        pick: tuple[int, int] | None = None
-        for v in sorted(live):
-            if len(adj[v]) <= 2:
-                pick = (v, len(adj[v]))
-                break
-        if pick is None:
-            break
-        v, deg = pick
-        if deg == 0:
-            mult *= 3
-        elif deg == 1:
-            ((w, (a, b)),) = adj[v].items()
-            mult *= 3 * a + b
-            del adj[w][v]
-        else:
-            (w1, (a1, b1)), (w2, (a2, b2)) = sorted(adj[v].items())
-            del adj[w1][v]
-            del adj[w2][v]
-            add_edge(w1, w2, (3 * a1 * a2 + a1 * b2 + a2 * b1, b1 * b2))
-        adj[v] = {}
-        live.remove(v)
-
-    core = sorted(live)
-    if not core:
-        return mult
-    if len(core) > 14:
-        raise RecursionBudgetExceeded("terminal strand core too large to sum")
-    idx = {v: i for i, v in enumerate(core)}
-    pairs = [(idx[i], idx[j], adj[i][j]) for i in core for j in adj[i] if i < j]
-    total = 0
-    for assign in itertools.product(range(3), repeat=len(core)):
-        term = 1
-        for i, j, (a, b) in pairs:
-            term *= a + (b if assign[i] == assign[j] else 0)
-            if term == 0:
-                break
-        total += term
-    return mult * total
-
-
 def _evaluate(work: _Work, steps: list[int]) -> int:
     while True:
         steps[0] -= 1
@@ -452,20 +422,17 @@ def _evaluate(work: _Work, steps: list[int]) -> int:
             for x in plains:
                 _dissolve_crossing(work, x)
             continue
-        strands, axis_strand = _trace_strands(work)
-        for st in strands:
-            # a strand from a node back to itself repeats an epsilon index
-            if st.ends and st.ends[0].owner == st.ends[1].owner:
-                return 0
-        dissolve = [
-            x for x in sorted(work.kinds) if axis_strand[(x, 0)] == axis_strand[(x, 1)]
-        ]
+        traced = _trace_strands(work)
+        if traced is None:
+            return 0
+        k, nodes, axis_strand = traced
+        dissolve: list[int] = []
         pair_circled: dict[tuple[int, int], list[int]] = {}
         for x in sorted(work.kinds):
-            if work.kinds[x] != CIRCLED:
-                continue
-            i, j = axis_strand[(x, 0)], axis_strand[(x, 1)]
-            if i != j:
+            i, j = axis_strand[x, 0], axis_strand[x, 1]
+            if i == j:
+                dissolve.append(x)
+            elif work.kinds[x] == CIRCLED:
                 pair_circled.setdefault((min(i, j), max(i, j)), []).append(x)
         for xs in pair_circled.values():
             # two circled crossings between the same strand pair square to +1
@@ -476,17 +443,13 @@ def _evaluate(work: _Work, steps: list[int]) -> int:
             continue
         break
 
-    arc = None
-    for p in sorted(work.mate):
-        q = work.mate[p]
-        if p < q and p.kind == NODE and q.kind == NODE:
-            arc = (p, q)
-            break
+    arcs = ((p, q) for p, q in sorted(work.mate.items()) if p < q and p.kind == q.kind == NODE)
+    arc = next(arcs, None)
     if arc is not None:
         pu, pv = arc
         total = 0
         for sign, wiring in _edge_branches(pu, pv):
-            branch = work.copy()
+            branch = _Work(dict(work.mate), set(work.nodes), dict(work.kinds), work.free_loops)
             del branch.mate[pu]
             del branch.mate[pv]
             branch.nodes.discard(pu.owner)
@@ -494,9 +457,9 @@ def _evaluate(work: _Work, steps: list[int]) -> int:
             _reconnect(branch, wiring)
             total += sign * _evaluate(branch, steps)
         return total
-    if work.nodes:
-        return _stuck_sum(work, strands, axis_strand) * 3**work.free_loops
-    return _terminal_value(work, strands, axis_strand) * 3**work.free_loops
+    pairs = [(axis_strand[x, 0], axis_strand[x, 1], *_PAIR_FACTOR[kind])
+             for x, kind in work.kinds.items()]
+    return _strand_sum(k, nodes, pairs) * 3**work.free_loops
 
 
 def skein_evaluate(d: Diagram, budget: int = 100_000) -> int:
@@ -507,10 +470,5 @@ def skein_evaluate(d: Diagram, budget: int = 100_000) -> int:
     are summed directly over strand colorings. Agrees with contract_extended
     wherever both apply.
     """
-    work = _Work(
-        dict(d.mate),
-        set(range(d.node_count)),
-        dict(enumerate(d.crossing_kinds)),
-        d.free_loops,
-    )
-    return _evaluate(work, [budget])
+    kinds = dict(enumerate(d.crossing_kinds))
+    return _evaluate(_Work(dict(d.mate), set(range(d.node_count)), kinds, d.free_loops), [budget])

@@ -282,6 +282,38 @@ def test_counts_past_the_int_digit_limit_print_in_full(tmp_path: Path, capsys):
     (code, payload), (xcode, report) = outcomes
     assert (code, payload["count"]) == (0, bracket)
     # the free loops weigh 3 each in the bracket but not in the graph count
-    assert (xcode, report["agree"]) == (2, False)
+    assert (xcode, report["agree"], report["free_loops"]) == (0, True, 9100)
     assert report["methods"]["penrose_extended"] == bracket
     assert report["methods"]["brute"] == 6
+
+
+def test_crosscheck_scales_the_bracket_by_free_loops(tmp_path: Path, capsys):
+    data = cb.diagram_to_json_dict(gen.theta_diagram())
+    data["free_loops"] = 2
+    path = tmp_path / "theta_two_loops.json"
+    path.write_text(json.dumps(data))
+    code, report, err = run(capsys, "crosscheck", str(path))
+    assert (code, report["agree"], report["free_loops"]) == (0, True, 2)
+    assert report["count"] == report["methods"]["brute"] == 6
+    assert report["methods"]["penrose_extended"] == report["methods"]["penrose_skein"] == 54
+    assert "all methods agree" in err
+
+
+def test_formation_classifies_a_plane_diagram_once(monkeypatch, capsys):
+    from chromatic_bracket import cli, formation
+
+    calls = {"genus": 0, "classify_meetings": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for mod in (cli, formation):
+        for name in calls:
+            monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
+    code, payload, _ = run(capsys, "formation", "prism", "--as", "diagram", "--coloring-index", "1")
+    assert (code, payload["crossing_parity"]) == (0, 0)
+    assert len(payload["meetings"]) == len(payload["shared_segments"])
+    assert calls == {"genus": 1, "classify_meetings": 1}

@@ -218,3 +218,40 @@ def test_nodeless_plain_crossing_unknots_to_a_loop():
     assert cb.skein_evaluate(d) == 3
     with pytest.raises(StrandClosesWithoutNode):
         cb.contract_extended(d)
+
+
+def circle_system(n: int, crossings: list[tuple[int, int]]) -> cb.Diagram:
+    """n closed strands (no nodes); crossing x is circled between the two
+    strands crossings[x], on axis 0 of the first and axis 1 of the second."""
+    passes: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for x, (i, j) in enumerate(crossings):
+        passes[i].append((x, 0))
+        passes[j].append((x, 1))
+    arcs = []
+    for walk in passes:
+        for (x, a), (y, b) in zip(walk, walk[1:] + walk[:1]):
+            arcs.append((X(x, a + 2), X(y, b)))
+    return cb.build_diagram(0, (CIRCLED,) * len(crossings), arcs)
+
+
+def test_closed_strand_chain_and_ring_reduce_exactly():
+    # each link weighs -1 + 2*[agree]: a path of 40 strands sums to 3*(-1)^39,
+    # a ring to the trace of (2I - J)^40, eigenvalues -1, 2, 2
+    chain = circle_system(40, [(i, i + 1) for i in range(39)])
+    assert cb.skein_evaluate(chain) == -3
+    ring = circle_system(40, [(i, (i + 1) % 40) for i in range(40)])
+    assert cb.skein_evaluate(ring) == 1 + 2**41
+
+
+def test_closed_strand_core_past_fourteen_is_refused():
+    clique = circle_system(15, list(itertools.combinations(range(15), 2)))
+    with pytest.raises(RecursionBudgetExceeded):
+        cb.skein_evaluate(clique)
+    # with one strand fewer the core is summed outright: the clique of k
+    # strands sums (-1 + 2*[agree]) over every pair
+    small = circle_system(4, list(itertools.combinations(range(4), 2)))
+    want = sum(
+        (-1) ** sum(c[i] != c[j] for i, j in itertools.combinations(range(4), 2))
+        for c in itertools.product(range(3), repeat=4)
+    )
+    assert cb.skein_evaluate(small) == want
