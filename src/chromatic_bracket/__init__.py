@@ -18,6 +18,7 @@ from .coloring import (
     count_colorings,
     enumerate_colorings,
     is_proper,
+    iter_colorings,
 )
 from .diagram import (
     CIRCLED,
@@ -103,7 +104,7 @@ __all__ = [
     # colors and colorings
     "RED", "BLUE", "PURPLE", "COLORS", "COLOR_NAMES",
     "color_name", "coloring_names", "is_proper",
-    "count_colorings", "enumerate_colorings",
+    "count_colorings", "enumerate_colorings", "iter_colorings",
     # graphs
     "CubicGraph", "build_graph", "has_loop", "is_connected",
     "connected_components", "bridges", "bridges_per_component",

@@ -7,6 +7,7 @@ JSON results go to stdout, a one-line human summary to stderr. Exit codes:
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -14,7 +15,7 @@ import time
 from typing import Sequence
 
 from . import generators
-from .coloring import coloring_names, count_colorings, enumerate_colorings
+from .coloring import coloring_names, count_colorings, iter_colorings
 from .diagram import (
     Diagram,
     chord_immersion,
@@ -120,7 +121,7 @@ def cmd_count(args: argparse.Namespace, obj: CubicGraph | Diagram) -> int:
             g, nodes, crossings = weight_tables(d, include_crossings=not args.plain)
             extras["per_coloring"] = [
                 {"coloring": coloring_names(c), "weight": coloring_weight(c, nodes, crossings)}
-                for c in enumerate_colorings(g)
+                for c in iter_colorings(g)
             ]
     else:  # states
         g = _input_graph(obj)
@@ -226,13 +227,12 @@ def cmd_matchings(args: argparse.Namespace, obj: CubicGraph | Diagram) -> int:
 
 def cmd_formation(args: argparse.Namespace, obj: CubicGraph | Diagram) -> int:
     g = _input_graph(obj)
-    colorings = enumerate_colorings(g)
     k = args.coloring_index
-    if not 0 <= k < len(colorings):
+    c = next(itertools.islice(iter_colorings(g), k, None), None) if k >= 0 else None
+    if c is None:
         raise IndexOutOfRange(
-            f"coloring index {k} out of range; the graph has {len(colorings)} colorings"
+            f"coloring index {k} out of range; the graph has {count_colorings(g)} colorings"
         )
-    c = colorings[k]
     f = formation_from_coloring(g, c)
     payload = {
         "input": args.input,

@@ -8,7 +8,7 @@ colored frontier stays connected and clashes surface early.
 from __future__ import annotations
 
 from collections import deque
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import PartialColoring
 from .graph_core import CubicGraph, has_loop
@@ -98,19 +98,18 @@ def count_colorings(g: CubicGraph) -> int:
     return rec(0)
 
 
-def enumerate_colorings(g: CubicGraph) -> list[EdgeColoring]:
-    """All proper colorings, in deterministic backtracking order."""
+def iter_colorings(g: CubicGraph) -> Iterator[EdgeColoring]:
+    """Yield every proper coloring, in deterministic backtracking order."""
     if has_loop(g):
-        return []
+        return
     order = _bfs_edge_order(g)
     ends = [g.edges[e] for e in order]
     used = [0] * g.node_count
     colors = [0] * g.edge_count
-    out: list[EdgeColoring] = []
 
-    def rec(i: int) -> None:
+    def rec(i: int) -> Iterator[EdgeColoring]:
         if i == len(order):
-            out.append(tuple(colors))
+            yield tuple(colors)
             return
         u, v = ends[i]
         taken = used[u] | used[v]
@@ -121,9 +120,13 @@ def enumerate_colorings(g: CubicGraph) -> list[EdgeColoring]:
             used[u] |= bit
             used[v] |= bit
             colors[order[i]] = c
-            rec(i + 1)
+            yield from rec(i + 1)
             used[u] ^= bit
             used[v] ^= bit
 
-    rec(0)
-    return out
+    yield from rec(0)
+
+
+def enumerate_colorings(g: CubicGraph) -> list[EdgeColoring]:
+    """All proper colorings, in the order iter_colorings yields them."""
+    return list(iter_colorings(g))

@@ -73,7 +73,8 @@ class NotCircled(ChromaticBracketError):
 
 
 class RecursionBudgetExceeded(ChromaticBracketError):
-    """The skein rewriting exceeded its step budget."""
+    """The skein used up its step budget, or one of its leaves kept more than
+    14 closed strands (on no node) that the strand sum could not reduce."""
 
 
 class NoPerfectMatching(ChromaticBracketError):

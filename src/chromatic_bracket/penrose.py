@@ -10,7 +10,6 @@ algebra. All arithmetic is exact: signs and i-exponents, never floats.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 from .coloring import BLUE, PURPLE, RED, is_proper
@@ -312,163 +311,107 @@ def encircle_arc(d: Diagram, arc_index: int) -> Diagram:
 # ---------------------------------------------------------------------------
 # skein evaluation
 
-@dataclass
-class _Work:
-    """Mutable evaluation state: port pairing, live nodes, live crossings."""
-
-    mate: dict[Port, Port]
-    nodes: set[int]
-    kinds: dict[int, str]
-    free_loops: int
-
-
-def _reconnect(work: _Work, wiring: dict[Port, Port]) -> None:
-    """Splice strands across a removed entity.
-
-    wiring pairs the dead ports with their continuation partners. Live
-    strands entering the dead region are rejoined end to end; alternating
-    arc/wiring cycles that never reach a live port become free circles.
-    """
-    mate = work.mate
-    dead = set(wiring)
-    seen: set[Port] = set()
-    for live in list(mate):
-        if live in dead or mate[live] not in dead:
-            continue
-        x = mate[live]
-        while True:
-            seen.add(x)
-            y = wiring[x]
-            seen.add(y)
-            z = mate[y]
-            if z not in dead:
-                mate[live] = z
-                mate[z] = live
-                break
-            x = z
-    for p in wiring:
-        if p in seen:
-            continue
-        x = p
-        while x not in seen:
-            seen.add(x)
-            y = wiring[x]
-            seen.add(y)
-            x = mate[y]
-        work.free_loops += 1
-    for p in dead:
-        mate.pop(p, None)
-
-
-def _dissolve_crossing(work: _Work, x: int) -> None:
-    _reconnect(work, {Port(CROSSING, x, s): Port(CROSSING, x, strand_partner_slot(s))
-                      for s in range(4)})
-    del work.kinds[x]
-
-
-def _trace_strands(
-    work: _Work,
-) -> tuple[int, list[tuple[int, ...]], dict[tuple[int, int], int]] | None:
+def _trace_strands(d: Diagram) -> tuple[int, list[tuple[int, ...]], dict[tuple[int, int], int]]:
     """Number the strands: node strands from the lowest node port, then closed ones.
 
-    Returns the strand count, the clockwise strand triple of each live node
-    (in node order) and the strand on each (crossing, axis); None when a
-    strand runs from a node back to itself, which repeats an epsilon index.
+    Returns the strand count, the clockwise strand triple of each node (a
+    strand from a node back to itself is in its triple twice) and the strand
+    on each (crossing, axis).
     """
-    triples = {n: [-1, -1, -1] for n in sorted(work.nodes)}
+    triples = [[-1, -1, -1] for _ in range(d.node_count)]
     axis_strand: dict[tuple[int, int], int] = {}
     k = 0
-    for n, triple in triples.items():
+    for n, triple in enumerate(triples):
         for s in range(3):
             if triple[s] < 0:
-                end, walk = trace_strand(work, Port(NODE, n, s))
-                if end.owner == n:
-                    return None
+                end, walk = trace_strand(d, Port(NODE, n, s))
                 triple[s] = triples[end.owner][end.slot] = k
                 for x, slot in walk:
                     axis_strand[x, slot % 2] = k
                 k += 1
-    for x in sorted(work.kinds):
+    for x in range(d.crossing_count):
         for axis in (0, 1):
             if (x, axis) in axis_strand:
                 continue
             cur = Port(CROSSING, x, axis)
             while (cur.owner, cur.slot % 2) not in axis_strand:
                 axis_strand[cur.owner, cur.slot % 2] = k
-                cur = work.mate[Port(CROSSING, cur.owner, strand_partner_slot(cur.slot))]
+                cur = d.mate[Port(CROSSING, cur.owner, strand_partner_slot(cur.slot))]
             k += 1
-    return k, [tuple(t) for t in triples.values()], axis_strand
+    return k, [tuple(t) for t in triples], axis_strand
 
 
-def _edge_branches(
-    pu: Port, pv: Port
-) -> tuple[tuple[int, dict[Port, Port]], tuple[int, dict[Port, Port]]]:
-    u, s = pu.owner, pu.slot
-    v, t = pv.owner, pv.slot
-    p1, p2 = Port(NODE, u, (s + 1) % 3), Port(NODE, u, (s + 2) % 3)
-    q1, q2 = Port(NODE, v, (t + 1) % 3), Port(NODE, v, (t + 2) % 3)
-    parallel = {p1: q2, q2: p1, p2: q1, q1: p2}
-    crossed = {p1: q1, q1: p1, p2: q2, q2: p2}
-    return (1, parallel), (-1, crossed)
+def _merge(tri: dict[int, tuple[int, ...]], adj: list, x: int, y: int) -> int:
+    """Give strand y the color of strand x: y's couplings move onto x and y
+    leaves the node triples. Returns the constant split off, 0 when a node
+    now holds one strand twice (a repeated epsilon index). Coupling dicts
+    are shared between branches, so each one changed here is copied first."""
+    if x == y:  # the strand closed up
+        if adj[x]:
+            return 1
+        adj[x] = None  # a free loop sums to 3
+        return 3
+    mult = 1
+    adj[x] = dict(adj[x])
+    for w, (a, b) in adj[y].items():
+        adj[w] = dict(adj[w])
+        del adj[w][y]
+        mult *= _link(adj, x, w, a, b)
+    adj[y] = None  # merged away
+    for n, t in tri.items():
+        if y in t:
+            if x in t:
+                return 0
+            tri[n] = tuple(x if s == y else s for s in t)
+    return mult
 
 
-def _evaluate(work: _Work, steps: list[int]) -> int:
-    while True:
-        steps[0] -= 1
-        if steps[0] < 0:
-            raise RecursionBudgetExceeded("skein step budget exhausted")
-        plains = sorted(x for x, kind in work.kinds.items() if kind == PLAIN)
-        if plains:
-            for x in plains:
-                _dissolve_crossing(work, x)
-            continue
-        traced = _trace_strands(work)
-        if traced is None:
-            return 0
-        k, nodes, axis_strand = traced
-        dissolve: list[int] = []
-        pair_circled: dict[tuple[int, int], list[int]] = {}
-        for x in sorted(work.kinds):
-            i, j = axis_strand[x, 0], axis_strand[x, 1]
-            if i == j:
-                dissolve.append(x)
-            elif work.kinds[x] == CIRCLED:
-                pair_circled.setdefault((min(i, j), max(i, j)), []).append(x)
-        for xs in pair_circled.values():
-            # two circled crossings between the same strand pair square to +1
-            dissolve += xs[: len(xs) - len(xs) % 2]
-        if dissolve:
-            for x in dissolve:
-                _dissolve_crossing(work, x)
-            continue
-        break
-
-    arcs = ((p, q) for p, q in sorted(work.mate.items()) if p < q and p.kind == q.kind == NODE)
-    arc = next(arcs, None)
-    if arc is not None:
-        pu, pv = arc
-        total = 0
-        for sign, wiring in _edge_branches(pu, pv):
-            branch = _Work(dict(work.mate), set(work.nodes), dict(work.kinds), work.free_loops)
-            del branch.mate[pu]
-            del branch.mate[pv]
-            branch.nodes.discard(pu.owner)
-            branch.nodes.discard(pv.owner)
-            _reconnect(branch, wiring)
-            total += sign * _evaluate(branch, steps)
-        return total
-    pairs = [(axis_strand[x, 0], axis_strand[x, 1], *_PAIR_FACTOR[kind])
-             for x, kind in work.kinds.items()]
-    return _strand_sum(k, nodes, pairs) * 3**work.free_loops
+def _skein(tri: dict[int, tuple[int, ...]], adj: list, steps: list[int]) -> int:
+    """Expand a coupling-free strand e from node u (slot i) to node v (slot j):
+    summing e out of the two epsilons leaves (parallel) - (crossed), that is,
+    u's strands at slots i+1, i+2 take the colors of v's at j+2, j+1, resp.
+    j+1, j+2. A leaf with no such strand is summed over strand colorings."""
+    steps[0] -= 1
+    if steps[0] < 0:
+        raise RecursionBudgetExceeded("skein step budget exhausted")
+    found = next(((u, i, e) for u, t in tri.items() for i, e in enumerate(t) if not adj[e]), None)
+    if found is None:
+        live = [s for s, c in enumerate(adj) if c is not None]
+        pos = {s: p for p, s in enumerate(live)}
+        return _strand_sum(len(live), [tuple(pos[s] for s in t) for t in tri.values()],
+                           [(pos[s], pos[w], a, b) for s in live
+                            for w, (a, b) in adj[s].items() if s < w])
+    u, i, e = found
+    v, tv = next((v, t) for v, t in tri.items() if v != u and e in t)
+    j = tv.index(e)
+    a, b, c, d = tri[u][(i + 1) % 3], tri[u][(i + 2) % 3], tv[(j + 1) % 3], tv[(j + 2) % 3]
+    adj[e] = None  # summed out; this list is this call's own
+    total = 0
+    for sign, (x1, y1), (x2, y2) in ((1, (a, d), (b, c)), (-1, (a, c), (b, d))):
+        branch = {n: t for n, t in tri.items() if n != u and n != v}
+        badj = adj.copy()
+        mult = _merge(branch, badj, x1, y1)
+        if mult:
+            x2, y2 = (x1 if s == y1 else s for s in (x2, y2))
+            mult *= _merge(branch, badj, x2, y2)
+        if mult:
+            total += sign * mult * _skein(branch, badj, steps)
+    return total
 
 
 def skein_evaluate(d: Diagram, budget: int = 100_000) -> int:
-    """Evaluate by expanding crossing-free node-to-node arcs.
+    """Evaluate by expanding coupling-free strands between two nodes.
 
-    Each expansion is (parallel rewiring) - (crossed rewiring); a strand
-    looping from a node to itself kills its branch. Leaves with no such arc
-    are summed directly over strand colorings. Agrees with contract_extended
-    wherever both apply.
+    The strands are traced once, and each crossing couples its two strands.
+    An expansion drops both nodes and merges the colors of the strands they
+    held, as (parallel) - (crossed); see _skein. One budget step is one
+    expansion node. Agrees with contract_extended wherever both apply.
     """
-    kinds = dict(enumerate(d.crossing_kinds))
-    return _evaluate(_Work(dict(d.mate), set(range(d.node_count)), kinds, d.free_loops), [budget])
+    k, nodes, axis_strand = _trace_strands(d)
+    if any(len(set(t)) < 3 for t in nodes):
+        return 0  # a strand from a node back to itself repeats an epsilon index
+    adj: list = [{} for _ in range(k)]
+    mult = 3**d.free_loops
+    for x, kind in enumerate(d.crossing_kinds):
+        mult *= _link(adj, axis_strand[x, 0], axis_strand[x, 1], *_PAIR_FACTOR[kind])
+    return mult * _skein(dict(enumerate(nodes)), adj, [budget])

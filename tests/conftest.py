@@ -1,0 +1,8 @@
+"""Subprocesses started by the tests import the package from src/, as the
+tests themselves do through pyproject's pytest pythonpath."""
+
+import os
+from pathlib import Path
+
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))

@@ -317,3 +317,22 @@ def test_formation_classifies_a_plane_diagram_once(monkeypatch, capsys):
     assert (code, payload["crossing_parity"]) == (0, 0)
     assert len(payload["meetings"]) == len(payload["shared_segments"])
     assert calls == {"genus": 1, "classify_meetings": 1}
+
+
+def test_formation_stops_at_the_requested_coloring(monkeypatch, capsys):
+    from chromatic_bracket import cli
+
+    drawn = []
+
+    def counting(g):
+        for c in cb.iter_colorings(g):
+            drawn.append(c)
+            yield c
+
+    monkeypatch.setattr(cli, "iter_colorings", counting)
+    code, payload, _ = run(capsys, "formation", "prism", "--coloring-index", "1")
+    assert code == 0
+    assert drawn == cb.enumerate_colorings(gen.prism())[:2]
+    assert payload["coloring"] == cb.coloring_names(drawn[1])
+    code, _, err = run(capsys, "formation", "prism", "--coloring-index", "99")
+    assert code == 1 and "has 6 colorings" in err

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import chromatic_bracket as cb
 
-BRUTE_FORCE = {"count_colorings", "enumerate_colorings"}
+BRUTE_FORCE = {"count_colorings", "enumerate_colorings", "iter_colorings"}
 FORBIDDEN = {
     "penrose": BRUTE_FORCE,
     "matching": BRUTE_FORCE | {"penrose"},

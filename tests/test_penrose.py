@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
 import chromatic_bracket as cb
 from chromatic_bracket import BLUE, CIRCLED, DOTTED, PLAIN, PURPLE, RED, Port
 from chromatic_bracket import generators as gen
+from chromatic_bracket import penrose
+from chromatic_bracket.diagram import trace_strand
 from chromatic_bracket.errors import (
     ImproperColoring,
     NotCircled,
@@ -255,3 +258,31 @@ def test_closed_strand_core_past_fourteen_is_refused():
         for c in itertools.product(range(3), repeat=4)
     )
     assert cb.skein_evaluate(small) == want
+
+
+def test_skein_matches_contraction_on_mixed_crossing_kinds():
+    # expansions merge strands coupled by crossings of every kind, and two
+    # strands that cross and are then identified leave a self coupling
+    rng = random.Random(5)
+    for n in range(4, 14, 2):
+        graphs = (gen.random_cubic(n, seed) for seed in itertools.count())
+        for g in itertools.islice((g for g in graphs if not cb.has_loop(g)), 15):
+            d = cb.chord_immersion(g)
+            kinds = [rng.choice((PLAIN, CIRCLED, DOTTED)) for _ in d.crossing_kinds]
+            mixed = cb.build_diagram(d.node_count, kinds, d.arcs)
+            assert cb.skein_evaluate(mixed) == cb.contract_extended(mixed), (n, kinds)
+
+
+def test_skein_traces_each_node_strand_once(monkeypatch):
+    calls = []
+
+    def counting(d, start):
+        calls.append(start)
+        return trace_strand(d, start)
+
+    monkeypatch.setattr(penrose, "trace_strand", counting)
+    for n, seed in ((22, 1), (16, 3)):
+        calls.clear()
+        d = gen.random_plane_cubic(n, seed)
+        assert cb.skein_evaluate(d) == cb.contract_plain(d)
+        assert len(calls) == 3 * n // 2
