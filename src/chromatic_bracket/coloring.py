@@ -1,17 +1,20 @@
 """Proper 3-edge-colorings by exhaustive backtracking.
 
 Ground truth for the whole package: every other counting method is checked
-against these counts. Edges are assigned in BFS order from node 0 so the
-colored frontier stays connected and clashes surface early.
+against these counts. Edges are assigned in BFS order from each component's
+lowest node so the colored frontier stays connected and clashes surface
+early. The count searches each component once, with the two edges at its
+first node fixed to R and B, and multiplies by 6: those edges differ in
+every proper coloring, and each color permutation maps the colorings with
+(R, B) there one-to-one onto those with another of the 6 ordered pairs.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Iterator, Sequence
 
-from .errors import PartialColoring
-from .graph_core import CubicGraph, has_loop
+from .errors import PartialColoring, refuse_deep_recursion
+from .graph_core import CubicGraph, connected_components, has_loop
 
 RED, BLUE, PURPLE = 0, 1, 2
 COLORS = (RED, BLUE, PURPLE)
@@ -46,41 +49,21 @@ def is_proper(g: CubicGraph, coloring: Sequence[int]) -> bool:
     return True
 
 
-def _bfs_edge_order(g: CubicGraph) -> list[int]:
-    order: list[int] = []
-    seen_edge = [False] * g.edge_count
-    seen_node = [False] * g.node_count
-    for start in range(g.node_count):
-        if seen_node[start]:
-            continue
-        seen_node[start] = True
-        queue = deque([start])
-        while queue:
-            n = queue.popleft()
-            for h in g.incidence[n]:
-                e = h // 2
-                if not seen_edge[e]:
-                    seen_edge[e] = True
-                    order.append(e)
-                m = g.half_edge_node(g.other_end(h))
-                if not seen_node[m]:
-                    seen_node[m] = True
-                    queue.append(m)
-    return order
+def _bfs_components(g: CubicGraph) -> list[list[int]]:
+    """Edge ids of each component, in the order its BFS meets them."""
+    return [list(dict.fromkeys(h // 2 for n in nodes for h in g.incidence[n]))
+            for nodes in connected_components(g)]
 
 
 def count_colorings(g: CubicGraph) -> int:
-    """Exact number of proper 3-edge-colorings."""
+    """Exact number of proper 3-edge-colorings (one class per component, times 6)."""
     if has_loop(g):
         return 0
-    order = _bfs_edge_order(g)
-    if not order:
-        return 0
-    ends = [g.edges[e] for e in order]
     used = [0] * g.node_count
+    ends: list[tuple[int, int]] = []  # rebound per component; rec reads the current one
 
     def rec(i: int) -> int:
-        if i == len(order):
+        if i == len(ends):
             return 1
         u, v = ends[i]
         avail = ~(used[u] | used[v]) & 0b111
@@ -95,14 +78,24 @@ def count_colorings(g: CubicGraph) -> int:
             used[v] ^= bit
         return total
 
-    return rec(0)
+    count = 1
+    with refuse_deep_recursion("brute-force search"):
+        for order in _bfs_components(g):
+            ends = [g.edges[e] for e in order]
+            for (u, v), bit in zip(ends, (1 << RED, 1 << BLUE)):
+                used[u] |= bit
+                used[v] |= bit
+            count *= 6 * rec(2)
+            if not count:
+                break
+    return count
 
 
 def iter_colorings(g: CubicGraph) -> Iterator[EdgeColoring]:
     """Yield every proper coloring, in deterministic backtracking order."""
     if has_loop(g):
         return
-    order = _bfs_edge_order(g)
+    order = [e for component in _bfs_components(g) for e in component]
     ends = [g.edges[e] for e in order]
     used = [0] * g.node_count
     colors = [0] * g.edge_count
@@ -124,7 +117,8 @@ def iter_colorings(g: CubicGraph) -> Iterator[EdgeColoring]:
             used[u] ^= bit
             used[v] ^= bit
 
-    yield from rec(0)
+    with refuse_deep_recursion("coloring enumeration"):
+        yield from rec(0)
 
 
 def enumerate_colorings(g: CubicGraph) -> list[EdgeColoring]:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from typing import Iterator
+
 
 class ChromaticBracketError(Exception):
     """Base class for every error raised by this package."""
@@ -73,8 +76,19 @@ class NotCircled(ChromaticBracketError):
 
 
 class RecursionBudgetExceeded(ChromaticBracketError):
-    """The skein used up its step budget, or one of its leaves kept more than
-    14 closed strands (on no node) that the strand sum could not reduce."""
+    """A search hit a bound: the skein step budget, a skein leaf keeping more
+    than 14 closed strands (on no node), or the Python stack (brute force,
+    contraction and skein recurse as deep as the input)."""
+
+
+@contextmanager
+def refuse_deep_recursion(search: str) -> Iterator[None]:
+    """Re-raise a RecursionError in the block as RecursionBudgetExceeded; wrap
+    only a search's top call, so it costs nothing per search node."""
+    try:
+        yield
+    except RecursionError as exc:
+        raise RecursionBudgetExceeded(f"{search} is too deep for the Python stack") from exc
 
 
 class NoPerfectMatching(ChromaticBracketError):

@@ -85,6 +85,7 @@ def is_connected(g: CubicGraph) -> bool:
 
 
 def connected_components(g: CubicGraph) -> list[list[NodeId]]:
+    """The nodes of each component, in BFS order from its lowest node."""
     comp = [-1] * g.node_count
     parts: list[list[NodeId]] = []
     for start in range(g.node_count):
@@ -92,15 +93,12 @@ def connected_components(g: CubicGraph) -> list[list[NodeId]]:
             continue
         comp[start] = len(parts)
         block = [start]
-        stack = [start]
-        while stack:
-            n = stack.pop()
+        for n in block:  # grows while it is walked
             for h in g.incidence[n]:
                 m = g.half_edge_node(g.other_end(h))
                 if comp[m] < 0:
                     comp[m] = len(parts)
                     block.append(m)
-                    stack.append(m)
         parts.append(block)
     return parts
 

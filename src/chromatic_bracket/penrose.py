@@ -33,6 +33,7 @@ from .errors import (
     NotCircled,
     RecursionBudgetExceeded,
     StrandClosesWithoutNode,
+    refuse_deep_recursion,
 )
 from .graph_core import CubicGraph
 
@@ -228,7 +229,8 @@ def _contract(d: Diagram, include_crossings: bool) -> int:
             raise StrandClosesWithoutNode("contraction needs node-anchored strands")
         return 3**d.free_loops
     g, nodes, pairs = weight_tables(d, include_crossings)
-    return _strand_sum(g.edge_count, nodes, pairs) * 3**d.free_loops
+    with refuse_deep_recursion("strand-coloring sum"):
+        return _strand_sum(g.edge_count, nodes, pairs) * 3**d.free_loops
 
 
 def contract_plain(d: Diagram) -> int:
@@ -414,4 +416,5 @@ def skein_evaluate(d: Diagram, budget: int = 100_000) -> int:
     mult = 3**d.free_loops
     for x, kind in enumerate(d.crossing_kinds):
         mult *= _link(adj, axis_strand[x, 0], axis_strand[x, 1], *_PAIR_FACTOR[kind])
-    return mult * _skein(dict(enumerate(nodes)), adj, [budget])
+    with refuse_deep_recursion("skein expansion"):
+        return mult * _skein(dict(enumerate(nodes)), adj, [budget])

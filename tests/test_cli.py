@@ -336,3 +336,18 @@ def test_formation_stops_at_the_requested_coloring(monkeypatch, capsys):
     assert payload["coloring"] == cb.coloring_names(drawn[1])
     code, _, err = run(capsys, "formation", "prism", "--coloring-index", "99")
     assert code == 1 and "has 6 colorings" in err
+
+
+def test_deep_input_fails_typed(tmp_path: Path, capsys):
+    # a 1200-edge prism ladder: the recursive searches need more stack than
+    # Python allows, which must surface as a typed error, not a traceback
+    k = 400
+    edges = [[i, (i + 1) % k] for i in range(k)]
+    edges += [[k + i, k + (i + 1) % k] for i in range(k)]
+    edges += [[i, k + i] for i in range(k)]
+    path = tmp_path / "ladder.json"
+    path.write_text(json.dumps({"nodes": 2 * k, "edges": edges}))
+    for command in ("count", "formation"):
+        code, payload, err = run(capsys, command, str(path))
+        assert (code, payload) == (1, None), command
+        assert err.startswith("error:"), command

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import chromatic_bracket as cb
 from chromatic_bracket import generators as gen
-from chromatic_bracket.errors import PartialColoring
+from chromatic_bracket.errors import PartialColoring, RecursionBudgetExceeded
 
 # frozen reference counts, checked against an independent brute-force pass
 FIXTURE_COUNTS = {
@@ -89,3 +91,72 @@ def test_enumeration_consistent_on_random_graphs(seed: int) -> None:
     cs = cb.enumerate_colorings(g)
     assert len(cs) == cb.count_colorings(g)
     assert all(cb.is_proper(g, c) for c in cs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=6).map(lambda k: 2 * k), st.integers(0, 10_000))
+def test_count_agrees_with_enumeration(n: int, seed: int) -> None:
+    # iter_colorings lists every coloring and uses no color symmetry
+    g = gen.random_cubic(n, seed)
+    assert cb.count_colorings(g) == sum(1 for _ in cb.iter_colorings(g))
+
+
+def disjoint_union(*graphs: cb.CubicGraph) -> cb.CubicGraph:
+    edges: list[tuple[int, int]] = []
+    offset = 0
+    for g in graphs:
+        edges += [(u + offset, v + offset) for u, v in g.edges]
+        offset += g.node_count
+    return cb.build_graph(offset, edges)
+
+
+def loop_free_cubic(n: int, seed: int = 0) -> cb.CubicGraph:
+    while cb.has_loop(g := gen.random_cubic(n, seed)):
+        seed += 1
+    return g
+
+
+def test_count_multiplies_over_components():
+    theta, k33, petersen, j3 = gen.theta(), gen.k33(), gen.petersen(), gen.isaacs_j(3)
+    r8, r10 = loop_free_cubic(8), loop_free_cubic(10)
+    for parts in [
+        (theta, k33), (k33, r8), (r8, r10, theta), (theta, theta, k33), (r10, k33, theta),
+        (petersen, theta, k33), (theta, j3, r8), (k33, r10, petersen), (r8, j3),
+    ]:
+        want = math.prod(sum(1 for _ in cb.iter_colorings(g)) for g in parts)
+        assert cb.count_colorings(disjoint_union(*parts)) == want, parts
+
+
+def prism_ladder(k: int) -> cb.CubicGraph:
+    """C_k x K2, 3k edges: outer cycle 0..k-1, inner cycle k..2k-1."""
+    edges = [(i, (i + 1) % k) for i in range(k)] + [(k + i, k + (i + 1) % k) for i in range(k)]
+    return cb.build_graph(2 * k, edges + [(i, k + i) for i in range(k)])
+
+
+def test_deep_search_fails_typed_and_is_skipped_after_a_zero_component():
+    deep = prism_ladder(400)  # 1200 edges: deeper than the Python stack allows
+    with pytest.raises(RecursionBudgetExceeded):
+        cb.count_colorings(disjoint_union(gen.k33(), deep))
+    with pytest.raises(RecursionBudgetExceeded):
+        next(cb.iter_colorings(deep))
+    # a component without colorings ends the count before the deep one
+    assert cb.count_colorings(disjoint_union(gen.petersen(), deep)) == 0
+
+
+# the lists iter_colorings gave before the count used the color symmetry
+PRISM_COLORINGS = [
+    (0, 2, 1, 0, 2, 1, 2, 1, 0), (0, 1, 2, 0, 1, 2, 1, 2, 0), (1, 2, 0, 1, 2, 0, 2, 0, 1),
+    (1, 0, 2, 1, 0, 2, 0, 2, 1), (2, 1, 0, 2, 1, 0, 1, 0, 2), (2, 0, 1, 2, 0, 1, 0, 1, 2),
+]
+K33_COLORINGS = [
+    (0, 1, 2, 1, 2, 0, 2, 0, 1), (0, 1, 2, 2, 0, 1, 1, 2, 0), (0, 2, 1, 1, 0, 2, 2, 1, 0),
+    (0, 2, 1, 2, 1, 0, 1, 0, 2), (1, 0, 2, 0, 2, 1, 2, 1, 0), (1, 0, 2, 2, 1, 0, 0, 2, 1),
+    (1, 2, 0, 0, 1, 2, 2, 0, 1), (1, 2, 0, 2, 0, 1, 0, 1, 2), (2, 0, 1, 0, 1, 2, 1, 2, 0),
+    (2, 0, 1, 1, 2, 0, 0, 1, 2), (2, 1, 0, 0, 2, 1, 1, 0, 2), (2, 1, 0, 1, 0, 2, 0, 2, 1),
+]
+
+
+def test_enumeration_order_is_pinned():
+    # formation --coloring-index k names a coloring by its place in this order
+    assert cb.enumerate_colorings(gen.prism()) == PRISM_COLORINGS
+    assert cb.enumerate_colorings(gen.k33()) == K33_COLORINGS

@@ -57,6 +57,8 @@ def test_connectivity_helpers():
     assert not cb.is_connected(two_thetas)
     comps = cb.connected_components(two_thetas)
     assert sorted(sorted(c) for c in comps) == [[0, 1], [2, 3]]
+    # BFS order, which the brute-force edge order is read from
+    assert cb.connected_components(gen.petersen()) == [[0, 1, 4, 5, 2, 6, 3, 9, 7, 8]]
 
 
 def test_bridges_on_fixtures():

@@ -1,6 +1,6 @@
 """The counting methods stay independent: a bug in brute force must not leak
-into the contraction, matching or state counts, and the matching and state
-methods must not lean on the bracket."""
+into the contraction, matching or state counts, the matching and state
+methods must not lean on the bracket, and brute force uses no other method."""
 
 from __future__ import annotations
 
@@ -14,6 +14,7 @@ FORBIDDEN = {
     "penrose": BRUTE_FORCE,
     "matching": BRUTE_FORCE | {"penrose"},
     "state_calculus": BRUTE_FORCE | {"penrose"},
+    "coloring": {"penrose", "matching", "state_calculus", "formation", "diagram"},
 }
 
 

@@ -286,3 +286,16 @@ def test_skein_traces_each_node_strand_once(monkeypatch):
         d = gen.random_plane_cubic(n, seed)
         assert cb.skein_evaluate(d) == cb.contract_plain(d)
         assert len(calls) == 3 * n // 2
+
+
+def test_deep_contraction_fails_typed():
+    # plane prism ladder with 1200 edges: outer cycle 0..k-1, inner k..2k-1
+    k = 400
+    arcs = []
+    for i in range(k):
+        j = (i + 1) % k
+        arcs += [(N(i, 0), N(j, 1)), (N(k + i, 1), N(k + j, 0)), (N(i, 2), N(k + i, 2))]
+    d = cb.build_diagram(2 * k, (), arcs)
+    assert cb.genus(d) == 0
+    with pytest.raises(RecursionBudgetExceeded):
+        cb.contract_plain(d)
