@@ -69,6 +69,7 @@ from .matching import (
     count_from_even_matchings,
     enumerate_perfect_matchings,
     is_even_matching,
+    iter_perfect_matchings,
     matching_from_coloring,
     validate_matching,
 )
@@ -111,8 +112,8 @@ __all__ = [
     "graph_to_json", "graph_from_json", "graph_to_json_dict", "graph_from_json_dict",
     # matchings
     "ComplementCycles", "validate_matching", "enumerate_perfect_matchings",
-    "complement_cycles", "is_even_matching", "colorings_from_even_matching",
-    "matching_from_coloring", "count_from_even_matchings",
+    "iter_perfect_matchings", "complement_cycles", "is_even_matching",
+    "colorings_from_even_matching", "matching_from_coloring", "count_from_even_matchings",
     # diagrams
     "Diagram", "Port", "NODE", "CROSSING", "CIRCLED", "PLAIN", "DOTTED",
     "build_diagram", "chord_immersion", "genus", "trace_faces", "trace_strand",

@@ -47,6 +47,7 @@ from .matching import (
     complement_cycles,
     count_from_even_matchings,
     enumerate_perfect_matchings,
+    iter_perfect_matchings,
 )
 from .penrose import (
     coloring_weight,
@@ -125,14 +126,13 @@ def cmd_count(args: argparse.Namespace, obj: CubicGraph | Diagram) -> int:
             ]
     else:  # states
         g = _input_graph(obj)
-        ms = enumerate_perfect_matchings(g)
-        if not ms:
-            raise NoPerfectMatching("the states method needs a perfect matching")
-        if not 0 <= args.matching_index < len(ms):
-            raise IndexOutOfRange(
-                f"matching index {args.matching_index} out of range 0..{len(ms) - 1}"
-            )
-        m = ms[args.matching_index]
+        k = args.matching_index
+        m = next(itertools.islice(iter_perfect_matchings(g), k, None), None) if k >= 0 else None
+        if m is None:
+            total = sum(1 for _ in iter_perfect_matchings(g))
+            if not total:
+                raise NoPerfectMatching("the states method needs a perfect matching")
+            raise IndexOutOfRange(f"matching index {k} out of range: {total} perfect matchings")
         extras["matching"] = sorted(m)
         value = logical_expansion_count(g, m)
     payload = {

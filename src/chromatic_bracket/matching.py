@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .coloring import BLUE, PURPLE, RED, EdgeColoring, is_proper
 from .errors import ImproperColoring, NotAMatching, OddCycle
@@ -59,34 +59,49 @@ def validate_matching(g: CubicGraph, edge_ids: Iterable[int]) -> PerfectMatching
     return m
 
 
-def enumerate_perfect_matchings(g: CubicGraph) -> list[PerfectMatching]:
-    """All perfect matchings, by backtracking on the lowest uncovered node."""
+def iter_perfect_matchings(g: CubicGraph) -> Iterator[PerfectMatching]:
+    """Yield every perfect matching, in increasing order of its sorted edge ids:
+    the next matched edge is taken in id order, before the branch leaving it out.
+    free[n] counts n's undecided edges to other uncovered nodes; a branch stops
+    when an uncovered node has none left."""
+    # each non-loop edge: its id, its ends, and the far ends of the later edges there
+    edges = [(e, u, v, [g.half_edge_node(g.other_end(h)) for x in (u, v) for h in g.incidence[x]
+                        if h // 2 > e]) for e, (u, v) in enumerate(g.edges) if u != v]
+    free = [sum(u != v for u, v in (g.edges[h // 2] for h in hs)) for hs in g.incidence]
     covered = [False] * g.node_count
-    chosen: list[int] = []
-    out: list[PerfectMatching] = []
 
-    def rec() -> None:
-        n = next((i for i, c in enumerate(covered) if not c), -1)
-        if n < 0:
-            out.append(frozenset(chosen))
+    def rec(i: int, chosen: tuple[int, ...]) -> Iterator[PerfectMatching]:
+        if 2 * len(chosen) == g.node_count:
+            yield frozenset(chosen)
             return
-        for h in g.incidence[n]:
-            e = h // 2
-            u, v = g.edges[e]
-            if u == v:
+        passed: list[int] = []  # ends of the edges this frame left out
+        for k in range(i, len(edges)):
+            e, u, v, later = edges[k]
+            if covered[u] or covered[v]:
                 continue
-            other = u + v - n
-            if covered[other]:
-                continue
-            covered[n] = covered[other] = True
-            chosen.append(e)
-            rec()
-            chosen.pop()
-            covered[n] = covered[other] = False
+            covered[u] = covered[v] = True
+            lost = [y for y in later if not covered[y]]
+            for y in lost:
+                free[y] -= 1
+            if all(free[y] for y in lost):
+                yield from rec(k + 1, chosen + (e,))
+            for y in lost:
+                free[y] += 1
+            covered[u] = covered[v] = False
+            passed += (u, v)
+            free[u] -= 1
+            free[v] -= 1
+            if not (free[u] and free[v]):
+                break
+        for x in passed:
+            free[x] += 1
 
-    rec()
-    out.sort(key=lambda m: tuple(sorted(m)))
-    return out
+    yield from rec(0, ())
+
+
+def enumerate_perfect_matchings(g: CubicGraph) -> list[PerfectMatching]:
+    """All perfect matchings, in the order iter_perfect_matchings yields them."""
+    return list(iter_perfect_matchings(g))
 
 
 def complement_cycles(g: CubicGraph, matching: Iterable[int]) -> ComplementCycles:

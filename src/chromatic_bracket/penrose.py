@@ -368,7 +368,17 @@ def _merge(tri: dict[int, tuple[int, ...]], adj: list, x: int, y: int) -> int:
     return mult
 
 
-def _skein(tri: dict[int, tuple[int, ...]], adj: list, steps: list[int]) -> int:
+def _state_key(tri: dict[int, tuple[int, ...]], adj: list) -> tuple[int, ...]:
+    """The state up to strand renaming as one flat tuple: node count, triples (strands
+    numbered by first appearance, then the other live ones), live count, couplings."""
+    strands = [s for t in tri.values() for s in t]
+    live = [s for s, c in enumerate(adj) if c is not None]
+    pos = {s: p for p, s in enumerate(dict.fromkeys(strands + live))}
+    pairs = sorted((pos[s], pos[w], *f) for s in pos for w, f in adj[s].items() if pos[s] < pos[w])
+    return (len(tri), *map(pos.get, strands), len(pos), *itertools.chain(*pairs))
+
+
+def _skein(tri: dict[int, tuple[int, ...]], adj: list, steps: list[int], memo: dict) -> int:
     """Expand a coupling-free strand e from node u (slot i) to node v (slot j):
     summing e out of the two epsilons leaves (parallel) - (crossed), that is,
     u's strands at slots i+1, i+2 take the colors of v's at j+2, j+1, resp.
@@ -397,7 +407,10 @@ def _skein(tri: dict[int, tuple[int, ...]], adj: list, steps: list[int]) -> int:
             x2, y2 = (x1 if s == y1 else s for s in (x2, y2))
             mult *= _merge(branch, badj, x2, y2)
         if mult:
-            total += sign * mult * _skein(branch, badj, steps)
+            key = _state_key(branch, badj)
+            if key not in memo:
+                memo[key] = _skein(branch, badj, steps, memo)
+            total += sign * mult * memo[key]
     return total
 
 
@@ -406,8 +419,9 @@ def skein_evaluate(d: Diagram, budget: int = 100_000) -> int:
 
     The strands are traced once, and each crossing couples its two strands.
     An expansion drops both nodes and merges the colors of the strands they
-    held, as (parallel) - (crossed); see _skein. One budget step is one
-    expansion node. Agrees with contract_extended wherever both apply.
+    held, as (parallel) - (crossed); see _skein. A sub-diagram met again up
+    to strand renaming is reused: one budget step is one expansion of a state
+    new to this evaluation. Agrees with contract_extended wherever both apply.
     """
     k, nodes, axis_strand = _trace_strands(d)
     if any(len(set(t)) < 3 for t in nodes):
@@ -417,4 +431,4 @@ def skein_evaluate(d: Diagram, budget: int = 100_000) -> int:
     for x, kind in enumerate(d.crossing_kinds):
         mult *= _link(adj, axis_strand[x, 0], axis_strand[x, 1], *_PAIR_FACTOR[kind])
     with refuse_deep_recursion("skein expansion"):
-        return mult * _skein(dict(enumerate(nodes)), adj, [budget])
+        return mult * _skein(dict(enumerate(nodes)), adj, [budget], {})

@@ -338,6 +338,25 @@ def test_formation_stops_at_the_requested_coloring(monkeypatch, capsys):
     assert code == 1 and "has 6 colorings" in err
 
 
+def test_states_stops_at_the_requested_matching(monkeypatch, capsys):
+    from chromatic_bracket import cli
+
+    drawn = []
+
+    def counting(g):
+        for m in cb.iter_perfect_matchings(g):
+            drawn.append(m)
+            yield m
+
+    monkeypatch.setattr(cli, "iter_perfect_matchings", counting)
+    code, payload, _ = run(capsys, "count", "k33", "--method", "states", "--matching-index", "1")
+    assert (code, payload["count"]) == (0, 12)
+    assert drawn == cb.enumerate_perfect_matchings(gen.k33())[:2]
+    assert payload["matching"] == sorted(drawn[1])
+    code, _, err = run(capsys, "count", "k33", "--method", "states", "--matching-index", "99")
+    assert code == 1 and "out of range: 6 perfect matchings" in err
+
+
 def test_deep_input_fails_typed(tmp_path: Path, capsys):
     # a 1200-edge prism ladder: the recursive searches need more stack than
     # Python allows, which must surface as a typed error, not a traceback

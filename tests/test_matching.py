@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -45,6 +47,20 @@ def test_matchings_are_deterministic_and_valid():
             covered[u] += 1
             covered[v] += 1
         assert covered == [1] * g.node_count
+
+
+def test_matchings_are_all_found_in_sorted_order():
+    # against every edge subset of the right size, listed by sorted edge ids
+    for n in range(2, 12, 2):
+        for seed in range(6):
+            g = gen.random_cubic(n, seed)
+            want = []
+            for es in itertools.combinations(range(g.edge_count), n // 2):
+                ends = [x for e in es for x in g.edges[e]]
+                if sorted(ends) == list(range(n)):
+                    want.append(frozenset(es))
+            assert cb.enumerate_perfect_matchings(g) == want, (n, seed)
+            assert list(cb.iter_perfect_matchings(g)) == want, (n, seed)
 
 
 def test_loops_never_appear_in_matchings():

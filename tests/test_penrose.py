@@ -299,3 +299,40 @@ def test_deep_contraction_fails_typed():
     assert cb.genus(d) == 0
     with pytest.raises(RecursionBudgetExceeded):
         cb.contract_plain(d)
+
+
+def test_skein_answers_past_the_old_budget():
+    # a sub-diagram met again is read back, not expanded again: these need
+    # up to 3447 expansions, where re-expanding took more than 100k steps
+    for n in range(30, 42, 2):
+        for seed in (1, 2):
+            d = gen.random_plane_cubic(n, seed)
+            assert cb.skein_evaluate(d) == cb.contract_extended(d), (n, seed)
+    assert cb.skein_evaluate(gen.random_plane_cubic(40, 1)) == 12288
+
+
+def test_skein_budget_counts_new_states_only():
+    # 74 and 86 distinct states; re-expanding them took 1221 and 10 917 steps
+    for n, seed in ((22, 1), (28, 2)):
+        d = gen.random_plane_cubic(n, seed)
+        assert cb.skein_evaluate(d, budget=100) == cb.contract_plain(d)
+
+
+def test_state_key_is_blind_to_names_only():
+    # four nodes on six strands, closed strand 6 circled against strand 0,
+    # strands 1 and 4 dotted together, strand 7 merged away
+    tri = {0: (0, 1, 2), 1: (0, 3, 4), 2: (1, 5, 3), 3: (2, 4, 5)}
+    adj = [{6: (-1, 2)}, {4: (0, 1)}, {}, {}, {1: (0, 1)}, {}, {0: (-1, 2)}, None]
+    key = penrose._state_key(tri, adj)
+
+    rename = [3, 7, 0, 5, 1, 6, 2, 4]
+    renamed_adj: list = [None] * len(adj)
+    for s, c in enumerate(adj):
+        renamed_adj[rename[s]] = None if c is None else {rename[w]: f for w, f in c.items()}
+    renamed_tri = {10 + 3 * n: tuple(rename[s] for s in t) for n, t in tri.items()}
+    assert penrose._state_key(renamed_tri, renamed_adj) == key
+
+    circled = [dict(c) if c is not None else None for c in adj]
+    circled[1][4] = circled[4][1] = (-1, 2)
+    assert penrose._state_key(tri, circled) != key
+    assert penrose._state_key(tri, adj + [{}]) != key
