@@ -30,7 +30,6 @@ from .diagram import (
     Port,
     build_diagram,
     chord_immersion,
-    crossing_axis_edges,
     diagram_from_json,
     diagram_from_json_dict,
     diagram_to_json,
@@ -38,6 +37,7 @@ from .diagram import (
     genus,
     trace_faces,
     trace_strand,
+    trace_strands,
     underlying_graph,
 )
 from .formation import (
@@ -117,7 +117,7 @@ __all__ = [
     # diagrams
     "Diagram", "Port", "NODE", "CROSSING", "CIRCLED", "PLAIN", "DOTTED",
     "build_diagram", "chord_immersion", "genus", "trace_faces", "trace_strand",
-    "underlying_graph", "crossing_axis_edges",
+    "trace_strands", "underlying_graph",
     "diagram_to_json", "diagram_from_json", "diagram_to_json_dict", "diagram_from_json_dict",
     # formations
     "Formation", "BOUNCE", "CROSS", "formation_from_coloring",

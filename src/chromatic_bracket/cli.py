@@ -69,6 +69,16 @@ def _load_file(path: str) -> object:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
 
 
+def _generate(name: str, kind: str | None, args: argparse.Namespace) -> CubicGraph | Diagram:
+    """The named generator's diagram when kind is "diagram", else its graph."""
+    try:
+        if kind == "diagram":
+            return generators.named_diagram(name, args.n, args.seed)
+        return generators.named_graph(name, args.n, args.seed)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
+
+
 def _load_input(args: argparse.Namespace) -> CubicGraph | Diagram:
     name = args.input
     if os.path.exists(name):
@@ -78,12 +88,7 @@ def _load_input(args: argparse.Namespace) -> CubicGraph | Diagram:
             return diagram_from_json_dict(data)
         return graph_from_json_dict(data)
     if name in generators.GENERATOR_NAMES:
-        try:
-            if args.as_kind == "diagram":
-                return generators.named_diagram(name, args.n, args.seed)
-            return generators.named_graph(name, args.n, args.seed)
-        except ValueError as exc:
-            raise ParseError(str(exc)) from exc
+        return _generate(name, args.as_kind, args)
     raise ParseError(
         f"{name!r} is neither a file nor a generator name "
         f"(generators: {', '.join(generators.GENERATOR_NAMES)})"
@@ -91,7 +96,7 @@ def _load_input(args: argparse.Namespace) -> CubicGraph | Diagram:
 
 
 def _input_graph(obj: CubicGraph | Diagram) -> CubicGraph:
-    return underlying_graph(obj).graph if isinstance(obj, Diagram) else obj
+    return underlying_graph(obj) if isinstance(obj, Diagram) else obj
 
 
 def _input_diagram(obj: CubicGraph | Diagram, args: argparse.Namespace) -> Diagram:
@@ -259,17 +264,13 @@ def cmd_formation(args: argparse.Namespace, obj: CubicGraph | Diagram) -> int:
 
 
 def cmd_gen(args: argparse.Namespace, _: None) -> int:
-    try:
-        if args.format == "diagram":
-            d = generators.named_diagram(args.name, args.n, args.seed)
-            payload = diagram_to_json_dict(d)
-            summary = f"{args.name}: {d.node_count} nodes, {d.crossing_count} crossings"
-        else:
-            g = generators.named_graph(args.name, args.n, args.seed)
-            payload = graph_to_json_dict(g)
-            summary = f"{args.name}: {g.node_count} nodes, {g.edge_count} edges"
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
+    obj = _generate(args.name, args.format, args)
+    if isinstance(obj, Diagram):
+        payload = diagram_to_json_dict(obj)
+        summary = f"{args.name}: {obj.node_count} nodes, {obj.crossing_count} crossings"
+    else:
+        payload = graph_to_json_dict(obj)
+        summary = f"{args.name}: {obj.node_count} nodes, {obj.edge_count} edges"
     _emit(args, payload, summary)
     return 0
 
@@ -285,7 +286,7 @@ def cmd_validate(args: argparse.Namespace, obj: CubicGraph | Diagram) -> int:
             "genus": genus(obj),
         }
         try:
-            g = underlying_graph(obj).graph
+            g = underlying_graph(obj)
             payload["underlying"] = {"nodes": g.node_count, "edges": g.edge_count}
         except StrandClosesWithoutNode:
             payload["underlying"] = None
@@ -313,15 +314,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(sp: argparse.ArgumentParser) -> None:
-        sp.add_argument("--as", dest="as_kind", choices=("graph", "diagram"), default=None,
-                        help="force the input schema instead of inferring it")
         sp.add_argument("--n", type=int, default=None, help="size for parameterized generators")
         sp.add_argument("--seed", type=int, default=0, help="seed for random generators")
         sp.add_argument("--json-only", action="store_true", help="suppress the stderr summary")
 
-    p = sub.add_parser("count", help="count colorings by one method")
-    p.add_argument("input", help="JSON file or generator name")
-    common(p)
+    def with_input(name: str, summary: str) -> argparse.ArgumentParser:
+        sp = sub.add_parser(name, help=summary)
+        sp.add_argument("input", help="JSON file or generator name")
+        sp.add_argument("--as", dest="as_kind", choices=("graph", "diagram"), default=None,
+                        help="force the input schema instead of inferring it")
+        common(sp)
+        return sp
+
+    p = with_input("count", "count colorings by one method")
     p.add_argument("--method", choices=("brute", "penrose", "penrose-skein", "states"),
                    default="brute")
     mode = p.add_mutually_exclusive_group()
@@ -334,20 +339,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="dump per-coloring weights (penrose method)")
     p.set_defaults(func=cmd_count)
 
-    p = sub.add_parser("crosscheck", help="run every method and compare")
-    p.add_argument("input")
-    common(p)
+    p = with_input("crosscheck", "run every method and compare")
     p.set_defaults(func=cmd_crosscheck)
 
-    p = sub.add_parser("matchings", help="list perfect matchings and their cycles")
-    p.add_argument("input")
-    common(p)
+    p = with_input("matchings", "list perfect matchings and their cycles")
     p.add_argument("--even-only", action="store_true")
     p.set_defaults(func=cmd_matchings)
 
-    p = sub.add_parser("formation", help="curve system of one coloring")
-    p.add_argument("input")
-    common(p)
+    p = with_input("formation", "curve system of one coloring")
     p.add_argument("--coloring-index", type=int, default=0)
     p.set_defaults(func=cmd_formation)
 
@@ -357,9 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("graph", "diagram"), default="graph")
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("validate", help="parse and sanity-check an input")
-    p.add_argument("input")
-    common(p)
+    p = with_input("validate", "parse and sanity-check an input")
     p.set_defaults(func=cmd_validate)
     return parser
 

@@ -26,7 +26,7 @@ from .errors import (
     StrandClosesWithoutNode,
     UnmatchedPort,
 )
-from .graph_core import CubicGraph, build_graph
+from .graph_core import CubicGraph, build_graph, components
 
 NODE = "n"
 CROSSING = "x"
@@ -140,26 +140,6 @@ def trace_faces(d: Diagram) -> list[list[Port]]:
     return faces
 
 
-def _component_count(d: Diagram) -> int:
-    """Connected components of the node-and-crossing graph, by union-find."""
-    parent = list(range(d.node_count + d.crossing_count))
-
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    count = len(parent)
-    for p, q in d.arcs:
-        a = find(p.owner if p.kind == NODE else d.node_count + p.owner)
-        b = find(q.owner if q.kind == NODE else d.node_count + q.owner)
-        if a != b:
-            parent[a] = b
-            count -= 1
-    return count
-
-
 def genus(d: Diagram) -> int:
     """Total genus over connected components; 0 means the diagram is plane.
 
@@ -167,8 +147,15 @@ def genus(d: Diagram) -> int:
     over C components gives 2 * genus = 2C - V + A - F. Free loops are plain
     circles and never contribute.
     """
-    v = d.node_count + d.crossing_count
-    return (2 * _component_count(d) - v + len(d.arcs) - len(trace_faces(d))) // 2
+    n = d.node_count
+    v = n + d.crossing_count
+    neighbours: list[list[int]] = [[] for _ in range(v)]
+    for p, q in d.arcs:
+        a = p.owner if p.kind == NODE else n + p.owner
+        b = q.owner if q.kind == NODE else n + q.owner
+        neighbours[a].append(b)
+        neighbours[b].append(a)
+    return (2 * len(components(neighbours)) - v + len(d.arcs) - len(trace_faces(d))) // 2
 
 
 # ---------------------------------------------------------------------------
@@ -189,56 +176,53 @@ def trace_strand(d: Diagram, start: Port) -> tuple[Port, list[tuple[int, int]]]:
     return cur, traversals
 
 
-@dataclass(frozen=True)
-class UnderlyingGraph:
-    """A diagram's abstract graph plus how each edge runs through crossings."""
+def trace_strands(d: Diagram) -> tuple[int, list[tuple[int, int, int]], list[list[int]]]:
+    """Number the strands: node strands by their lowest node port, then closed ones.
 
-    graph: CubicGraph
-    # edge id -> ordered (crossing id, entry slot) pairs, walked from the
-    # edge's endpoint-0 port to its endpoint-1 port
-    traversals: tuple[tuple[tuple[int, int], ...], ...]
-    # node port -> edge id
-    edge_of_port: dict[Port, int]
+    Strand e < 3 * node_count / 2 is edge e of the underlying graph. Returns
+    the strand count, the clockwise strand triple of each node (a strand from
+    a node back to itself is in its triple twice) and, per crossing, the
+    strands on its slot 0-2 and slot 1-3 axes.
+    """
+    triples = [[-1, -1, -1] for _ in range(d.node_count)]
+    axes = [[-1, -1] for _ in range(d.crossing_count)]
+    k = 0
+    for n, triple in enumerate(triples):
+        for s in range(3):
+            if triple[s] < 0:
+                end, walk = trace_strand(d, Port(NODE, n, s))
+                triple[s] = triples[end.owner][end.slot] = k
+                for x, slot in walk:
+                    axes[x][slot % 2] = k
+                k += 1
+    for x, pair in enumerate(axes):
+        for axis in (0, 1):
+            if pair[axis] < 0:
+                cur = Port(CROSSING, x, axis)
+                while axes[cur.owner][cur.slot % 2] < 0:
+                    axes[cur.owner][cur.slot % 2] = k
+                    cur = d.mate[Port(CROSSING, cur.owner, strand_partner_slot(cur.slot))]
+                k += 1
+    return k, [tuple(t) for t in triples], axes
 
 
-def underlying_graph(d: Diagram) -> UnderlyingGraph:
+def underlying_graph(d: Diagram) -> CubicGraph:
     """Dissolve crossings into strand pass-throughs and read off the graph.
 
-    Raises StrandClosesWithoutNode when some strand is a closed curve through
-    crossings only; such components have no graph reading.
+    Edge e joins the two nodes of strand e. Raises StrandClosesWithoutNode
+    when some strand is a closed curve through crossings only; such
+    components have no graph reading.
     """
-    edge_of_port: dict[Port, int] = {}
-    edges: list[tuple[int, int]] = []
-    traversals: list[tuple[tuple[int, int], ...]] = []
-    for n in range(d.node_count):
-        for s in range(3):
-            start = Port(NODE, n, s)
-            if start in edge_of_port:
-                continue
-            end, walk = trace_strand(d, start)
-            e = len(edges)
-            edge_of_port[start] = e
-            edge_of_port[end] = e
-            edges.append((n, end.owner))
-            traversals.append(tuple(walk))
-    used_x = {(x, s % 2) for walk in traversals for x, s in walk}
-    if len(used_x) != 2 * d.crossing_count:
+    k, triples, _ = trace_strands(d)
+    if 2 * k > 3 * d.node_count:
         raise StrandClosesWithoutNode(
             "a strand through crossings never reaches a trivalent node"
         )
-    return UnderlyingGraph(build_graph(d.node_count, edges), tuple(traversals), edge_of_port)
-
-
-def crossing_axis_edges(ug: UnderlyingGraph, crossing_count: int) -> list[tuple[int, int]]:
-    """Per crossing, the edge ids on the slot 0-2 axis and the 1-3 axis."""
-    axes: list[list[int]] = [[-1, -1] for _ in range(crossing_count)]
-    for e, walk in enumerate(ug.traversals):
-        for x, s in walk:
-            axes[x][s % 2] = e
-    for x, pair in enumerate(axes):
-        if -1 in pair:
-            raise StrandClosesWithoutNode(f"crossing {x} has an axis with no graph edge")
-    return [(a, b) for a, b in axes]
+    ends: list[list[int]] = [[] for _ in range(k)]
+    for n, triple in enumerate(triples):
+        for e in triple:
+            ends[e].append(n)
+    return build_graph(d.node_count, ends)
 
 
 # ---------------------------------------------------------------------------

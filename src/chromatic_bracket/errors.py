@@ -104,4 +104,4 @@ class MethodDisagreement(ChromaticBracketError):
 
 
 class IndexOutOfRange(ChromaticBracketError):
-    """A requested matching or coloring index does not exist."""
+    """A requested matching, coloring or arc index does not exist."""

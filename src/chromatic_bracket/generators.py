@@ -272,7 +272,7 @@ def named_graph(name: str, n: int | None = None, seed: int = 0) -> CubicGraph:
         return isaacs_j(n)
     if name == "random_cubic":
         return random_cubic(n, seed)
-    return underlying_graph(random_plane_cubic(n, seed)).graph
+    return underlying_graph(random_plane_cubic(n, seed))
 
 
 def named_diagram(name: str, n: int | None = None, seed: int = 0) -> Diagram:

@@ -84,23 +84,32 @@ def is_connected(g: CubicGraph) -> bool:
     return len(connected_components(g)) == 1
 
 
-def connected_components(g: CubicGraph) -> list[list[NodeId]]:
-    """The nodes of each component, in BFS order from its lowest node."""
-    comp = [-1] * g.node_count
-    parts: list[list[NodeId]] = []
-    for start in range(g.node_count):
-        if comp[start] >= 0:
+def components(neighbours: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The vertices of each component of the graph with these neighbour
+    lists (one per vertex), in BFS order from its lowest vertex."""
+    seen = [False] * len(neighbours)
+    parts: list[list[int]] = []
+    for start in range(len(neighbours)):
+        if seen[start]:
             continue
-        comp[start] = len(parts)
+        seen[start] = True
         block = [start]
-        for n in block:  # grows while it is walked
-            for h in g.incidence[n]:
-                m = g.half_edge_node(g.other_end(h))
-                if comp[m] < 0:
-                    comp[m] = len(parts)
-                    block.append(m)
+        for v in block:  # grows while it is walked
+            for w in neighbours[v]:
+                if not seen[w]:
+                    seen[w] = True
+                    block.append(w)
         parts.append(block)
     return parts
+
+
+def connected_components(g: CubicGraph) -> list[list[NodeId]]:
+    """The nodes of each component, in BFS order from its lowest node."""
+    neighbours: list[list[NodeId]] = [[] for _ in range(g.node_count)]
+    for u, v in g.edges:  # in edge order, as the half-edges of g.incidence
+        neighbours[u].append(v)
+        neighbours[v].append(u)
+    return components(neighbours)
 
 
 def bridges(g: CubicGraph) -> frozenset[EdgeId]:

@@ -17,25 +17,23 @@ from .diagram import (
     CIRCLED,
     CROSSING,
     DOTTED,
-    NODE,
     PLAIN,
     Diagram,
     Port,
     build_diagram,
-    crossing_axis_edges,
-    strand_partner_slot,
-    trace_strand,
+    trace_strands,
     underlying_graph,
 )
 from .errors import (
     ImproperColoring,
+    IndexOutOfRange,
     NonIntegerResult,
     NotCircled,
     RecursionBudgetExceeded,
     StrandClosesWithoutNode,
     refuse_deep_recursion,
 )
-from .graph_core import CubicGraph
+from .graph_core import CubicGraph, components
 
 
 class NodeWeight(NamedTuple):
@@ -79,16 +77,21 @@ def _sign_of_i_power(exp: int, context: str) -> int:
     return 1 if exp % 4 == 0 else -1
 
 
+def _strands(d: Diagram, include_crossings: bool) -> tuple[int, list, list]:
+    """The strand count of d, the clockwise strand triple of each node, and
+    per crossing its axis strands with its pair factor (i, j, a, b), left
+    empty unless include_crossings."""
+    k, nodes, axes = trace_strands(d)
+    return k, nodes, [(i, j, *_PAIR_FACTOR[kind]) for kind, (i, j) in
+                      zip(d.crossing_kinds, axes if include_crossings else ())]
+
+
 def weight_tables(d: Diagram, include_crossings: bool) -> tuple[CubicGraph, list, list]:
     """The underlying graph of d, and the two tables the weights read:
     clockwise edge ids per node, and per crossing its axis edge ids with its
     pair factor (ea, eb, a, b), left empty unless include_crossings."""
-    ug = underlying_graph(d)
-    nodes = [tuple(ug.edge_of_port[Port(NODE, n, s)] for s in range(3))
-             for n in range(d.node_count)]
-    axes = crossing_axis_edges(ug, d.crossing_count) if include_crossings else []
-    return ug.graph, nodes, [(ea, eb, *_PAIR_FACTOR[kind])
-                             for kind, (ea, eb) in zip(d.crossing_kinds, axes)]
+    _, nodes, crossings = _strands(d, include_crossings)
+    return underlying_graph(d), nodes, crossings
 
 
 def coloring_weight(
@@ -168,18 +171,8 @@ def _strand_sum(
     if len(core) > 14:
         raise RecursionBudgetExceeded("closed strand core too large to sum")
 
-    bfs: list[int] = []
-    seen: set[int] = set()
-    for root in range(len(nodes)):
-        if root not in seen:
-            seen.add(root)
-            queue = [root]
-            for n in queue:  # grows while it is walked
-                for s in nodes[n]:
-                    queue += [m for m in at[s] if m not in seen]
-                    seen.update(at[s])
-            bfs += queue
-    order = list(dict.fromkeys(s for n in bfs for s in nodes[n])) + core
+    bfs = components([[m for s in t for m in at[s]] for t in nodes])
+    order = list(dict.fromkeys(s for part in bfs for n in part for s in nodes[n])) + core
     for j, s in enumerate(core):  # two private nodes each, so no color is refused
         at[s] = [len(nodes) + 2 * j, len(nodes) + 2 * j + 1]
     pos = {s: d for d, s in enumerate(order)}
@@ -224,13 +217,11 @@ def _strand_sum(
 
 
 def _contract(d: Diagram, include_crossings: bool) -> int:
-    if d.node_count == 0:
-        if d.crossing_count:
-            raise StrandClosesWithoutNode("contraction needs node-anchored strands")
-        return 3**d.free_loops
-    g, nodes, pairs = weight_tables(d, include_crossings)
+    k, nodes, pairs = _strands(d, include_crossings)
+    if 2 * k > 3 * d.node_count:
+        raise StrandClosesWithoutNode("contraction needs node-anchored strands")
     with refuse_deep_recursion("strand-coloring sum"):
-        return _strand_sum(g.edge_count, nodes, pairs) * 3**d.free_loops
+        return _strand_sum(k, nodes, pairs) * 3**d.free_loops
 
 
 def contract_plain(d: Diagram) -> int:
@@ -276,15 +267,22 @@ def expand_circled(d: Diagram, crossing: int) -> tuple[Diagram, Diagram]:
     return with_kind(DOTTED), with_kind(PLAIN)
 
 
+def _cut_arc(d: Diagram, arc_index: int) -> tuple[Port, Port, list]:
+    """The two ports of arc arc_index and the other arcs."""
+    if not 0 <= arc_index < len(d.arcs):
+        raise IndexOutOfRange(f"no arc {arc_index}")
+    p, q = d.arcs[arc_index]
+    return p, q, [a for i, a in enumerate(d.arcs) if i != arc_index]
+
+
 def insert_twist(d: Diagram, arc_index: int) -> Diagram:
     """Replace an arc by a kink through a fresh circled self-crossing.
 
     The strand meets the new crossing on both axes, so the weight is +1 in
     every coloring and the bracket value is unchanged.
     """
-    p, q = d.arcs[arc_index]
+    p, q, arcs = _cut_arc(d, arc_index)
     x = d.crossing_count
-    arcs = [a for i, a in enumerate(d.arcs) if i != arc_index]
     arcs += [
         (p, Port(CROSSING, x, 0)),
         (Port(CROSSING, x, 2), Port(CROSSING, x, 1)),
@@ -299,9 +297,8 @@ def encircle_arc(d: Diagram, arc_index: int) -> Diagram:
     Summing the circle's three colors against any fixed strand color gives
     +1 - 1 - 1, so the value flips sign.
     """
-    p, q = d.arcs[arc_index]
+    p, q, arcs = _cut_arc(d, arc_index)
     x = d.crossing_count
-    arcs = [a for i, a in enumerate(d.arcs) if i != arc_index]
     arcs += [
         (p, Port(CROSSING, x, 0)),
         (Port(CROSSING, x, 2), q),
@@ -312,36 +309,6 @@ def encircle_arc(d: Diagram, arc_index: int) -> Diagram:
 
 # ---------------------------------------------------------------------------
 # skein evaluation
-
-def _trace_strands(d: Diagram) -> tuple[int, list[tuple[int, ...]], dict[tuple[int, int], int]]:
-    """Number the strands: node strands from the lowest node port, then closed ones.
-
-    Returns the strand count, the clockwise strand triple of each node (a
-    strand from a node back to itself is in its triple twice) and the strand
-    on each (crossing, axis).
-    """
-    triples = [[-1, -1, -1] for _ in range(d.node_count)]
-    axis_strand: dict[tuple[int, int], int] = {}
-    k = 0
-    for n, triple in enumerate(triples):
-        for s in range(3):
-            if triple[s] < 0:
-                end, walk = trace_strand(d, Port(NODE, n, s))
-                triple[s] = triples[end.owner][end.slot] = k
-                for x, slot in walk:
-                    axis_strand[x, slot % 2] = k
-                k += 1
-    for x in range(d.crossing_count):
-        for axis in (0, 1):
-            if (x, axis) in axis_strand:
-                continue
-            cur = Port(CROSSING, x, axis)
-            while (cur.owner, cur.slot % 2) not in axis_strand:
-                axis_strand[cur.owner, cur.slot % 2] = k
-                cur = d.mate[Port(CROSSING, cur.owner, strand_partner_slot(cur.slot))]
-            k += 1
-    return k, [tuple(t) for t in triples], axis_strand
-
 
 def _merge(tri: dict[int, tuple[int, ...]], adj: list, x: int, y: int) -> int:
     """Give strand y the color of strand x: y's couplings move onto x and y
@@ -423,12 +390,12 @@ def skein_evaluate(d: Diagram, budget: int = 100_000) -> int:
     to strand renaming is reused: one budget step is one expansion of a state
     new to this evaluation. Agrees with contract_extended wherever both apply.
     """
-    k, nodes, axis_strand = _trace_strands(d)
+    k, nodes, pairs = _strands(d, include_crossings=True)
     if any(len(set(t)) < 3 for t in nodes):
         return 0  # a strand from a node back to itself repeats an epsilon index
     adj: list = [{} for _ in range(k)]
     mult = 3**d.free_loops
-    for x, kind in enumerate(d.crossing_kinds):
-        mult *= _link(adj, axis_strand[x, 0], axis_strand[x, 1], *_PAIR_FACTOR[kind])
+    for i, j, a, b in pairs:
+        mult *= _link(adj, i, j, a, b)
     with refuse_deep_recursion("skein expansion"):
         return mult * _skein(dict(enumerate(nodes)), adj, [budget], {})

@@ -90,7 +90,7 @@ def test_plain_bracket_theorem_on_plane_corpus():
     with _Budget("plain-bracket-plane-corpus", 30.0):
         for label, d in plane_corpus():
             assert d.crossing_count == 0 and cb.genus(d) == 0, label
-            g = cb.underlying_graph(d).graph
+            g = cb.underlying_graph(d)
             colorings = cb.enumerate_colorings(g)
             for c in colorings:
                 assert cb.per_coloring_weight(d, c) == 1, label
@@ -161,7 +161,7 @@ def test_formation_bijection_and_parity():
                 f = cb.formation_from_coloring(g, c)
                 assert cb.coloring_from_formation(g, f) == c, name
         for label, d in plane_corpus():
-            g = cb.underlying_graph(d).graph
+            g = cb.underlying_graph(d)
             for c in cb.enumerate_colorings(g):
                 assert cb.crossing_parity(d, c) == 0, label
 
@@ -199,7 +199,7 @@ def test_tensor_identities():
 def test_switch_search_on_plane_corpus():
     with _Budget("colorable-switch-vectors", 120.0):
         for label, d in plane_corpus():
-            g = cb.underlying_graph(d).graph
+            g = cb.underlying_graph(d)
             if cb.bridges_per_component(g):
                 continue
             for m in cb.enumerate_perfect_matchings(g):

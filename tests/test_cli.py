@@ -194,6 +194,13 @@ def test_gen_seeded_is_reproducible(capsys):
     assert a == b
 
 
+def test_gen_refuses_as(capsys):
+    # gen picks its output schema with --format; --as belongs to commands that read an input
+    code, payload, _ = run(capsys, "gen", "k33", "--as", "diagram")
+    assert code == 1
+    assert payload is None
+
+
 def test_gen_unknown_name(capsys):
     code, _, err = run(capsys, "gen", "moebius")
     assert code == 1

@@ -86,7 +86,7 @@ def test_k33_fixture_diagram():
     assert d.crossing_kinds == (CIRCLED,)
     assert len(cb.trace_faces(d)) == 6
     assert cb.genus(d) == 0
-    assert edge_multiset(cb.underlying_graph(d).graph) == edge_multiset(gen.k33())
+    assert edge_multiset(cb.underlying_graph(d)) == edge_multiset(gen.k33())
 
 
 def test_slot_swap_changes_genus():
@@ -104,14 +104,17 @@ def test_slot_swap_changes_genus():
     )
     assert len(cb.trace_faces(scrambled)) == 2
     assert cb.genus(scrambled) == 1
-    assert edge_multiset(cb.underlying_graph(scrambled).graph) == edge_multiset(gen.k4())
+    assert edge_multiset(cb.underlying_graph(scrambled)) == edge_multiset(gen.k4())
 
 
 def test_underlying_graph_of_theta_diagram():
-    ug = cb.underlying_graph(gen.theta_diagram())
-    assert ug.graph == gen.theta()
-    assert ug.traversals == ((), (), ())
-    assert ug.edge_of_port[N(0, 0)] == 0
+    d = gen.theta_diagram()
+    assert cb.underlying_graph(d) == gen.theta()
+    # strand e is edge e, numbered by lowest node port
+    assert cb.trace_strands(d) == (3, [(0, 1, 2), (0, 2, 1)], [])
+    # the closed strand of an encircled arc comes after the node strands
+    k, triples, axes = cb.trace_strands(cb.encircle_arc(d, 0))
+    assert (k, triples, axes) == (4, [(0, 1, 2), (0, 2, 1)], [[0, 3]])
 
 
 def test_underlying_graph_rejects_nodeless_strands():
@@ -122,12 +125,16 @@ def test_underlying_graph_rejects_nodeless_strands():
 
 def test_crossing_axis_edges_on_immersion():
     d = cb.chord_immersion(gen.k4())
-    ug = cb.underlying_graph(d)
-    axes = cb.crossing_axis_edges(ug, d.crossing_count)
-    assert len(axes) == d.crossing_count
-    for x, (e0, e1) in enumerate(axes):
-        assert any(c == x for c, _ in ug.traversals[e0])
-        assert any(c == x for c, _ in ug.traversals[e1])
+    k, triples, axes = cb.trace_strands(d)
+    assert k == 6 and len(axes) == d.crossing_count
+    walked = set()
+    for n, triple in enumerate(triples):
+        for slot, e in enumerate(triple):
+            _, walk = cb.trace_strand(d, N(n, slot))
+            for x, s in walk:
+                assert axes[x][s % 2] == e
+                walked.add((x, s % 2))
+    assert len(walked) == 2 * d.crossing_count
 
 
 def test_chord_immersion_round_trips_every_fixture():
@@ -139,7 +146,7 @@ def test_chord_immersion_round_trips_every_fixture():
         d = cb.chord_immersion(g)
         assert cb.genus(d) == 0
         assert all(k == CIRCLED for k in d.crossing_kinds)
-        assert edge_multiset(cb.underlying_graph(d).graph) == edge_multiset(g)
+        assert edge_multiset(cb.underlying_graph(d)) == edge_multiset(g)
 
 
 def test_chord_immersion_is_deterministic():
@@ -152,7 +159,7 @@ def test_chord_immersion_respects_node_order():
     g = gen.k4()
     a = cb.chord_immersion(g)
     b = cb.chord_immersion(g, node_order=[3, 2, 1, 0])
-    assert edge_multiset(cb.underlying_graph(b).graph) == edge_multiset(g)
+    assert edge_multiset(cb.underlying_graph(b)) == edge_multiset(g)
     assert cb.genus(b) == 0
     assert a != b
 
@@ -262,6 +269,13 @@ def test_genus_adds_up_over_components():
     assert cb.genus(_disjoint_union(torus, torus)) == 2
     assert cb.genus(_disjoint_union(gen.k33_diagram(), torus)) == 1
     assert cb.genus(_disjoint_union(gen.theta_diagram(), gen.k4_diagram())) == 0
+    # crossings join the two copies of K4 into one diagram component
+    k4 = gen.k4()
+    g = cb.build_graph(8, list(k4.edges) + [(u + 4, v + 4) for u, v in k4.edges])
+    d = cb.chord_immersion(g, node_order=[0, 4, 1, 5, 2, 6, 3, 7])
+    assert d.crossing_count == 38 and len(cb.connected_components(g)) == 2
+    assert cb.genus(d) == 0
+    assert cb.count_colorings(g) == cb.contract_extended(d) == cb.skein_evaluate(d) == 36
 
 
 def test_chord_immersion_refuses_a_layout_of_positive_genus(monkeypatch):

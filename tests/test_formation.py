@@ -53,7 +53,7 @@ def test_improper_coloring_rejected():
 
 def test_theta_purple_edge_bounces():
     d = gen.theta_diagram()
-    ug = cb.underlying_graph(d).graph
+    ug = cb.underlying_graph(d)
     for c in cb.enumerate_colorings(ug):
         meetings = cb.classify_meetings(d, c)
         purple = {e for e, col in enumerate(c) if col == PURPLE}
@@ -64,7 +64,7 @@ def test_theta_purple_edge_bounces():
 
 def test_plane_fixtures_have_even_crossing_parity():
     for d in (gen.theta_diagram(), gen.k4_diagram(), gen.prism_diagram()):
-        ug = cb.underlying_graph(d).graph
+        ug = cb.underlying_graph(d)
         for c in cb.enumerate_colorings(ug):
             meetings = cb.classify_meetings(d, c)
             assert set(meetings.values()) <= {BOUNCE, CROSS}
@@ -74,7 +74,7 @@ def test_plane_fixtures_have_even_crossing_parity():
 
 def test_meetings_refuse_non_plane_input():
     d = gen.k33_diagram()
-    ug = cb.underlying_graph(d).graph
+    ug = cb.underlying_graph(d)
     c = cb.enumerate_colorings(ug)[0]
     with pytest.raises(NotPlane):
         cb.classify_meetings(d, c)
@@ -96,7 +96,7 @@ def test_meetings_refuse_positive_genus():
         k4d.node_count, k4d.crossing_kinds, [tuple(fix(p) for p in arc) for arc in k4d.arcs]
     )
     assert cb.genus(torus) == 1
-    ug = cb.underlying_graph(torus).graph
+    ug = cb.underlying_graph(torus)
     c = cb.enumerate_colorings(ug)[0]
     with pytest.raises(NotPlane):
         cb.classify_meetings(torus, c)
@@ -105,6 +105,6 @@ def test_meetings_refuse_positive_genus():
 def test_random_plane_parity_is_even():
     for seed in range(6):
         d = gen.random_plane_cubic(10, seed)
-        ug = cb.underlying_graph(d).graph
+        ug = cb.underlying_graph(d)
         for c in cb.enumerate_colorings(ug)[:20]:
             assert cb.crossing_parity(d, c) == 0

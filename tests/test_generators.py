@@ -78,7 +78,7 @@ def test_plane_fixture_diagrams_match_their_graphs():
     for d, g in pairs:
         assert d.crossing_count == 0
         assert cb.genus(d) == 0
-        ug = cb.underlying_graph(d).graph
+        ug = cb.underlying_graph(d)
         assert Counter(map(frozenset, ug.edges)) == Counter(map(frozenset, g.edges))
 
 
@@ -101,7 +101,7 @@ def test_random_plane_cubic_properties():
         assert d == gen.random_plane_cubic(10, seed)
         assert d.crossing_count == 0
         assert cb.genus(d) == 0
-        g = cb.underlying_graph(d).graph
+        g = cb.underlying_graph(d)
         assert g.node_count == 10
         assert degrees(g) == [3] * 10
         assert not cb.has_loop(g)
@@ -158,7 +158,7 @@ def test_random_plane_cubic_always_plane(n: int, seed: int) -> None:
     d = gen.random_plane_cubic(n, seed)
     assert d.crossing_count == 0
     assert cb.genus(d) == 0
-    g = cb.underlying_graph(d).graph
+    g = cb.underlying_graph(d)
     assert g.node_count == n
     assert cb.is_connected(g)
 

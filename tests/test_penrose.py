@@ -10,10 +10,11 @@ import pytest
 import chromatic_bracket as cb
 from chromatic_bracket import BLUE, CIRCLED, DOTTED, PLAIN, PURPLE, RED, Port
 from chromatic_bracket import generators as gen
-from chromatic_bracket import penrose
+from chromatic_bracket import diagram, penrose
 from chromatic_bracket.diagram import trace_strand
 from chromatic_bracket.errors import (
     ImproperColoring,
+    IndexOutOfRange,
     NotCircled,
     RecursionBudgetExceeded,
     StrandClosesWithoutNode,
@@ -71,7 +72,7 @@ def test_plane_contraction_equals_backtracking():
 
 def test_plane_per_coloring_weights_are_plus_one():
     d = gen.prism_diagram()
-    g = cb.underlying_graph(d).graph
+    g = cb.underlying_graph(d)
     for c in cb.enumerate_colorings(g):
         assert cb.per_coloring_weight(d, c) == 1
         assert cb.per_coloring_weight(d, c, include_crossings=False) == 1
@@ -82,7 +83,7 @@ def test_one_crossing_k33_diagram_plain_vs_extended():
     assert cb.contract_plain(d) == 0
     assert cb.contract_extended(d) == 12
     assert cb.skein_evaluate(d) == 12
-    g = cb.underlying_graph(d).graph
+    g = cb.underlying_graph(d)
     weights = [cb.per_coloring_weight(d, c, include_crossings=False) for c in cb.enumerate_colorings(g)]
     assert sorted(weights) == [-1] * 6 + [1] * 6
     extended = [cb.per_coloring_weight(d, c) for c in cb.enumerate_colorings(g)]
@@ -155,6 +156,14 @@ def test_encircling_an_arc_flips_the_sign():
         base = cb.skein_evaluate(d)
         for i in range(len(d.arcs)):
             assert cb.skein_evaluate(cb.encircle_arc(d, i)) == -base
+
+
+def test_arc_surgery_refuses_a_missing_arc():
+    d = gen.theta_diagram()
+    for surgery in (cb.insert_twist, cb.encircle_arc):
+        for i in (99, -1):
+            with pytest.raises(IndexOutOfRange):
+                surgery(d, i)
 
 
 def test_encircled_diagram_has_no_graph_reading():
@@ -280,11 +289,12 @@ def test_skein_traces_each_node_strand_once(monkeypatch):
         calls.append(start)
         return trace_strand(d, start)
 
-    monkeypatch.setattr(penrose, "trace_strand", counting)
+    monkeypatch.setattr(diagram, "trace_strand", counting)
     for n, seed in ((22, 1), (16, 3)):
-        calls.clear()
         d = gen.random_plane_cubic(n, seed)
-        assert cb.skein_evaluate(d) == cb.contract_plain(d)
+        want = cb.contract_plain(d)
+        calls.clear()
+        assert cb.skein_evaluate(d) == want
         assert len(calls) == 3 * n // 2
 
 
