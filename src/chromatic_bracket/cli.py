@@ -28,7 +28,6 @@ from .diagram import (
 from .errors import (
     ChromaticBracketError,
     IndexOutOfRange,
-    MethodDisagreement,
     NoPerfectMatching,
     NotPlane,
     ParseError,
@@ -152,7 +151,7 @@ def cmd_count(args: argparse.Namespace, obj: CubicGraph | Diagram) -> int:
 
 
 def run_crosscheck(g: CubicGraph, d: Diagram) -> dict:
-    """All methods on one instance; raises MethodDisagreement on any split."""
+    """All methods on one instance; report["agree"] is False on any split."""
     methods: dict[str, int] = {}
     timings: dict[str, float] = {}
 
@@ -187,23 +186,17 @@ def run_crosscheck(g: CubicGraph, d: Diagram) -> dict:
         "count": count,
         "free_loops": d.free_loops,
     }
-    if not agree:
-        raise MethodDisagreement(json.dumps(report, sort_keys=True))
     return report
 
 
 def cmd_crosscheck(args: argparse.Namespace, obj: CubicGraph | Diagram) -> int:
     g = _input_graph(obj)
     d = obj if isinstance(obj, Diagram) else chord_immersion(g)
-    try:
-        report = run_crosscheck(g, d)
-    except MethodDisagreement as exc:
-        payload = {"input": args.input, **json.loads(str(exc))}
-        _emit(args, payload, f"{args.input}: METHODS DISAGREE")
-        return 2
-    payload = {"input": args.input, **report}
-    _emit(args, payload, f"{args.input}: all methods agree, count = {report['count']}")
-    return 0
+    report = run_crosscheck(g, d)
+    agree = report["agree"]
+    summary = f"all methods agree, count = {report['count']}" if agree else "METHODS DISAGREE"
+    _emit(args, {"input": args.input, **report}, f"{args.input}: {summary}")
+    return 0 if agree else 2
 
 
 def cmd_matchings(args: argparse.Namespace, obj: CubicGraph | Diagram) -> int:

@@ -76,9 +76,11 @@ class NotCircled(ChromaticBracketError):
 
 
 class RecursionBudgetExceeded(ChromaticBracketError):
-    """A search hit a bound: the skein step budget, a skein leaf keeping more
-    than 14 closed strands (on no node), or the Python stack (brute force,
-    contraction and skein recurse as deep as the input)."""
+    """A search hit a bound: the skein step budget, a strand-coloring sum
+    (contraction or a skein leaf) keeping more than 14 closed strands (on no
+    node), or the Python stack (brute force, contraction, skein, the
+    perfect-matching search and the loop-coloring count recurse as deep as
+    the input)."""
 
 
 @contextmanager
@@ -97,10 +99,6 @@ class NoPerfectMatching(ChromaticBracketError):
 
 class ParseError(ChromaticBracketError):
     """Malformed graph or diagram input."""
-
-
-class MethodDisagreement(ChromaticBracketError):
-    """Two counting methods returned different values for the same input."""
 
 
 class IndexOutOfRange(ChromaticBracketError):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .coloring import BLUE, PURPLE, RED, EdgeColoring, is_proper
-from .errors import ImproperColoring, NotAMatching, OddCycle
+from .errors import ImproperColoring, NotAMatching, OddCycle, refuse_deep_recursion
 from .graph_core import CubicGraph
 
 PerfectMatching = frozenset[int]
@@ -25,9 +25,9 @@ PerfectMatching = frozenset[int]
 class ComplementCycles:
     """Cycles of the graph minus a perfect matching.
 
-    cycles: edge ids in traversal order, one tuple per cycle. Tracing starts
-    at the lowest unused non-matched edge and walks it from endpoint 0 to
-    endpoint 1, so the decomposition is deterministic.
+    cycles: edge ids in traversal order, one tuple per cycle. Tracing
+    (trace_cycles) starts at the lowest unused non-matched edge and walks it
+    from endpoint 0 to endpoint 1, so the decomposition is deterministic.
     passages: node -> (arriving half-edge, departing half-edge) on its cycle.
     """
 
@@ -96,7 +96,8 @@ def iter_perfect_matchings(g: CubicGraph) -> Iterator[PerfectMatching]:
         for x in passed:
             free[x] += 1
 
-    yield from rec(0, ())
+    with refuse_deep_recursion("perfect-matching search"):
+        yield from rec(0, ())
 
 
 def enumerate_perfect_matchings(g: CubicGraph) -> list[PerfectMatching]:
@@ -104,36 +105,43 @@ def enumerate_perfect_matchings(g: CubicGraph) -> list[PerfectMatching]:
     return list(iter_perfect_matchings(g))
 
 
+def trace_cycles(link: Sequence[int]) -> tuple[list[list[int]], list[int]]:
+    """The cycles of a half-edge link table, and per half-edge its cycle.
+
+    link[h] is the half-edge that h is joined to at a node or site, -1 when h
+    lies on no cycle. Each cycle is its departing half-edges in walking order:
+    it starts at the lowest edge not yet walked, leaves it from endpoint 0 and
+    goes on along link[h ^ 1]. cycle_of[h] is -1 for a half-edge on none.
+    """
+    cycle_of = [-1] * len(link)
+    walks: list[list[int]] = []
+    for start in range(0, len(link), 2):
+        if link[start] < 0 or cycle_of[start] >= 0:
+            continue
+        idx = len(walks)
+        walk: list[int] = []
+        h = start
+        while True:
+            cycle_of[h] = cycle_of[h ^ 1] = idx
+            walk.append(h)
+            h = link[h ^ 1]
+            if h == start:
+                break
+        walks.append(walk)
+    return walks, cycle_of
+
+
 def complement_cycles(g: CubicGraph, matching: Iterable[int]) -> ComplementCycles:
     m = validate_matching(g, matching)
-    comp_at: list[list[int]] = [[] for _ in range(g.node_count)]
-    for e in range(g.edge_count):
-        if e in m:
-            continue
-        comp_at[g.edges[e][0]].append(2 * e)
-        comp_at[g.edges[e][1]].append(2 * e + 1)
-    # A perfect matching uses one half-edge per node, leaving exactly two.
-    used = [False] * g.edge_count
-    cycles: list[tuple[int, ...]] = []
-    passages: dict[int, tuple[int, int]] = {}
-    for e0 in range(g.edge_count):
-        if e0 in m or used[e0]:
-            continue
-        cycle: list[int] = []
-        start = 2 * e0
-        depart = start
-        while True:
-            used[depart // 2] = True
-            cycle.append(depart // 2)
-            arrive = depart ^ 1
-            n = g.half_edge_node(arrive)
-            a, b = comp_at[n]
-            depart = b if arrive == a else a
-            passages[n] = (arrive, depart)
-            if depart == start:
-                break
-        cycles.append(tuple(cycle))
-    return ComplementCycles(tuple(cycles), passages)
+    # A perfect matching uses one half-edge per node; the other two are linked.
+    link = [-1] * (2 * g.edge_count)
+    for x, y, z in g.incidence:
+        a, b = (y, z) if x >> 1 in m else (x, z) if y >> 1 in m else (x, y)
+        link[a], link[b] = b, a
+    walks, _ = trace_cycles(link)
+    node = g.half_edge_node
+    return ComplementCycles(tuple([tuple([h >> 1 for h in w]) for w in walks]),
+                            {node(h ^ 1): (h ^ 1, link[h ^ 1]) for w in walks for h in w})
 
 
 def is_even_matching(g: CubicGraph, matching: Iterable[int]) -> bool:

@@ -30,7 +30,6 @@ from .errors import (
     NonIntegerResult,
     NotCircled,
     RecursionBudgetExceeded,
-    StrandClosesWithoutNode,
     refuse_deep_recursion,
 )
 from .graph_core import CubicGraph, components
@@ -218,8 +217,6 @@ def _strand_sum(
 
 def _contract(d: Diagram, include_crossings: bool) -> int:
     k, nodes, pairs = _strands(d, include_crossings)
-    if 2 * k > 3 * d.node_count:
-        raise StrandClosesWithoutNode("contraction needs node-anchored strands")
     with refuse_deep_recursion("strand-coloring sum"):
         return _strand_sum(k, nodes, pairs) * 3**d.free_loops
 
@@ -233,7 +230,8 @@ def contract_extended(d: Diagram) -> int:
     """Sum of per-coloring node-weight products times crossing weights.
 
     Equals the proper 3-edge-coloring count of the underlying graph for any
-    diagram whose crossings are all circled.
+    diagram whose crossings are all circled. Closed strands (on no node) are
+    summed like the others.
     """
     return _contract(d, include_crossings=True)
 

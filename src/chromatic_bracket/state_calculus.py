@@ -13,9 +13,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import IncompleteState
+from .errors import IncompleteState, refuse_deep_recursion
 from .graph_core import CubicGraph, bridges_per_component, build_graph
-from .matching import PerfectMatching, complement_cycles, validate_matching
+from .matching import PerfectMatching, complement_cycles, trace_cycles, validate_matching
 
 PARALLEL = "parallel"
 CROSSED = "crossed"
@@ -81,30 +81,13 @@ def _site_ends(g: CubicGraph, m: PerfectMatching) -> list[tuple[Pair, Pair]]:
 
 
 def _trace_loops(half_edges: int, site_links: Sequence[Links]) -> tuple[list[list[int]], list[Pair]]:
-    """Loops as edge lists, plus per site the loops of its two strands.
-
-    Each loop starts at the lowest untraced complement edge and walks it
-    from endpoint 0.
-    """
+    """Loops as departing half-edges (trace_cycles order), plus per site the
+    loops of its two strands."""
     link = [-1] * half_edges
     for (a, b), (c, d) in site_links:
         link[a], link[b], link[c], link[d] = b, a, d, c
-    loop_of = [-1] * half_edges
-    loops: list[list[int]] = []
-    for start in range(0, half_edges, 2):
-        if link[start] < 0 or loop_of[start] >= 0:
-            continue
-        idx = len(loops)
-        edges_on: list[int] = []
-        h = start
-        while True:
-            loop_of[h] = loop_of[h ^ 1] = idx
-            edges_on.append(h >> 1)
-            h = link[h ^ 1]
-            if h == start:
-                break
-        loops.append(edges_on)
-    return loops, [(loop_of[p[0]], loop_of[q[0]]) for p, q in site_links]
+    walks, loop_of = trace_cycles(link)
+    return walks, [(loop_of[p[0]], loop_of[q[0]]) for p, q in site_links]
 
 
 def _count_loop_colorings(k: int, site_pairs: Iterable[Pair]) -> int:
@@ -140,8 +123,9 @@ def make_state(g: CubicGraph, matching: Iterable[int], switches: Sequence[str]) 
             raise ValueError(f"unknown switch setting {s!r}")
     ends = _site_ends(g, m)
     sites = tuple(Site(e, eu, ev, sw) for e, (eu, ev), sw in zip(ordered, ends, switches))
-    loops, site_graph = _trace_loops(2 * g.edge_count, [s.links() for s in sites])
-    return State(g, m, sites, tuple(map(tuple, loops)), tuple(site_graph))
+    walks, site_graph = _trace_loops(2 * g.edge_count, [s.links() for s in sites])
+    loops = tuple(tuple(h >> 1 for h in w) for w in walks)
+    return State(g, m, sites, loops, tuple(site_graph))
 
 
 def count_state_colorings(s: State) -> int:
@@ -150,7 +134,8 @@ def count_state_colorings(s: State) -> int:
     This is the number of proper 3-colorings of the site multigraph; a site
     whose strands lie on one loop makes it zero.
     """
-    return _count_loop_colorings(s.loop_count, s.site_graph)
+    with refuse_deep_recursion("loop-coloring count"):
+        return _count_loop_colorings(s.loop_count, s.site_graph)
 
 
 def logical_expansion_count(g: CubicGraph, matching: Iterable[int]) -> int:
@@ -164,9 +149,10 @@ def logical_expansion_count(g: CubicGraph, matching: Iterable[int]) -> int:
     half_edges = 2 * g.edge_count
     choices = [[_links(eu, ev, sw) for sw in SWITCH_SETTINGS] for eu, ev in ends]
     total = 0
-    for site_links in itertools.product(*choices):  # streamed, one vector at a time
-        loops, site_graph = _trace_loops(half_edges, site_links)
-        total += _count_loop_colorings(len(loops), site_graph)
+    with refuse_deep_recursion("loop-coloring count"):
+        for site_links in itertools.product(*choices):  # streamed, one vector at a time
+            walks, site_graph = _trace_loops(half_edges, site_links)
+            total += _count_loop_colorings(len(walks), site_graph)
     return total
 
 

@@ -364,16 +364,37 @@ def test_states_stops_at_the_requested_matching(monkeypatch, capsys):
     assert code == 1 and "out of range: 6 perfect matchings" in err
 
 
-def test_deep_input_fails_typed(tmp_path: Path, capsys):
-    # a 1200-edge prism ladder: the recursive searches need more stack than
-    # Python allows, which must surface as a typed error, not a traceback
-    k = 400
+def ladder_file(tmp_path: Path, k: int) -> Path:
+    """A prism ladder with k rungs: two k-cycles joined node by node."""
     edges = [[i, (i + 1) % k] for i in range(k)]
     edges += [[k + i, k + (i + 1) % k] for i in range(k)]
     edges += [[i, k + i] for i in range(k)]
-    path = tmp_path / "ladder.json"
+    path = tmp_path / f"ladder{k}.json"
     path.write_text(json.dumps({"nodes": 2 * k, "edges": edges}))
-    for command in ("count", "formation"):
-        code, payload, err = run(capsys, command, str(path))
+    return path
+
+
+def test_deep_input_fails_typed(tmp_path: Path, capsys):
+    # prism ladders: the recursive searches need more stack than Python
+    # allows, which must surface as a typed error, not a traceback. The
+    # 1200-edge ladder is too deep for brute force and formation; the
+    # matching search takes one frame per matched edge, 1300 on 1300 rungs.
+    short, long = ladder_file(tmp_path, 400), ladder_file(tmp_path, 1300)
+    cases = [(short, ["count"]), (short, ["formation"]),
+             (long, ["matchings"]), (long, ["count", "--method", "states"])]
+    for path, command in cases:
+        code, payload, err = run(capsys, command[0], str(path), *command[1:])
         assert (code, payload) == (1, None), command
         assert err.startswith("error:"), command
+
+
+def test_crosscheck_disagreement_exits_2(monkeypatch, capsys):
+    from chromatic_bracket import cli
+
+    monkeypatch.setattr(cli, "skein_evaluate", lambda d: 13)
+    code, payload, err = run(capsys, "crosscheck", "k33")
+    assert (code, payload["agree"], payload["count"]) == (2, False, 12)
+    assert set(payload["methods"]) == {"brute", "even_matchings", "penrose_extended", "penrose_skein"}
+    assert payload["methods"]["penrose_skein"] == 13
+    assert payload["states_by_matching"] == {str(i): 12 for i in range(6)}
+    assert "METHODS DISAGREE" in err

@@ -113,6 +113,9 @@ def test_dumbbell_complement_is_two_odd_loops():
     g = gen.dumbbell()
     cc = cb.complement_cycles(g, {1})
     assert sorted(len(c) for c in cc.cycles) == [1, 1]
+    # each loop edge leaves from endpoint 0 and arrives back at endpoint 1
+    assert cc.cycles == ((0,), (2,))
+    assert cc.passages == {0: (1, 0), 1: (5, 4)}
     assert not cb.is_even_matching(g, {1})
 
 

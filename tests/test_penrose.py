@@ -167,9 +167,11 @@ def test_arc_surgery_refuses_a_missing_arc():
 
 
 def test_encircled_diagram_has_no_graph_reading():
+    # no underlying graph, but contraction sums the closed strand like skein
     d = cb.encircle_arc(gen.theta_diagram(), 0)
     with pytest.raises(StrandClosesWithoutNode):
-        cb.contract_extended(d)
+        cb.underlying_graph(d)
+    assert cb.contract_extended(d) == cb.skein_evaluate(d) == -6
 
 
 def test_expand_circled_identity():
@@ -227,9 +229,7 @@ def test_skein_budget_is_enforced():
 
 def test_nodeless_plain_crossing_unknots_to_a_loop():
     d = cb.build_diagram(0, (PLAIN,), [(X(0, 0), X(0, 1)), (X(0, 2), X(0, 3))])
-    assert cb.skein_evaluate(d) == 3
-    with pytest.raises(StrandClosesWithoutNode):
-        cb.contract_extended(d)
+    assert cb.contract_extended(d) == cb.skein_evaluate(d) == 3
 
 
 def circle_system(n: int, crossings: list[tuple[int, int]]) -> cb.Diagram:

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import chromatic_bracket as cb
 from chromatic_bracket import generators as gen
-from chromatic_bracket.errors import IncompleteState, NotAMatching
+from chromatic_bracket.errors import IncompleteState, NotAMatching, RecursionBudgetExceeded
 from chromatic_bracket.state_calculus import (
     CROSSED,
     PARALLEL,
@@ -139,6 +139,23 @@ def test_expansion_on_flower_snarks():
         ms = cb.enumerate_perfect_matchings(g)
         assert ms
         assert {logical_expansion_count(g, m) for m in ms} == {want}, n
+
+
+def test_too_many_loops_fail_typed():
+    # a 2400-rung prism ladder matched on every other ring edge: the
+    # all-parallel state (the first switch vector) has 1202 loops, and the
+    # loop-coloring count recurses once per loop
+    k = 2400
+    g = cb.build_graph(2 * k, [(i, (i + 1) % k) for i in range(k)]
+                       + [(k + i, k + (i + 1) % k) for i in range(k)]
+                       + [(i, k + i) for i in range(k)])
+    m = {2 * i for i in range(k // 2)} | {k + 2 * i for i in range(k // 2)}
+    s = make_state(g, m, [PARALLEL] * len(m))
+    assert s.loop_count == 1202
+    with pytest.raises(RecursionBudgetExceeded):
+        count_state_colorings(s)
+    with pytest.raises(RecursionBudgetExceeded):
+        logical_expansion_count(g, m)
 
 
 def test_squeeze_rejects_a_state_missing_edges():
