@@ -7,6 +7,7 @@ JSON results go to stdout, a one-line human summary to stderr. Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import os
@@ -298,6 +299,7 @@ def cmd_validate(args: argparse.Namespace, obj: CubicGraph | Diagram) -> int:
     return 0
 
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chromatic-bracket",
@@ -355,9 +357,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     limit = sys.get_int_max_str_digits()

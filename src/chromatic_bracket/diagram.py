@@ -214,7 +214,13 @@ def underlying_graph(d: Diagram) -> CubicGraph:
     components have no graph reading.
     """
     k, triples, _ = trace_strands(d)
-    if 2 * k > 3 * d.node_count:
+    return _strand_graph(k, triples)
+
+
+def _strand_graph(k: int, triples: Sequence[tuple[int, int, int]]) -> CubicGraph:
+    """The graph of a trace_strands result (k strands, a triple per node);
+    raises StrandClosesWithoutNode when a strand is on no node."""
+    if 2 * k > 3 * len(triples):
         raise StrandClosesWithoutNode(
             "a strand through crossings never reaches a trivalent node"
         )
@@ -222,7 +228,7 @@ def underlying_graph(d: Diagram) -> CubicGraph:
     for n, triple in enumerate(triples):
         for e in triple:
             ends[e].append(n)
-    return build_graph(d.node_count, ends)
+    return build_graph(len(triples), ends)
 
 
 # ---------------------------------------------------------------------------

@@ -20,9 +20,9 @@ from .diagram import (
     PLAIN,
     Diagram,
     Port,
+    _strand_graph,
     build_diagram,
     trace_strands,
-    underlying_graph,
 )
 from .errors import (
     ImproperColoring,
@@ -89,8 +89,8 @@ def weight_tables(d: Diagram, include_crossings: bool) -> tuple[CubicGraph, list
     """The underlying graph of d, and the two tables the weights read:
     clockwise edge ids per node, and per crossing its axis edge ids with its
     pair factor (ea, eb, a, b), left empty unless include_crossings."""
-    _, nodes, crossings = _strands(d, include_crossings)
-    return underlying_graph(d), nodes, crossings
+    k, nodes, crossings = _strands(d, include_crossings)
+    return _strand_graph(k, nodes), nodes, crossings
 
 
 def coloring_weight(

@@ -9,7 +9,6 @@ so that the two loops meeting at every site differ.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -139,7 +138,16 @@ def count_state_colorings(s: State) -> int:
 
 
 def logical_expansion_count(g: CubicGraph, matching: Iterable[int]) -> int:
-    """Sum count_state_colorings over all 2^|M| switch vectors.
+    """Sum count_state_colorings over the switch vectors, searched site by site.
+
+    Sites are set in edge-id order, and each chosen link joins the components
+    of its two complement edges (a union-find that relabels the smaller
+    component, undone on the way back). The two edges at either end of a
+    site lie on its two strands under both switches, and components only
+    grow; so once they share a component, set site or not, every completion
+    of the branch has a site with both strands on one loop, which counts 0,
+    and the branch is cut. Only the switch vectors with no such site reach a
+    leaf, where their loops are traced and colored.
 
     Equals count_colorings(g) for every perfect matching: each proper
     coloring selects exactly one switch per site (the pairing whose linked
@@ -148,12 +156,40 @@ def logical_expansion_count(g: CubicGraph, matching: Iterable[int]) -> int:
     ends = _site_ends(g, validate_matching(g, matching))
     half_edges = 2 * g.edge_count
     choices = [[_links(eu, ev, sw) for sw in SWITCH_SETTINGS] for eu, ev in ends]
-    total = 0
-    with refuse_deep_recursion("loop-coloring count"):
-        for site_links in itertools.product(*choices):  # streamed, one vector at a time
-            walks, site_graph = _trace_loops(half_edges, site_links)
-            total += _count_loop_colorings(len(walks), site_graph)
-    return total
+    apart = [(a >> 1, b >> 1) for site in ends for a, b in site]  # must not share a loop
+    label = list(range(g.edge_count))  # component of each edge
+    members = [[e] for e in range(g.edge_count)]
+    chosen: list[Links] = []
+
+    def rec(i: int) -> int:
+        if any(label[a] == label[b] for a, b in apart):
+            return 0
+        if i == len(choices):
+            walks, site_graph = _trace_loops(half_edges, chosen)
+            return _count_loop_colorings(len(walks), site_graph)
+        total = 0
+        for links in choices[i]:
+            joined = []
+            for a, b in links:
+                small, big = label[a >> 1], label[b >> 1]
+                if small != big:
+                    if len(members[small]) > len(members[big]):
+                        small, big = big, small
+                    for e in members[small]:
+                        label[e] = big
+                    members[big] += members[small]
+                    joined.append((small, big))
+            chosen.append(links)
+            total += rec(i + 1)
+            chosen.pop()
+            for small, big in reversed(joined):
+                del members[big][-len(members[small]):]
+                for e in members[small]:
+                    label[e] = small
+        return total
+
+    with refuse_deep_recursion("state expansion"):
+        return rec(0)
 
 
 def squeeze(s: State) -> CubicGraph:

@@ -239,6 +239,21 @@ def test_usage_error_exits_one(capsys):
     assert main(["--help"]) == 0
 
 
+def test_successive_calls_leak_no_options(capsys):
+    # the parser is built once per process; each call parses from scratch
+    penrose = ("count", "k33", "--as", "diagram", "--method", "penrose")
+    code, payload, _ = run(capsys, *penrose, "--plain")
+    assert (code, payload["count"]) == (0, 0)
+    code, payload, _ = run(capsys, *penrose)
+    assert (code, payload["count"]) == (0, 12)
+    assert run(capsys, *penrose, "--plain", "--extended")[0] == 1
+    code, _, err = run(capsys, "count", "theta", "--json-only")
+    assert (code, err) == (0, "")
+    code, payload, err = run(capsys, "count", "theta")
+    assert (code, payload["method"]) == (0, "brute")
+    assert "theta" in err
+
+
 def test_python_dash_m_entry_point():
     import subprocess
     import sys

@@ -171,7 +171,26 @@ def test_encircled_diagram_has_no_graph_reading():
     d = cb.encircle_arc(gen.theta_diagram(), 0)
     with pytest.raises(StrandClosesWithoutNode):
         cb.underlying_graph(d)
+    with pytest.raises(StrandClosesWithoutNode):
+        penrose.weight_tables(d, include_crossings=True)
     assert cb.contract_extended(d) == cb.skein_evaluate(d) == -6
+
+
+def test_weight_tables_trace_the_strands_once(monkeypatch):
+    d = gen.k33_diagram()
+    g = cb.underlying_graph(d)
+    real, calls = diagram.trace_strands, []
+
+    def counted(x):
+        calls.append(x)
+        return real(x)
+
+    monkeypatch.setattr(diagram, "trace_strands", counted)
+    monkeypatch.setattr(penrose, "trace_strands", counted)
+    got, nodes, crossings = penrose.weight_tables(d, include_crossings=True)
+    assert calls == [d]
+    assert got == g
+    assert len(nodes) == d.node_count and len(crossings) == d.crossing_count
 
 
 def test_expand_circled_identity():

@@ -6,10 +6,11 @@ import dataclasses
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import chromatic_bracket as cb
 from chromatic_bracket import generators as gen
+from chromatic_bracket import state_calculus
 from chromatic_bracket.errors import IncompleteState, NotAMatching, RecursionBudgetExceeded
 from chromatic_bracket.state_calculus import (
     CROSSED,
@@ -165,11 +166,40 @@ def test_squeeze_rejects_a_state_missing_edges():
         squeeze(dataclasses.replace(s, loops=s.loops[1:]))
 
 
+def test_only_vectors_without_a_zeroing_site_are_traced(monkeypatch):
+    # a vector with a site whose two strands share a loop is cut, not traced
+    graphs = [getattr(gen, name)() for name in ("theta", "k4", "prism", "k33", "petersen")]
+    graphs.append(gen.isaacs_j(4))
+    want = [[sum(all(a != b for a, b in make_state(g, m, vec).site_graph)
+                 for vec in itertools.product(SWITCH_SETTINGS, repeat=len(m)))
+             for m in cb.enumerate_perfect_matchings(g)] for g in graphs]
+    assert not any(want[4])  # on petersen every vector has a zeroing site
+    real, traced = state_calculus._trace_loops, []
+
+    def counted(*args):
+        traced.append(args)
+        return real(*args)
+
+    def traces(g, m) -> int:
+        traced.clear()
+        logical_expansion_count(g, m)
+        return len(traced)
+
+    monkeypatch.setattr(state_calculus, "_trace_loops", counted)
+    assert [[traces(g, m) for m in cb.enumerate_perfect_matchings(g)] for g in graphs] == want
+
+
+# two disjoint copies of K4: the expansion runs over several components
+K4_PAIR = cb.build_graph(8, list(gen.k4().edges) + [(u + 4, v + 4) for u, v in gen.k4().edges])
+
+
 @settings(max_examples=15, deadline=None)
-@given(st.integers(0, 10_000))
-def test_expansion_is_the_sum_over_built_states(seed: int) -> None:
+@given(st.integers(0, 10_000).map(lambda seed: gen.random_cubic(10, seed)))
+@example(gen.theta())
+@example(gen.dumbbell())
+@example(K4_PAIR)
+def test_expansion_is_the_sum_over_built_states(g: cb.CubicGraph) -> None:
     # the definition: one make_state per switch vector, summed
-    g = gen.random_cubic(10, seed)
     for m in cb.enumerate_perfect_matchings(g):
         by_definition = sum(
             count_state_colorings(make_state(g, m, vec))
