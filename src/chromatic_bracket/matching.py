@@ -131,13 +131,17 @@ def trace_cycles(link: Sequence[int]) -> tuple[list[list[int]], list[int]]:
     return walks, cycle_of
 
 
-def complement_cycles(g: CubicGraph, matching: Iterable[int]) -> ComplementCycles:
-    m = validate_matching(g, matching)
-    # A perfect matching uses one half-edge per node; the other two are linked.
+def _complement_link(g: CubicGraph, m: PerfectMatching) -> list[int]:
+    """A perfect matching uses one half-edge per node; link the other two."""
     link = [-1] * (2 * g.edge_count)
     for x, y, z in g.incidence:
         a, b = (y, z) if x >> 1 in m else (x, z) if y >> 1 in m else (x, y)
         link[a], link[b] = b, a
+    return link
+
+
+def complement_cycles(g: CubicGraph, matching: Iterable[int]) -> ComplementCycles:
+    link = _complement_link(g, validate_matching(g, matching))
     walks, _ = trace_cycles(link)
     node = g.half_edge_node
     return ComplementCycles(tuple([tuple([h >> 1 for h in w]) for w in walks]),
@@ -178,14 +182,17 @@ def matching_from_coloring(g: CubicGraph, coloring: Sequence[int], color: int) -
 
 
 def count_from_even_matchings(g: CubicGraph) -> int:
-    """Coloring count as a sum of 2^(#cycles) over the even perfect matchings.
+    """Coloring count as a sum of 2^(#cycles) over the even perfect matchings."""
+    return even_matching_sum(g, iter_perfect_matchings(g))
 
-    Each proper coloring has exactly one purple class, so the classes
-    partition the colorings and the sum is exact.
-    """
+
+def even_matching_sum(g: CubicGraph, matchings: Iterable[PerfectMatching]) -> int:
+    """Sum 2^(#cycles) over the even ones of the given perfect matchings of g,
+    which are not validated. Each proper coloring has exactly one purple
+    class, so over all perfect matchings the classes partition the colorings."""
     total = 0
-    for m in enumerate_perfect_matchings(g):
-        cc = complement_cycles(g, m)
-        if cc.all_even():
-            total += 2 ** len(cc.cycles)
+    for m in matchings:
+        walks, _ = trace_cycles(_complement_link(g, m))
+        if all(len(w) % 2 == 0 for w in walks):
+            total += 2 ** len(walks)
     return total

@@ -5,6 +5,9 @@ leaves four loose complement half-edges; the site links them in one of two
 ways. Loops are the closed curves obtained by alternating complement edges
 with site links, and a state coloring assigns one of three colors per loop
 so that the two loops meeting at every site differ.
+
+make_state orients sites along the complement cycles and traces loops; the
+expansion builds no state and reads its loops off one union-find.
 """
 
 from __future__ import annotations
@@ -24,22 +27,13 @@ Pair = tuple[int, int]
 Links = tuple[Pair, Pair]
 
 
-def _links(ends_u: Pair, ends_v: Pair, switch: str) -> Links:
-    """Parallel links departing-at-u with arriving-at-v (and vice versa);
-    crossed links departing with departing and arriving with arriving."""
-    (out_u, in_u), (out_v, in_v) = ends_u, ends_v
-    if switch == PARALLEL:
-        return (out_u, in_v), (in_u, out_v)
-    return (out_u, out_v), (in_u, in_v)
-
-
 @dataclass(frozen=True)
 class Site:
     """One matched edge turned into a strand junction.
 
     ends_u / ends_v hold the complement half-edges at the two removed
     endpoints as (departing, arriving) with respect to the complement-cycle
-    traversal; _links says how the switch joins them.
+    traversal; links() says how the switch joins them.
     """
 
     edge: int
@@ -48,7 +42,12 @@ class Site:
     switch: str
 
     def links(self) -> Links:
-        return _links(self.ends_u, self.ends_v, self.switch)
+        """Parallel links departing-at-u with arriving-at-v (and vice versa);
+        crossed links departing with departing and arriving with arriving."""
+        (out_u, in_u), (out_v, in_v) = self.ends_u, self.ends_v
+        if self.switch == PARALLEL:
+            return (out_u, in_v), (in_u, out_v)
+        return (out_u, out_v), (in_u, in_v)
 
 
 @dataclass(frozen=True)
@@ -67,26 +66,6 @@ class State:
     @property
     def switches(self) -> tuple[str, ...]:
         return tuple(s.switch for s in self.sites)
-
-
-def _site_ends(g: CubicGraph, m: PerfectMatching) -> list[tuple[Pair, Pair]]:
-    """(ends_u, ends_v) of every site, in edge-id order."""
-    passages = complement_cycles(g, m).passages
-    ends = []
-    for e in sorted(m):
-        (in_u, out_u), (in_v, out_v) = (passages[n] for n in g.edges[e])
-        ends.append(((out_u, in_u), (out_v, in_v)))
-    return ends
-
-
-def _trace_loops(half_edges: int, site_links: Sequence[Links]) -> tuple[list[list[int]], list[Pair]]:
-    """Loops as departing half-edges (trace_cycles order), plus per site the
-    loops of its two strands."""
-    link = [-1] * half_edges
-    for (a, b), (c, d) in site_links:
-        link[a], link[b], link[c], link[d] = b, a, d, c
-    walks, loop_of = trace_cycles(link)
-    return walks, [(loop_of[p[0]], loop_of[q[0]]) for p, q in site_links]
 
 
 def _count_loop_colorings(k: int, site_pairs: Iterable[Pair]) -> int:
@@ -113,18 +92,26 @@ def _count_loop_colorings(k: int, site_pairs: Iterable[Pair]) -> int:
 
 
 def make_state(g: CubicGraph, matching: Iterable[int], switches: Sequence[str]) -> State:
-    m = validate_matching(g, matching)
+    """The state of one switch vector (in edge-id order of the sites), with
+    site ends oriented along the complement cycles and its loops traced."""
+    cc = complement_cycles(g, matching)  # validates the matching
+    m = frozenset(range(g.edge_count)).difference(*cc.cycles)  # the edges on no cycle
     ordered = sorted(m)
     if len(switches) != len(ordered):
         raise ValueError(f"need {len(ordered)} switch settings, got {len(switches)}")
     for s in switches:
         if s not in SWITCH_SETTINGS:
             raise ValueError(f"unknown switch setting {s!r}")
-    ends = _site_ends(g, m)
-    sites = tuple(Site(e, eu, ev, sw) for e, (eu, ev), sw in zip(ordered, ends, switches))
-    walks, site_graph = _trace_loops(2 * g.edge_count, [s.links() for s in sites])
-    loops = tuple(tuple(h >> 1 for h in w) for w in walks)
-    return State(g, m, sites, loops, tuple(site_graph))
+    # passages are (arriving, departing), site ends (departing, arriving)
+    sites = [Site(e, *(cc.passages[n][::-1] for n in g.edges[e]), sw)
+             for e, sw in zip(ordered, switches)]
+    site_links = [s.links() for s in sites]
+    link = [-1] * (2 * g.edge_count)
+    for (a, b), (c, d) in site_links:
+        link[a], link[b], link[c], link[d] = b, a, d, c
+    walks, loop_of = trace_cycles(link)
+    return State(g, m, tuple(sites), tuple(tuple(h >> 1 for h in w) for w in walks),
+                 tuple((loop_of[p[0]], loop_of[q[0]]) for p, q in site_links))
 
 
 def count_state_colorings(s: State) -> int:
@@ -140,38 +127,43 @@ def count_state_colorings(s: State) -> int:
 def logical_expansion_count(g: CubicGraph, matching: Iterable[int]) -> int:
     """Sum count_state_colorings over the switch vectors, searched site by site.
 
-    Sites are set in edge-id order, and each chosen link joins the components
-    of its two complement edges (a union-find that relabels the smaller
-    component, undone on the way back). The two edges at either end of a
-    site lie on its two strands under both switches, and components only
-    grow; so once they share a component, set site or not, every completion
-    of the branch has a site with both strands on one loop, which counts 0,
-    and the branch is cut. Only the switch vectors with no such site reach a
-    leaf, where their loops are traced and colored.
+    A site's ends are its edge's other edges at u, (a, b), and at v, (c, d);
+    its switches are the two pairings (a-c, b-d) and (a-d, b-c), and a sum
+    over both never reads which one make_state calls parallel. Sites are set
+    in edge-id order; each link joins the components of its two edges in a
+    union-find that relabels the smaller one, undone on the way back. a and
+    b lie on the site's two strands under both switches, as do c and d, and
+    components only grow; so once either pair shares a component, every
+    completion of the branch has a zero site and the branch is cut. At a
+    leaf the components are the loops. Each link joins a u-end edge to a
+    v-end edge, so every loop passes some u-end; loops are numbered by first
+    appearance there, and a site's pair is the loops of its a and b.
 
     Equals count_colorings(g) for every perfect matching: each proper
     coloring selects exactly one switch per site (the pairing whose linked
     edges it colors equally) and then colors the loops of that state.
     """
-    ends = _site_ends(g, validate_matching(g, matching))
-    half_edges = 2 * g.edge_count
-    choices = [[_links(eu, ev, sw) for sw in SWITCH_SETTINGS] for eu, ev in ends]
-    apart = [(a >> 1, b >> 1) for site in ends for a, b in site]  # must not share a loop
+    m = validate_matching(g, matching)
+    ends = [[[h >> 1 for h in g.incidence[x] if h >> 1 != e] for x in g.edges[e]]
+            for e in sorted(m)]
+    choices = [(((a, c), (b, d)), ((a, d), (b, c))) for (a, b), (c, d) in ends]
+    apart = [pair for site in ends for pair in site]  # must not share a loop
     label = list(range(g.edge_count))  # component of each edge
     members = [[e] for e in range(g.edge_count)]
-    chosen: list[Links] = []
 
     def rec(i: int) -> int:
         if any(label[a] == label[b] for a, b in apart):
             return 0
         if i == len(choices):
-            walks, site_graph = _trace_loops(half_edges, chosen)
-            return _count_loop_colorings(len(walks), site_graph)
+            loop: dict[int, int] = {}  # component -> loop number
+            pairs = [(loop.setdefault(label[a], len(loop)), loop.setdefault(label[b], len(loop)))
+                     for (a, b), _ in ends]
+            return _count_loop_colorings(len(loop), pairs)
         total = 0
         for links in choices[i]:
             joined = []
             for a, b in links:
-                small, big = label[a >> 1], label[b >> 1]
+                small, big = label[a], label[b]
                 if small != big:
                     if len(members[small]) > len(members[big]):
                         small, big = big, small
@@ -179,9 +171,7 @@ def logical_expansion_count(g: CubicGraph, matching: Iterable[int]) -> int:
                         label[e] = big
                     members[big] += members[small]
                     joined.append((small, big))
-            chosen.append(links)
             total += rec(i + 1)
-            chosen.pop()
             for small, big in reversed(joined):
                 del members[big][-len(members[small]):]
                 for e in members[small]:

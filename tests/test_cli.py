@@ -413,3 +413,19 @@ def test_crosscheck_disagreement_exits_2(monkeypatch, capsys):
     assert payload["methods"]["penrose_skein"] == 13
     assert payload["states_by_matching"] == {str(i): 12 for i in range(6)}
     assert "METHODS DISAGREE" in err
+
+
+def test_crosscheck_walks_the_perfect_matchings_once(monkeypatch, capsys):
+    # the even-matching sum and the per-matching states read one search
+    real, walks = cb.iter_perfect_matchings, []
+
+    def counted(g):
+        walks.append(g)
+        return real(g)
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("chromatic_bracket")]:
+        if getattr(module, "iter_perfect_matchings", None) is real:
+            monkeypatch.setattr(module, "iter_perfect_matchings", counted)
+    code, payload, _ = run(capsys, "crosscheck", "k33")
+    assert (code, payload["matching_count"], payload["methods"]["even_matchings"]) == (0, 6, 12)
+    assert len(walks) == 1

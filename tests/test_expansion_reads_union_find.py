@@ -1,0 +1,34 @@
+"""The state expansion keeps one loop structure, its union-find: sites are
+read from the incidence and loops from the component labels. Orienting sites
+along complement cycles and tracing loops serve make_state only; a call to
+either from logical_expansion_count, directly or through a helper of
+state_calculus, fails here."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import chromatic_bracket as cb
+
+TRACERS = {"complement_cycles", "_site_ends", "_trace_loops", "trace_cycles"}
+
+
+def called_names(fn: ast.AST) -> set[str]:
+    return {sub.func.id for sub in ast.walk(fn)
+            if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name)}
+
+
+def test_expansion_calls_no_tracer():
+    path = Path(cb.__file__).parent / "state_calculus.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    fns = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
+    reached, todo = set(), ["logical_expansion_count"]
+    while todo:  # the expansion and every module function it calls
+        name = todo.pop()
+        if name in reached:
+            continue
+        reached.add(name)
+        todo += [n for n in called_names(fns[name]) if n in fns]
+    found = sorted(n for f in reached for n in called_names(fns[f]) & TRACERS)
+    assert not found, f"logical_expansion_count reaches {found}"

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import chromatic_bracket as cb
 from chromatic_bracket import generators as gen
+from chromatic_bracket import matching, state_calculus
 from chromatic_bracket.errors import NotAMatching, OddCycle
 
 # frozen reference: (perfect matchings, even matchings, sum of 2**cycles)
@@ -78,6 +79,40 @@ def test_validate_matching_rejects_bad_sets():
         cb.validate_matching(gen.dumbbell(), {0, 2})  # loops are not matchable
     with pytest.raises(NotAMatching):
         cb.validate_matching(g, {0, 99})
+
+
+@pytest.mark.parametrize("check", [cb.complement_cycles, cb.is_even_matching,
+                                   cb.colorings_from_even_matching, cb.logical_expansion_count])
+def test_matching_entry_points_reject_bad_sets(check):
+    g = gen.k4()
+    for bad in ({0, 1}, {0}, {0, 99}):
+        with pytest.raises(NotAMatching):
+            check(g, bad)
+    with pytest.raises(NotAMatching):
+        check(gen.dumbbell(), {0, 2})
+
+
+def test_each_matching_is_validated_at_most_once(monkeypatch):
+    # matchings from the search are valid by construction; a public entry
+    # validates the set it is given once
+    real, seen = matching.validate_matching, []
+
+    def counted(g, edge_ids):
+        m = real(g, edge_ids)
+        seen.append(m)
+        return m
+
+    for module in (matching, state_calculus):
+        monkeypatch.setattr(module, "validate_matching", counted)
+    g = gen.k33()
+    assert cb.count_from_even_matchings(g) == 12 and seen == []
+    m = cb.enumerate_perfect_matchings(g)[0]
+    for check in (lambda: cb.make_state(g, m, [cb.PARALLEL] * 3),
+                  lambda: cb.logical_expansion_count(g, m),
+                  lambda: cb.complement_cycles(g, m)):
+        seen.clear()
+        check()
+        assert seen == [m]
 
 
 def test_complement_cycles_on_theta():

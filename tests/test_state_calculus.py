@@ -167,14 +167,15 @@ def test_squeeze_rejects_a_state_missing_edges():
 
 
 def test_only_vectors_without_a_zeroing_site_are_traced(monkeypatch):
-    # a vector with a site whose two strands share a loop is cut, not traced
+    # a vector with a site whose two strands share a loop is cut and never
+    # reaches a leaf, where the loops are counted
     graphs = [getattr(gen, name)() for name in ("theta", "k4", "prism", "k33", "petersen")]
     graphs.append(gen.isaacs_j(4))
     want = [[sum(all(a != b for a, b in make_state(g, m, vec).site_graph)
                  for vec in itertools.product(SWITCH_SETTINGS, repeat=len(m)))
              for m in cb.enumerate_perfect_matchings(g)] for g in graphs]
     assert not any(want[4])  # on petersen every vector has a zeroing site
-    real, traced = state_calculus._trace_loops, []
+    real, traced = state_calculus._count_loop_colorings, []
 
     def counted(*args):
         traced.append(args)
@@ -185,12 +186,16 @@ def test_only_vectors_without_a_zeroing_site_are_traced(monkeypatch):
         logical_expansion_count(g, m)
         return len(traced)
 
-    monkeypatch.setattr(state_calculus, "_trace_loops", counted)
+    monkeypatch.setattr(state_calculus, "_count_loop_colorings", counted)
     assert [[traces(g, m) for m in cb.enumerate_perfect_matchings(g)] for g in graphs] == want
 
 
 # two disjoint copies of K4: the expansion runs over several components
 K4_PAIR = cb.build_graph(8, list(gen.k4().edges) + [(u + 4, v + 4) for u, v in gen.k4().edges])
+# K4 with every edge's endpoints swapped: the incidence read from u and v trades places
+K4_REVERSED = cb.build_graph(4, [(v, u) for u, v in gen.k4().edges])
+# two digons joined by two edges: matched edge 0 has the parallel twin 1
+DIGON_RING = cb.build_graph(4, [(0, 1), (0, 1), (0, 2), (1, 3), (2, 3), (2, 3)])
 
 
 @settings(max_examples=15, deadline=None)
@@ -198,6 +203,8 @@ K4_PAIR = cb.build_graph(8, list(gen.k4().edges) + [(u + 4, v + 4) for u, v in g
 @example(gen.theta())
 @example(gen.dumbbell())
 @example(K4_PAIR)
+@example(K4_REVERSED)
+@example(DIGON_RING)
 def test_expansion_is_the_sum_over_built_states(g: cb.CubicGraph) -> None:
     # the definition: one make_state per switch vector, summed
     for m in cb.enumerate_perfect_matchings(g):
