@@ -134,6 +134,15 @@ def _strand_sum(
     with at most two pair neighbours are summed out first. The rest are
     backtracked with the nodes in BFS order, refusing a color a node already
     holds, and the node i-powers must leave a real sign.
+
+    A circled factor (-1, 2) left after merging is the sign (-1)^[colors
+    differ]: each position keeps a bitmask of its earlier circled partners,
+    each color a bitmask of the positions holding it, and the sign is the
+    parity of the partners outside that color. Other factors are multiplied
+    in one by one. With a node present, the first node's first two strands
+    are fixed to (R, B) and the total taken 6 times: pair factors read only
+    agreement, and an odd color permutation turns each node's i into -i,
+    which conjugates the real node product and so leaves it unchanged.
     """
     if k == 0:
         return 1
@@ -179,10 +188,14 @@ def _strand_sum(
     for t in nodes:
         p = [pos[s] for s in t]
         done[max(p)].append(p)
-    links = [[(pos[w], a, b) for w, (a, b) in adj[s].items() if pos[w] < d]
-             for d, s in enumerate(order)]
+    links = [[(pos[w], f) for w, f in adj[s].items() if pos[w] < d] for d, s in enumerate(order)]
+    signs = [sum(1 << p for p, f in ls if f == _PAIR_FACTOR[CIRCLED]) for ls in links]
+    links = [[(p, *f) for p, f in ls if f != _PAIR_FACTOR[CIRCLED]] for ls in links]
     ends = [at[s] for s in order]
+    tries = [(RED,), (BLUE,)] if nodes else []
+    tries += [(RED, BLUE, PURPLE)] * (len(order) - len(tries))
     colors = [0] * len(order)
+    by_color = [0, 0, 0]
     held = [0] * (len(nodes) + 2 * len(core))
     total = 0
 
@@ -193,7 +206,8 @@ def _strand_sum(
             return
         u, v = ends[d]
         taken = held[u] | held[v]
-        for c in (RED, BLUE, PURPLE):
+        me = 1 << d
+        for c in tries[d]:
             bit = 1 << c
             if taken & bit:
                 continue
@@ -203,16 +217,20 @@ def _strand_sum(
                 t *= a + b if colors[p] == c else a
             if not t:
                 continue
+            if (signs[d] & ~by_color[c]).bit_count() & 1:
+                t = -t
             for x, y, z in done[d]:
                 e += _NODE_I_POWER[colors[x], colors[y], colors[z]]
             held[u] |= bit
             held[v] |= bit
+            by_color[c] |= me
             rec(d + 1, t, e)
             held[u] ^= bit
             held[v] ^= bit
+            by_color[c] ^= me
 
     rec(0, 1, 0)
-    return mult * total
+    return mult * total * (6 if nodes else 1)
 
 
 def _contract(d: Diagram, include_crossings: bool) -> int:

@@ -429,3 +429,24 @@ def test_crosscheck_walks_the_perfect_matchings_once(monkeypatch, capsys):
     code, payload, _ = run(capsys, "crosscheck", "k33")
     assert (code, payload["matching_count"], payload["methods"]["even_matchings"]) == (0, 6, 12)
     assert len(walks) == 1
+
+
+def test_matchings_reads_cycles_without_revalidating(monkeypatch, capsys):
+    # the search yields valid matchings, so the command validates none of them
+    real, checked = cb.validate_matching, []
+
+    def counted(g, edge_ids):
+        checked.append(g)
+        return real(g, edge_ids)
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("chromatic_bracket")]:
+        if getattr(module, "validate_matching", None) is real:
+            monkeypatch.setattr(module, "validate_matching", counted)
+    code, payload, _ = run(capsys, "matchings", "k33")
+    assert (code, payload["matching_count"], len(checked)) == (0, 6, 0)
+    monkeypatch.undo()
+    g = gen.k33()
+    rows = [{"edges": sorted(m), "cycle_lengths": list(cc.lengths), "even": cc.all_even()}
+            for m in cb.enumerate_perfect_matchings(g) for cc in [cb.complement_cycles(g, m)]]
+    assert payload["matchings"] == rows
+    assert payload["even_count"] == sum(row["even"] for row in rows)

@@ -6,6 +6,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import chromatic_bracket as cb
 from chromatic_bracket import BLUE, CIRCLED, DOTTED, PLAIN, PURPLE, RED, Port
@@ -365,3 +366,65 @@ def test_state_key_is_blind_to_names_only():
     circled[1][4] = circled[4][1] = (-1, 2)
     assert penrose._state_key(tri, circled) != key
     assert penrose._state_key(tri, adj + [{}]) != key
+
+
+def mixed_k33_immersion() -> cb.Diagram:
+    """The chord immersion of K3,3 with plain, circled and one dotted crossing."""
+    d = cb.chord_immersion(gen.k33())
+    rng = random.Random(0)
+    kinds = [rng.choice((PLAIN, CIRCLED)) for _ in d.crossing_kinds]
+    kinds[3] = DOTTED
+    return cb.build_diagram(d.node_count, kinds, d.arcs)
+
+
+@pytest.mark.parametrize("d", [gen.prism_diagram(), gen.k33_diagram(), mixed_k33_immersion()],
+                         ids=["prism", "k33", "mixed-immersion"])
+def test_each_color_pair_on_the_first_node_carries_a_sixth(d):
+    # the symmetry behind fixing node 0's first two strands to (R, B) and taking 6 times
+    g, nodes, crossings = penrose.weight_tables(d, include_crossings=True)
+    first, second = nodes[0][:2]
+    sums = dict.fromkeys(itertools.permutations((RED, BLUE, PURPLE), 2), 0)
+    for c in cb.enumerate_colorings(g):
+        sums[c[first], c[second]] += penrose.coloring_weight(c, nodes, crossings)
+    total = cb.contract_extended(d)
+    assert total != 0 and len(set(sums.values())) == 1
+    assert 6 * sums[RED, BLUE] == total
+
+
+@st.composite
+def strand_sum_inputs(draw) -> tuple[int, list, list]:
+    """At most 7 strands: 0, 2 or 4 nodes, whose slots are paired into strands
+    so that no node holds a strand twice, the other strands closed; pairs of
+    every factor kind, self pairs and repeats included."""
+    m = draw(st.sampled_from((0, 2, 4)))
+    k = draw(st.integers(max(1, 3 * m // 2), 7))
+    names = draw(st.permutations(range(k)))
+    slots = draw(st.permutations(range(3 * m)).filter(
+        lambda p: all(p[i] // 3 != p[i + 1] // 3 for i in range(0, len(p), 2))))
+    strand_at = [0] * (3 * m)
+    for i in range(0, 3 * m, 2):
+        strand_at[slots[i]] = strand_at[slots[i + 1]] = names[i // 2]
+    nodes = [tuple(strand_at[3 * n:3 * n + 3]) for n in range(m)]
+    factor = st.sampled_from(((-1, 2), (0, 1), (1, 0), (-1, 4), (3, -1)))
+    ends = st.integers(0, k - 1)
+    pairs = draw(st.lists(st.tuples(ends, ends, factor).map(lambda t: (t[0], t[1], *t[2])),
+                          max_size=10))
+    return k, nodes, pairs
+
+
+@settings(max_examples=60, deadline=None)
+@given(strand_sum_inputs())
+@example((4, [], [(i, j, -1, 2) for i, j in itertools.combinations(range(4), 2)]))
+def test_strand_sum_equals_the_direct_sum(case):
+    k, nodes, pairs = case
+    want = 0
+    for c in itertools.product(range(3), repeat=k):
+        weights = [cb.node_weight([c[s] for s in t]) for t in nodes]
+        if any(w.zero for w in weights):
+            continue
+        exp = sum(w.i_power for w in weights)  # even: the node count is even
+        term = (-1) ** (exp // 2)
+        for i, j, a, b in pairs:
+            term *= a + b if c[i] == c[j] else a
+        want += term
+    assert penrose._strand_sum(k, nodes, pairs) == want
