@@ -32,7 +32,7 @@ from .errors import (
     RecursionBudgetExceeded,
     refuse_deep_recursion,
 )
-from .graph_core import CubicGraph, components
+from .graph_core import CubicGraph, components, min_fill_order
 
 
 class NodeWeight(NamedTuple):
@@ -124,6 +124,15 @@ def _link(adj: list[dict[int, tuple[int, int]]], i: int, j: int, a: int, b: int)
     return 1
 
 
+def _node_adjacency(k: int, nodes: Sequence[tuple[int, ...]]) -> tuple[list, list]:
+    """The nodes on each of k strands, and per node the nodes on its strands."""
+    at: list[list[int]] = [[] for _ in range(k)]
+    for n, t in enumerate(nodes):
+        for s in t:
+            at[s].append(n)
+    return at, [[m for s in t for m in at[s]] for t in nodes]
+
+
 def _strand_sum(
     k: int, nodes: Sequence[tuple[int, ...]], pairs: Iterable[tuple[int, int, int, int]]
 ) -> int:
@@ -131,17 +140,19 @@ def _strand_sum(
 
     nodes holds each node's clockwise strand triple; a pair (i, j, a, b)
     weighs a + b*[strands i and j share a color]. Closed strands (on no node)
-    with at most two pair neighbours are summed out first. The rest are
-    backtracked with the nodes in BFS order, refusing a color a node already
-    holds, and the node i-powers must leave a real sign.
+    with at most two pair neighbours are summed out first. The rest fall into
+    components, strands joined by a node or a pair factor, and the total is
+    the product of their sums. Each is backtracked with its nodes in BFS
+    order and its closed strands last, refusing a color a node already holds,
+    and its node i-powers must leave a real sign.
 
     A circled factor (-1, 2) left after merging is the sign (-1)^[colors
     differ]: each position keeps a bitmask of its earlier circled partners,
     each color a bitmask of the positions holding it, and the sign is the
     parity of the partners outside that color. Other factors are multiplied
-    in one by one. With a node present, the first node's first two strands
-    are fixed to (R, B) and the total taken 6 times: pair factors read only
-    agreement, and an odd color permutation turns each node's i into -i,
+    in one by one. In a component with a node, the first node's first two
+    strands are fixed to (R, B) and its sum taken 6 times: pair factors read
+    only agreement, and an odd color permutation turns each node's i into -i,
     which conjugates the real node product and so leaves it unchanged.
     """
     if k == 0:
@@ -152,10 +163,7 @@ def _strand_sum(
     mult = 1
     for i, j, a, b in pairs:
         mult *= _link(adj, i, j, a, b)
-    at: list[list[int]] = [[] for _ in range(k)]
-    for n, t in enumerate(nodes):
-        for s in t:
-            at[s].append(n)
+    at, node_nbrs = _node_adjacency(k, nodes)
     todo = [s for s in range(k) if not at[s]]
     gone: set[int] = set()
     while todo:
@@ -179,8 +187,16 @@ def _strand_sum(
     if len(core) > 14:
         raise RecursionBudgetExceeded("closed strand core too large to sum")
 
-    bfs = components([[m for s in t for m in at[s]] for t in nodes])
+    bfs = components(node_nbrs)
     order = list(dict.fromkeys(s for part in bfs for n in part for s in nodes[n])) + core
+    parts = [order]
+    if len(bfs) != 1 or core:  # pair factors may join these parts
+        pos = {s: d for d, s in enumerate(order)}
+        parts = components([[pos[w] for n in at[s] for w in nodes[n]] + [pos[w] for w in adj[s]]
+                            for s in order])
+        order = [order[p] for part in parts for p in sorted(part)]
+    starts = list(itertools.accumulate(map(len, parts), initial=0))
+    fixed = {lo for lo in starts[:-1] if at[order[lo]]}  # the component holds a node
     for j, s in enumerate(core):  # two private nodes each, so no color is refused
         at[s] = [len(nodes) + 2 * j, len(nodes) + 2 * j + 1]
     pos = {s: d for d, s in enumerate(order)}
@@ -192,16 +208,16 @@ def _strand_sum(
     signs = [sum(1 << p for p, f in ls if f == _PAIR_FACTOR[CIRCLED]) for ls in links]
     links = [[(p, *f) for p, f in ls if f != _PAIR_FACTOR[CIRCLED]] for ls in links]
     ends = [at[s] for s in order]
-    tries = [(RED,), (BLUE,)] if nodes else []
-    tries += [(RED, BLUE, PURPLE)] * (len(order) - len(tries))
+    tries = [(RED, BLUE, PURPLE)] * len(order)
+    for lo in fixed:
+        tries[lo], tries[lo + 1] = (RED,), (BLUE,)
     colors = [0] * len(order)
     by_color = [0, 0, 0]
     held = [0] * (len(nodes) + 2 * len(core))
-    total = 0
 
     def rec(d: int, term: int, exp: int) -> None:
         nonlocal total
-        if d == len(order):
+        if d == stop:
             total += term * _sign_of_i_power(exp, "node-weight product")
             return
         u, v = ends[d]
@@ -229,8 +245,11 @@ def _strand_sum(
             held[v] ^= bit
             by_color[c] ^= me
 
-    rec(0, 1, 0)
-    return mult * total * (6 if nodes else 1)
+    for lo, stop in zip(starts, starts[1:]):
+        total = 0
+        rec(lo, 1, 0)
+        mult *= total * (6 if lo in fixed else 1)
+    return mult
 
 
 def _contract(d: Diagram, include_crossings: bool) -> int:
@@ -402,9 +421,12 @@ def skein_evaluate(d: Diagram, budget: int = 100_000) -> int:
 
     The strands are traced once, and each crossing couples its two strands.
     An expansion drops both nodes and merges the colors of the strands they
-    held, as (parallel) - (crossed); see _skein. A sub-diagram met again up
-    to strand renaming is reused: one budget step is one expansion of a state
-    new to this evaluation. Agrees with contract_extended wherever both apply.
+    held, as (parallel) - (crossed); see _skein. It takes a coupling-free
+    strand at the first node in a min-fill elimination order of the nodes
+    (adjacent when they share a strand), or in input order when at most one
+    strand starts coupling-free. A sub-diagram met again up to strand
+    renaming is reused: one budget step is one expansion of a state new to
+    this evaluation. Agrees with contract_extended wherever both apply.
     """
     k, nodes, pairs = _strands(d, include_crossings=True)
     if any(len(set(t)) < 3 for t in nodes):
@@ -413,5 +435,7 @@ def skein_evaluate(d: Diagram, budget: int = 100_000) -> int:
     mult = 3**d.free_loops
     for i, j, a, b in pairs:
         mult *= _link(adj, i, j, a, b)
+    choice = len({s for t in nodes for s in t if not adj[s]}) > 1
+    rank = min_fill_order(_node_adjacency(k, nodes)[1]) if choice else range(len(nodes))
     with refuse_deep_recursion("skein expansion"):
-        return mult * _skein(dict(enumerate(nodes)), adj, [budget], {})
+        return mult * _skein({n: nodes[n] for n in rank}, adj, [budget], {})

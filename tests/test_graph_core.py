@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import chromatic_bracket as cb
 from chromatic_bracket import generators as gen
 from chromatic_bracket.errors import DegreeViolation, EmptyGraph, ParseError
+from chromatic_bracket.graph_core import min_fill_order
 
 
 def test_build_graph_theta():
@@ -145,3 +149,63 @@ def test_graph_json_integer_past_the_digit_limit_is_a_parse_error():
     with pytest.raises(ParseError):
         cb.diagram_from_json('{"nodes": [], "crossings": [], "arcs": [], "free_loops": 1'
                              + "0" * 5000 + "}")
+
+
+@st.composite
+def neighbour_lists(draw) -> list[list[int]]:
+    """An undirected graph on at most 12 vertices as neighbour lists: isolated
+    vertices, self-references and repeated neighbours included, in any order."""
+    n = draw(st.integers(0, 12))
+    lists: list[list[int]] = [[] for _ in range(n)]
+    if n:
+        for u, v in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)))):
+            lists[u].append(v)
+            lists[v].append(u)
+    return [draw(st.permutations(ns)) for ns in lists]
+
+
+def greedy_min_fill(neighbours: list[list[int]]) -> list[int]:
+    """The same greedy rule, every live vertex rescored at every step."""
+    adj = {v: set(ns) - {v} for v, ns in enumerate(neighbours)}
+    order = []
+    while adj:
+        def key(v):
+            return sum(b not in adj[a] for a, b in itertools.combinations(adj[v], 2)), len(adj[v]), v
+        v = min(adj, key=key)
+        ns = adj.pop(v)
+        for a in ns:
+            adj[a] |= ns
+            adj[a] -= {a, v}
+        order.append(v)
+    return order
+
+
+@settings(max_examples=200, deadline=None)
+@given(neighbour_lists())
+def test_min_fill_order_is_the_greedy_permutation(neighbours):
+    order = min_fill_order(neighbours)
+    assert sorted(order) == list(range(len(neighbours)))
+    assert order == greedy_min_fill(neighbours)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.integers(0, 10**6), max_size=30))
+def test_min_fill_order_eliminates_a_tree_without_fill(draws):
+    # vertex i + 1 hangs from an earlier vertex; a tree vertex with two live
+    # neighbours would need a fill edge, so every step takes a leaf
+    neighbours: list[list[int]] = [[] for _ in range(len(draws) + 1)]
+    for i, r in enumerate(draws):
+        neighbours[i + 1].append(r % (i + 1))
+        neighbours[r % (i + 1)].append(i + 1)
+    order = min_fill_order(neighbours)
+    rank = {v: i for i, v in enumerate(order)}
+    assert all(sum(rank[w] > rank[v] for w in neighbours[v]) <= 1 for v in order)
+
+
+def test_min_fill_order_breaks_ties_by_degree_then_vertex():
+    # path 0-1-2 and isolated 3: fill 0 at 0, 2 and 3; 3 has the lowest degree
+    assert min_fill_order([[1], [0, 2], [1], []]) == [3, 0, 1, 2]
+    # 4-cycle: every vertex misses one edge at degree 2, then a triangle
+    cycle = [[1, 3], [0, 2], [1, 3], [2, 0]]
+    assert min_fill_order(cycle) == [0, 1, 2, 3]
+    assert min_fill_order([list(reversed(ns)) for ns in cycle]) == [0, 1, 2, 3]

@@ -6,7 +6,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import chromatic_bracket as cb
 from chromatic_bracket import BLUE, CIRCLED, DOTTED, PLAIN, PURPLE, RED, Port
@@ -333,7 +333,7 @@ def test_deep_contraction_fails_typed():
 
 def test_skein_answers_past_the_old_budget():
     # a sub-diagram met again is read back, not expanded again: these need
-    # up to 3447 expansions, where re-expanding took more than 100k steps
+    # up to 127 expansions, where re-expanding took more than 100k steps
     for n in range(30, 42, 2):
         for seed in (1, 2):
             d = gen.random_plane_cubic(n, seed)
@@ -342,10 +342,69 @@ def test_skein_answers_past_the_old_budget():
 
 
 def test_skein_budget_counts_new_states_only():
-    # 74 and 86 distinct states; re-expanding them took 1221 and 10 917 steps
+    # 23 and 33 distinct states; re-expanding them takes 481 and 2433 steps
     for n, seed in ((22, 1), (28, 2)):
         d = gen.random_plane_cubic(n, seed)
         assert cb.skein_evaluate(d, budget=100) == cb.contract_plain(d)
+
+
+def test_skein_expands_along_the_min_fill_rank():
+    # in input node order these need 3447 and 71 109 new states
+    assert cb.skein_evaluate(gen.random_plane_cubic(40, 1), budget=1_000) == 12288
+    assert cb.skein_evaluate(gen.random_plane_cubic(60, 3), budget=2_000) == 98304
+
+
+@st.composite
+def ranked_diagrams(draw) -> tuple[cb.Diagram, list[int]]:
+    """A small plane diagram or loop-free chord immersion, maybe with an arc
+    encircled, its crossings of mixed kinds; and an order of its nodes."""
+    if draw(st.booleans()):
+        d = gen.random_plane_cubic(draw(st.sampled_from((2, 4, 6, 8, 10))), draw(st.integers(0, 99)))
+    else:
+        g = gen.random_cubic(draw(st.sampled_from((4, 6, 8))), draw(st.integers(0, 99)))
+        assume(not cb.has_loop(g))
+        d = cb.chord_immersion(g)
+    if draw(st.booleans()):
+        d = cb.encircle_arc(d, draw(st.integers(0, len(d.arcs) - 1)))
+    kinds = draw(st.lists(st.sampled_from((PLAIN, CIRCLED, DOTTED)),
+                          min_size=d.crossing_count, max_size=d.crossing_count))
+    d = cb.build_diagram(d.node_count, kinds, d.arcs)
+    return d, draw(st.permutations(range(d.node_count)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(ranked_diagrams())
+def test_skein_value_does_not_depend_on_the_node_order(case):
+    d, rank = case
+    k, nodes, pairs = penrose._strands(d, include_crossings=True)
+    adj: list = [{} for _ in range(k)]
+    mult = 1
+    for i, j, a, b in pairs:
+        mult *= penrose._link(adj, i, j, a, b)
+    got = mult * penrose._skein({n: nodes[n] for n in rank}, adj, [100_000], {})
+    assert got == cb.skein_evaluate(d) == cb.contract_extended(d)
+
+
+def test_components_are_summed_apart(monkeypatch):
+    # one search over all components visits the product of their leaves,
+    # about 10x more per prism; summed apart, their leaves add up
+    leaves = []
+    sign = penrose._sign_of_i_power
+
+    def counting(exp: int, context: str) -> int:
+        leaves.append(exp)
+        if len(leaves) > budget:
+            raise RecursionBudgetExceeded("leaf budget spent")
+        return sign(exp, context)
+
+    monkeypatch.setattr(penrose, "_sign_of_i_power", counting)
+    prism = gen.prism_diagram()
+    budget = 10**6
+    assert cb.contract_extended(prism) == 6
+    budget, leaves[:] = 8 * len(leaves), []
+    arcs = [tuple(Port(p.kind, p.owner + c * prism.node_count, p.slot) for p in arc)
+            for c in range(8) for arc in prism.arcs]
+    assert cb.contract_extended(cb.build_diagram(8 * prism.node_count, (), arcs)) == 6**8
 
 
 def test_state_key_is_blind_to_names_only():
