@@ -57,7 +57,7 @@ from .penrose import (
     skein_evaluate,
     weight_tables,
 )
-from .state_calculus import logical_expansion_count
+from .state_calculus import _expansion_count, logical_expansion_count
 
 
 def _load_file(path: str) -> object:
@@ -132,10 +132,11 @@ def cmd_count(args: argparse.Namespace, obj: CubicGraph | Diagram) -> int:
             ]
     else:  # states
         g = _input_graph(obj)
-        k = args.matching_index
-        m = next(itertools.islice(iter_perfect_matchings(g), k, None), None) if k >= 0 else None
-        if m is None:
-            total = sum(1 for _ in iter_perfect_matchings(g))
+        k, total = args.matching_index, 0
+        for total, m in enumerate(iter_perfect_matchings(g), 1):  # finds m or counts them all
+            if total == k + 1:
+                break
+        else:
             if not total:
                 raise NoPerfectMatching("the states method needs a perfect matching")
             raise IndexOutOfRange(f"matching index {k} out of range: {total} perfect matchings")
@@ -163,7 +164,7 @@ def run_crosscheck(g: CubicGraph, d: Diagram) -> dict:
         timings[name] = round(time.perf_counter() - t0, 6)
 
     run("brute", lambda: count_colorings(g))
-    matchings = enumerate_perfect_matchings(g)  # one search feeds even matchings and states
+    matchings = enumerate_perfect_matchings(g)  # valid by construction; feeds both methods
     run("even_matchings", lambda: even_matching_sum(g, matchings))
     run("penrose_extended", lambda: contract_extended(d))
     run("penrose_skein", lambda: skein_evaluate(d))
@@ -172,7 +173,7 @@ def run_crosscheck(g: CubicGraph, d: Diagram) -> dict:
     states: dict[str, int] = {}
     t0 = time.perf_counter()
     for i, m in enumerate(matchings):
-        states[str(i)] = logical_expansion_count(g, m)
+        states[str(i)] = _expansion_count(g, m)
     timings["states"] = round(time.perf_counter() - t0, 6)
 
     count = methods["brute"]

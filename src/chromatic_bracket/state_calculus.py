@@ -68,27 +68,35 @@ class State:
         return tuple(s.switch for s in self.sites)
 
 
-def _count_loop_colorings(k: int, site_pairs: Iterable[Pair]) -> int:
-    """Proper 3-colorings of k loops; 0 as soon as a site pair is one loop."""
-    earlier: list[list[int]] = [[] for _ in range(k)]
-    for a, b in site_pairs:
-        if a == b:
-            return 0
-        earlier[max(a, b)].append(min(a, b))
+def _count_loop_colorings(k: int, pairs: Sequence[Pair]) -> int:
+    """Proper 3-colorings of k loops; 0 as soon as a site pair is one loop.
 
-    colors = [0] * k
+    The first pair's loops go first, colored 1 and 2 (colors are bits), and the
+    count is 6 times theirs: a color permutation maps them onto any other two."""
+    if any(a == b for a, b in pairs):
+        return 0
+    if not pairs:
+        return 3**k
+    place = {v: i for i, v in enumerate(dict.fromkeys([*pairs[0], *range(k)]))}
+    earlier: list[list[int]] = [[] for _ in range(k)]  # by place
+    for a, b in pairs:
+        earlier[max(place[a], place[b])].append(min(place[a], place[b]))
+    colors = [1, 2] + [0] * (k - 2)  # by place
 
-    def rec(v: int) -> int:
-        if v == k:
+    def rec(i: int) -> int:
+        if i == k:
             return 1
+        taken = 0
+        for j in earlier[i]:
+            taken |= colors[j]
         total = 0
-        for c in range(3):
-            if all(colors[w] != c for w in earlier[v]):
-                colors[v] = c
-                total += rec(v + 1)
+        for c in (1, 2, 4):
+            if not taken & c:
+                colors[i] = c
+                total += rec(i + 1)
         return total
 
-    return rec(0)
+    return 6 * rec(2)
 
 
 def make_state(g: CubicGraph, matching: Iterable[int], switches: Sequence[str]) -> State:
@@ -134,26 +142,34 @@ def logical_expansion_count(g: CubicGraph, matching: Iterable[int]) -> int:
     union-find that relabels the smaller one, undone on the way back. a and
     b lie on the site's two strands under both switches, as do c and d, and
     components only grow; so once either pair shares a component, every
-    completion of the branch has a zero site and the branch is cut. At a
-    leaf the components are the loops. Each link joins a u-end edge to a
-    v-end edge, so every loop passes some u-end; loops are numbered by first
-    appearance there, and a site's pair is the loops of its a and b.
+    completion of the branch has a zero site and the branch is cut. A union
+    joins a pair only by relabelling one of its edges, so only the edges it
+    would relabel are checked; a pair that is one edge (a loop at a site's
+    end) is cut at the root. At a leaf the components are the loops. Each
+    link joins a u-end edge to a v-end edge, so every loop passes some
+    u-end; loops are numbered by first appearance there, and a site's pair
+    is the loops of its a and b.
 
     Equals count_colorings(g) for every perfect matching: each proper
     coloring selects exactly one switch per site (the pairing whose linked
     edges it colors equally) and then colors the loops of that state.
     """
-    m = validate_matching(g, matching)
+    return _expansion_count(g, validate_matching(g, matching))
+
+
+def _expansion_count(g: CubicGraph, m: PerfectMatching) -> int:
+    """logical_expansion_count of a perfect matching, which is not validated."""
     ends = [[[h >> 1 for h in g.incidence[x] if h >> 1 != e] for x in g.edges[e]]
             for e in sorted(m)]
+    if any(a == b for site in ends for a, b in site):
+        return 0
     choices = [(((a, c), (b, d)), ((a, d), (b, c))) for (a, b), (c, d) in ends]
-    apart = [pair for site in ends for pair in site]  # must not share a loop
+    partners = [[h >> 1 for x in g.edges[e] for h in g.incidence[x] if h >> 1 != e and h >> 1 not in m]
+                for e in range(g.edge_count)]  # the complement edges e meets: never on its loop
     label = list(range(g.edge_count))  # component of each edge
     members = [[e] for e in range(g.edge_count)]
 
     def rec(i: int) -> int:
-        if any(label[a] == label[b] for a, b in apart):
-            return 0
         if i == len(choices):
             loop: dict[int, int] = {}  # component -> loop number
             pairs = [(loop.setdefault(label[a], len(loop)), loop.setdefault(label[b], len(loop)))
@@ -167,11 +183,14 @@ def logical_expansion_count(g: CubicGraph, matching: Iterable[int]) -> int:
                 if small != big:
                     if len(members[small]) > len(members[big]):
                         small, big = big, small
+                    if any(label[x] == big for e in members[small] for x in partners[e]):
+                        break  # the union would put a pair on one loop
                     for e in members[small]:
                         label[e] = big
                     members[big] += members[small]
                     joined.append((small, big))
-            total += rec(i + 1)
+            else:
+                total += rec(i + 1)
             for small, big in reversed(joined):
                 del members[big][-len(members[small]):]
                 for e in members[small]:

@@ -375,8 +375,10 @@ def test_states_stops_at_the_requested_matching(monkeypatch, capsys):
     assert (code, payload["count"]) == (0, 12)
     assert drawn == cb.enumerate_perfect_matchings(gen.k33())[:2]
     assert payload["matching"] == sorted(drawn[1])
+    drawn.clear()  # an index past the end counts the matchings in the same pass
     code, _, err = run(capsys, "count", "k33", "--method", "states", "--matching-index", "99")
     assert code == 1 and "out of range: 6 perfect matchings" in err
+    assert len(drawn) == 6
 
 
 def ladder_file(tmp_path: Path, k: int) -> Path:
@@ -429,6 +431,22 @@ def test_crosscheck_walks_the_perfect_matchings_once(monkeypatch, capsys):
     code, payload, _ = run(capsys, "crosscheck", "k33")
     assert (code, payload["matching_count"], payload["methods"]["even_matchings"]) == (0, 6, 12)
     assert len(walks) == 1
+
+
+def test_crosscheck_expands_states_without_revalidating(monkeypatch, capsys):
+    # the states read the matchings of crosscheck's one search unvalidated
+    from chromatic_bracket import state_calculus
+
+    real, checked = state_calculus.validate_matching, []
+
+    def counted(g, edge_ids):
+        checked.append(g)
+        return real(g, edge_ids)
+
+    monkeypatch.setattr(state_calculus, "validate_matching", counted)
+    code, payload, _ = run(capsys, "crosscheck", "k33")
+    assert (code, len(checked)) == (0, 0)
+    assert payload["states_by_matching"] == {str(i): 12 for i in range(6)}
 
 
 def test_matchings_reads_cycles_without_revalidating(monkeypatch, capsys):

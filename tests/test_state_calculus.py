@@ -142,14 +142,19 @@ def test_expansion_on_flower_snarks():
         assert {logical_expansion_count(g, m) for m in ms} == {want}, n
 
 
+def ladder(k: int) -> cb.CubicGraph:
+    """The prism ladder C_k x K2: two k-cycles joined node by node."""
+    return cb.build_graph(2 * k, [(i, (i + 1) % k) for i in range(k)]
+                          + [(k + i, k + (i + 1) % k) for i in range(k)]
+                          + [(i, k + i) for i in range(k)])
+
+
 def test_too_many_loops_fail_typed():
     # a 2400-rung prism ladder matched on every other ring edge: the
     # all-parallel state (the first switch vector) has 1202 loops, and the
     # loop-coloring count recurses once per loop
     k = 2400
-    g = cb.build_graph(2 * k, [(i, (i + 1) % k) for i in range(k)]
-                       + [(k + i, k + (i + 1) % k) for i in range(k)]
-                       + [(i, k + i) for i in range(k)])
+    g = ladder(k)
     m = {2 * i for i in range(k // 2)} | {k + 2 * i for i in range(k // 2)}
     s = make_state(g, m, [PARALLEL] * len(m))
     assert s.loop_count == 1202
@@ -231,3 +236,63 @@ def test_squeeze_round_trip_on_random_graphs(seed: int) -> None:
     for m in cb.enumerate_perfect_matchings(g):
         vec = [PARALLEL if i % 2 else CROSSED for i in range(len(m))]
         assert squeeze(make_state(g, m, vec)) == g
+
+
+def product_count(k: int, pairs: list[tuple[int, int]]) -> int:
+    return sum(all(c[a] != c[b] for a, b in pairs) for c in itertools.product(range(3), repeat=k))
+
+
+@st.composite
+def loop_graphs(draw) -> tuple[int, list[tuple[int, int]]]:
+    k = draw(st.integers(0, 6))
+    loop = st.integers(0, k - 1)
+    return k, draw(st.lists(st.tuples(loop, loop), max_size=8)) if k else []
+
+
+@settings(max_examples=300, deadline=None)
+@given(loop_graphs())
+@example((0, []))  # no loops, no pairs
+@example((4, []))  # isolated loops only
+@example((3, [(2, 2)]))  # a self-pair
+@example((4, [(1, 2), (2, 1), (1, 2)]))  # repeated pairs, loops 0 and 3 isolated
+@example((5, [(3, 1), (0, 2), (2, 4)]))  # disconnected; the first pair is not (0, 1)
+@example((4, [(2, 3), (0, 1), (1, 2), (0, 2)]))  # the first pair's loops come last
+def test_loop_colorings_match_a_product_count(case) -> None:
+    k, pairs = case
+    assert state_calculus._count_loop_colorings(k, pairs) == product_count(k, pairs)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.tuples(st.sampled_from([4, 6, 8]), st.integers(0, 10_000))
+       .map(lambda a: gen.random_cubic(*a))
+       .filter(lambda g: cb.has_loop(g) and cb.enumerate_perfect_matchings(g)))
+@example(gen.random_cubic(6, 0))
+@example(gen.dumbbell())
+def test_a_loop_at_a_site_end_is_cut_at_the_root(g: cb.CubicGraph) -> None:
+    # a loop's node is matched along its other edge, so every perfect matching
+    # has a site whose end pair is the loop itself: 0 before any union
+    real, traced = state_calculus._count_loop_colorings, []
+
+    def counted(*args):
+        traced.append(args)
+        return real(*args)
+
+    with pytest.MonkeyPatch.context() as mp:  # not the fixture: hypothesis reruns the body
+        mp.setattr(state_calculus, "_count_loop_colorings", counted)
+        assert {logical_expansion_count(g, m) for m in cb.enumerate_perfect_matchings(g)} == {0}
+    assert traced == []
+
+
+def test_expansion_on_the_twenty_rung_ladder():
+    # the first matching takes every other ring edge; 1048584 is count_colorings
+    g = ladder(20)
+    assert logical_expansion_count(g, next(cb.iter_perfect_matchings(g))) == 1_048_584
+
+
+@settings(max_examples=2, deadline=None)
+@given(st.integers(0, 10_000).map(lambda seed: gen.random_cubic(16, seed))
+       .filter(lambda g: not cb.has_loop(g)))
+def test_first_expansion_matches_brute_force_at_sixteen_nodes(g: cb.CubicGraph) -> None:
+    # no perfect matching leaves no color class, so brute force gives 0 there too
+    m = next(cb.iter_perfect_matchings(g), None)
+    assert (0 if m is None else logical_expansion_count(g, m)) == cb.count_colorings(g)
