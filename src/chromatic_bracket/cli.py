@@ -115,6 +115,9 @@ def _emit(args: argparse.Namespace, payload: dict, summary: str) -> None:
 
 
 def cmd_count(args: argparse.Namespace, obj: CubicGraph | Diagram) -> int:
+    if args.method != "penrose" and (args.plain or args.per_coloring):
+        flag = "--plain" if args.plain else "--per-coloring"
+        raise ParseError(f"{flag} applies to --method penrose only")
     extras: dict = {}
     t0 = time.perf_counter()
     if args.method == "brute":
@@ -325,7 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("brute", "penrose", "penrose-skein", "states"),
                    default="brute")
     mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--plain", action="store_true", help="ignore crossing weights")
+    mode.add_argument("--plain", action="store_true",
+                      help="ignore crossing weights (penrose method)")
     mode.add_argument("--extended", action="store_true", help="include crossing weights (default)")
     p.add_argument("--auto-immerse", action="store_true",
                    help="turn a bare graph into a chord-immersion diagram")

@@ -21,6 +21,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     DegenerateLayout,
+    InvalidArgument,
     NotPlane,
     ParseError,
     StrandClosesWithoutNode,
@@ -90,9 +91,9 @@ def build_diagram(
     kinds = tuple(crossing_kinds)
     for k in kinds:
         if k not in CROSSING_KINDS:
-            raise ValueError(f"unknown crossing kind {k!r}")
+            raise InvalidArgument(f"unknown crossing kind {k!r}")
     if node_count < 0 or free_loops < 0:
-        raise ValueError("node_count and free_loops must be nonnegative")
+        raise InvalidArgument("node_count and free_loops must be nonnegative")
     norm: list[tuple[Port, Port]] = []
     for pair in arcs:
         p, q = (Port(*pair[0]), Port(*pair[1]))
@@ -167,7 +168,7 @@ def trace_strand(d: Diagram, start: Port) -> tuple[Port, list[tuple[int, int]]]:
     Returns the far port and the (crossing id, entry slot) list in walk order.
     """
     if start.kind != NODE:
-        raise ValueError("strand tracing starts at a node port")
+        raise InvalidArgument("strand tracing starts at a node port")
     traversals: list[tuple[int, int]] = []
     cur = d.mate[start]
     while cur.kind == CROSSING:
@@ -245,7 +246,7 @@ def chord_immersion(g: CubicGraph, node_order: Sequence[int] | None = None) -> D
     """
     base = list(node_order) if node_order is not None else list(range(g.node_count))
     if sorted(base) != list(range(g.node_count)):
-        raise ValueError("node_order must be a permutation of all nodes")
+        raise InvalidArgument("node_order must be a permutation of all nodes")
 
     def attempts() -> Iterator[list[int]]:
         for shift in range(g.node_count):

@@ -97,6 +97,10 @@ class NoPerfectMatching(ChromaticBracketError):
     """The graph has no perfect matching."""
 
 
+class InvalidArgument(ChromaticBracketError, ValueError):
+    """A function got an argument outside its domain; also a ValueError."""
+
+
 class ParseError(ChromaticBracketError):
     """Malformed graph or diagram input."""
 

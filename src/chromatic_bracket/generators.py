@@ -10,7 +10,7 @@ import random
 from typing import Callable
 
 from .diagram import CIRCLED, Diagram, Port, build_diagram, chord_immersion, genus, underlying_graph
-from .errors import NotPlane
+from .errors import InvalidArgument, NotPlane
 from .graph_core import CubicGraph, build_graph
 
 
@@ -65,7 +65,7 @@ def isaacs_j(n: int) -> CubicGraph:
     form one 2n-cycle c_0..c_{n-1} d_0..d_{n-1}. Uncolorable for odd n.
     """
     if n < 3:
-        raise ValueError("isaacs_j needs n >= 3")
+        raise InvalidArgument("isaacs_j needs n >= 3")
     a = lambda i: i
     b = lambda i: n + i
     c = lambda i: 2 * n + i
@@ -103,7 +103,7 @@ def random_cubic(n: int, seed: int) -> CubicGraph:
     Loops and parallel edges are kept; they are legal cubic multigraphs.
     """
     if n < 2 or n % 2:
-        raise ValueError("random_cubic needs even n >= 2")
+        raise InvalidArgument("random_cubic needs even n >= 2")
     rng = random.Random(seed)
     stubs = [v for v in range(n) for _ in range(3)]
     rng.shuffle(stubs)
@@ -186,7 +186,7 @@ def random_plane_cubic(n: int, seed: int) -> Diagram:
     bridgelessness, and the absence of loops, and add two nodes.
     """
     if n < 2 or n % 2:
-        raise ValueError("random_plane_cubic needs even n >= 2")
+        raise InvalidArgument("random_plane_cubic needs even n >= 2")
     rng = random.Random(seed)
     mate = dict(theta_diagram().mate)
     live: set[int] = {0, 1}
@@ -265,9 +265,9 @@ def named_graph(name: str, n: int | None = None, seed: int = 0) -> CubicGraph:
     if name in _PLAIN_GRAPHS:
         return _PLAIN_GRAPHS[name]()
     if name not in GENERATOR_NAMES:
-        raise ValueError(f"unknown generator {name!r}; known: {', '.join(GENERATOR_NAMES)}")
+        raise InvalidArgument(f"unknown generator {name!r}; known: {', '.join(GENERATOR_NAMES)}")
     if n is None:
-        raise ValueError(f"{name} needs --n")
+        raise InvalidArgument(f"{name} needs --n")
     if name == "isaacs_j":
         return isaacs_j(n)
     if name == "random_cubic":

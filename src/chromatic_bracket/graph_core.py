@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .errors import DegreeViolation, Disconnected, EmptyGraph, ParseError
+from .errors import DegreeViolation, Disconnected, EmptyGraph, InvalidArgument, ParseError
 
 NodeId = int
 EdgeId = int
@@ -60,7 +60,7 @@ def build_graph(node_count: int, edges: Iterable[Sequence[int]]) -> CubicGraph:
     edge_tuple = tuple((int(u), int(v)) for u, v in edges)
     for u, v in edge_tuple:
         if not (0 <= u < node_count and 0 <= v < node_count):
-            raise ValueError(f"edge endpoint out of range: ({u}, {v})")
+            raise InvalidArgument(f"edge endpoint out of range: ({u}, {v})")
     # The edges touch at most 2|E| nodes, so when node_count is larger some
     # node below 2|E| + 1 has degree 0 and the lowest violation lies in range.
     size = min(node_count, 2 * len(edge_tuple) + 1)

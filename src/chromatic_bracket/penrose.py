@@ -10,7 +10,7 @@ algebra. All arithmetic is exact: signs and i-exponents, never floats.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .coloring import BLUE, PURPLE, RED, is_proper
 from .diagram import (
@@ -27,6 +27,7 @@ from .diagram import (
 from .errors import (
     ImproperColoring,
     IndexOutOfRange,
+    InvalidArgument,
     NonIntegerResult,
     NotCircled,
     RecursionBudgetExceeded,
@@ -42,17 +43,14 @@ class NodeWeight(NamedTuple):
     i_power: int
 
 
-_PLUS_ROTATIONS = {(RED, BLUE, PURPLE), (BLUE, PURPLE, RED), (PURPLE, RED, BLUE)}
-_MINUS_ROTATIONS = {(RED, PURPLE, BLUE), (PURPLE, BLUE, RED), (BLUE, RED, PURPLE)}
+# i-power of each proper node coloring: 1 on the rotations of (R, B, P), 3 on those of (R, P, B)
+_NODE_I_POWER = {t: 1 if t in ((RED, BLUE, PURPLE), (BLUE, PURPLE, RED), (PURPLE, RED, BLUE)) else 3
+                 for t in itertools.permutations((RED, BLUE, PURPLE))}
 
 
 def node_weight(cw_colors: Sequence[int]) -> NodeWeight:
-    triple = tuple(cw_colors)
-    if triple in _PLUS_ROTATIONS:
-        return NodeWeight(False, 1)
-    if triple in _MINUS_ROTATIONS:
-        return NodeWeight(False, 3)
-    return NodeWeight(True, 0)
+    i_power = _NODE_I_POWER.get(tuple(cw_colors))
+    return NodeWeight(True, 0) if i_power is None else NodeWeight(False, i_power)
 
 
 # Each crossing weighs a + b*[its two strand colors agree].
@@ -61,13 +59,9 @@ _PAIR_FACTOR = {PLAIN: (1, 0), CIRCLED: (-1, 2), DOTTED: (0, 1)}
 
 def crossing_weight(kind: str, color_a: int, color_b: int) -> int:
     if kind not in _PAIR_FACTOR:
-        raise ValueError(f"unknown crossing kind {kind!r}")
+        raise InvalidArgument(f"unknown crossing kind {kind!r}")
     a, b = _PAIR_FACTOR[kind]
     return a + b if color_a == color_b else a
-
-
-# i-power of each proper node coloring, read by both weights below
-_NODE_I_POWER = {t: node_weight(t).i_power for t in itertools.permutations((RED, BLUE, PURPLE))}
 
 
 def _sign_of_i_power(exp: int, context: str) -> int:
@@ -76,20 +70,13 @@ def _sign_of_i_power(exp: int, context: str) -> int:
     return 1 if exp % 4 == 0 else -1
 
 
-def _strands(d: Diagram, include_crossings: bool) -> tuple[int, list, list]:
-    """The strand count of d, the clockwise strand triple of each node, and
-    per crossing its axis strands with its pair factor (i, j, a, b), left
-    empty unless include_crossings."""
-    k, nodes, axes = trace_strands(d)
-    return k, nodes, [(i, j, *_PAIR_FACTOR[kind]) for kind, (i, j) in
-                      zip(d.crossing_kinds, axes if include_crossings else ())]
-
-
 def weight_tables(d: Diagram, include_crossings: bool) -> tuple[CubicGraph, list, list]:
     """The underlying graph of d, and the two tables the weights read:
     clockwise edge ids per node, and per crossing its axis edge ids with its
     pair factor (ea, eb, a, b), left empty unless include_crossings."""
-    k, nodes, crossings = _strands(d, include_crossings)
+    k, nodes, axes = trace_strands(d)
+    crossings = [(i, j, *_PAIR_FACTOR[kind]) for kind, (i, j) in
+                 zip(d.crossing_kinds, axes if include_crossings else ())]
     return _strand_graph(k, nodes), nodes, crossings
 
 
@@ -124,6 +111,19 @@ def _link(adj: list[dict[int, tuple[int, int]]], i: int, j: int, a: int, b: int)
     return 1
 
 
+def _couplings(d: Diagram, include_crossings: bool) -> tuple[list, list, int]:
+    """The bracket's front end: the clockwise strand triple of each node, per
+    strand its merged crossing factors (adj[i][j] = (a, b), none unless
+    include_crossings), and the constant split off, 3 per free loop, or 0 when
+    a node holds a strand twice (a repeated epsilon index)."""
+    k, nodes, axes = trace_strands(d)
+    adj: list[dict[int, tuple[int, int]]] = [{} for _ in range(k)]
+    mult = 3**d.free_loops if all(len(set(t)) == 3 for t in nodes) else 0
+    for kind, (i, j) in zip(d.crossing_kinds, axes if include_crossings else ()):
+        mult *= _link(adj, i, j, *_PAIR_FACTOR[kind])
+    return nodes, adj, mult
+
+
 def _node_adjacency(k: int, nodes: Sequence[tuple[int, ...]]) -> tuple[list, list]:
     """The nodes on each of k strands, and per node the nodes on its strands."""
     at: list[list[int]] = [[] for _ in range(k)]
@@ -133,36 +133,31 @@ def _node_adjacency(k: int, nodes: Sequence[tuple[int, ...]]) -> tuple[list, lis
     return at, [[m for s in t for m in at[s]] for t in nodes]
 
 
-def _strand_sum(
-    k: int, nodes: Sequence[tuple[int, ...]], pairs: Iterable[tuple[int, int, int, int]]
-) -> int:
-    """Sum over the colorings of k strands of node weights times pair factors.
+def _strand_sum(nodes: Sequence[tuple[int, ...]], adj: list[dict[int, tuple[int, int]]]) -> int:
+    """Sum over the colorings of the len(adj) strands of node weights times
+    pair factors; adj is consumed.
 
-    nodes holds each node's clockwise strand triple; a pair (i, j, a, b)
-    weighs a + b*[strands i and j share a color]. Closed strands (on no node)
-    with at most two pair neighbours are summed out first. The rest fall into
-    components, strands joined by a node or a pair factor, and the total is
-    the product of their sums. Each is backtracked with its nodes in BFS
-    order and its closed strands last, refusing a color a node already holds,
-    and its node i-powers must leave a real sign.
+    nodes holds each node's clockwise strand triple, no strand twice, and
+    adj[i][j] = (a, b), merged by _link, weighs a + b*[strands i and j share
+    a color]. Closed strands (on no node) with at most two pair neighbours
+    are summed out first. The rest fall into components, strands joined by a
+    node or a pair factor, and the total is the product of their sums. Each
+    is backtracked with its nodes in BFS order and its closed strands last,
+    refusing a color a node already holds; its node i-powers must leave a
+    real sign.
 
-    A circled factor (-1, 2) left after merging is the sign (-1)^[colors
-    differ]: each position keeps a bitmask of its earlier circled partners,
-    each color a bitmask of the positions holding it, and the sign is the
-    parity of the partners outside that color. Other factors are multiplied
-    in one by one. In a component with a node, the first node's first two
-    strands are fixed to (R, B) and its sum taken 6 times: pair factors read
-    only agreement, and an odd color permutation turns each node's i into -i,
-    which conjugates the real node product and so leaves it unchanged.
+    A circled factor (-1, 2) is the sign (-1)^[colors differ]: each position
+    keeps a bitmask of its earlier circled partners, each color a bitmask of
+    the positions holding it, and the sign is the parity of the partners
+    outside that color. Other factors are multiplied in one by one. In a
+    component with a node, the first node's first two strands are fixed to
+    (R, B) and its sum taken 6 times: pair factors read only agreement, and
+    an odd color permutation turns each node's i into -i, which conjugates
+    the real node product and so leaves it unchanged.
     """
-    if k == 0:
+    if not adj:
         return 1
-    if any(len(set(t)) < 3 for t in nodes):
-        return 0  # a strand meeting a node twice repeats an epsilon index
-    adj: list[dict[int, tuple[int, int]]] = [{} for _ in range(k)]
-    mult = 1
-    for i, j, a, b in pairs:
-        mult *= _link(adj, i, j, a, b)
+    k, mult = len(adj), 1
     at, node_nbrs = _node_adjacency(k, nodes)
     todo = [s for s in range(k) if not at[s]]
     gone: set[int] = set()
@@ -187,14 +182,14 @@ def _strand_sum(
     if len(core) > 14:
         raise RecursionBudgetExceeded("closed strand core too large to sum")
 
-    bfs = components(node_nbrs)
-    order = list(dict.fromkeys(s for part in bfs for n in part for s in nodes[n])) + core
-    parts = [order]
-    if len(bfs) != 1 or core:  # pair factors may join these parts
-        pos = {s: d for d, s in enumerate(order)}
-        parts = components([[pos[w] for n in at[s] for w in nodes[n]] + [pos[w] for w in adj[s]]
-                            for s in order])
-        order = [order[p] for part in parts for p in sorted(part)]
+    # blocks: the strands of each node component in BFS order, then each core
+    # strand; pair factors join blocks into components, kept in block order
+    blocks = [list(dict.fromkeys(s for n in part for s in nodes[n]))
+              for part in components(node_nbrs)] + [[s] for s in core]
+    block_of = {s: b for b, block in enumerate(blocks) for s in block}
+    parts = [[s for b in sorted(part) for s in blocks[b]] for part in
+             components([[block_of[w] for s in block for w in adj[s]] for block in blocks])]
+    order = [s for part in parts for s in part]
     starts = list(itertools.accumulate(map(len, parts), initial=0))
     fixed = {lo for lo in starts[:-1] if at[order[lo]]}  # the component holds a node
     for j, s in enumerate(core):  # two private nodes each, so no color is refused
@@ -253,9 +248,9 @@ def _strand_sum(
 
 
 def _contract(d: Diagram, include_crossings: bool) -> int:
-    k, nodes, pairs = _strands(d, include_crossings)
+    nodes, adj, mult = _couplings(d, include_crossings)
     with refuse_deep_recursion("strand-coloring sum"):
-        return _strand_sum(k, nodes, pairs) * 3**d.free_loops
+        return mult and mult * _strand_sum(nodes, adj)
 
 
 def contract_plain(d: Diagram) -> int:
@@ -392,9 +387,8 @@ def _skein(tri: dict[int, tuple[int, ...]], adj: list, steps: list[int], memo: d
     if found is None:
         live = [s for s, c in enumerate(adj) if c is not None]
         pos = {s: p for p, s in enumerate(live)}
-        return _strand_sum(len(live), [tuple(pos[s] for s in t) for t in tri.values()],
-                           [(pos[s], pos[w], a, b) for s in live
-                            for w, (a, b) in adj[s].items() if s < w])
+        return _strand_sum([tuple(pos[s] for s in t) for t in tri.values()],
+                           [{pos[w]: f for w, f in adj[s].items()} for s in live])
     u, i, e = found
     v, tv = next((v, t) for v, t in tri.items() if v != u and e in t)
     j = tv.index(e)
@@ -419,7 +413,7 @@ def _skein(tri: dict[int, tuple[int, ...]], adj: list, steps: list[int], memo: d
 def skein_evaluate(d: Diagram, budget: int = 100_000) -> int:
     """Evaluate by expanding coupling-free strands between two nodes.
 
-    The strands are traced once, and each crossing couples its two strands.
+    _couplings traces the strands once and couples each crossing's two strands.
     An expansion drops both nodes and merges the colors of the strands they
     held, as (parallel) - (crossed); see _skein. It takes a coupling-free
     strand at the first node in a min-fill elimination order of the nodes
@@ -428,14 +422,8 @@ def skein_evaluate(d: Diagram, budget: int = 100_000) -> int:
     renaming is reused: one budget step is one expansion of a state new to
     this evaluation. Agrees with contract_extended wherever both apply.
     """
-    k, nodes, pairs = _strands(d, include_crossings=True)
-    if any(len(set(t)) < 3 for t in nodes):
-        return 0  # a strand from a node back to itself repeats an epsilon index
-    adj: list = [{} for _ in range(k)]
-    mult = 3**d.free_loops
-    for i, j, a, b in pairs:
-        mult *= _link(adj, i, j, a, b)
+    nodes, adj, mult = _couplings(d, include_crossings=True)
     choice = len({s for t in nodes for s in t if not adj[s]}) > 1
-    rank = min_fill_order(_node_adjacency(k, nodes)[1]) if choice else range(len(nodes))
+    rank = min_fill_order(_node_adjacency(len(adj), nodes)[1]) if choice else range(len(nodes))
     with refuse_deep_recursion("skein expansion"):
-        return mult * _skein({n: nodes[n] for n in rank}, adj, [budget], {})
+        return mult and mult * _skein({n: nodes[n] for n in rank}, adj, [budget], {})

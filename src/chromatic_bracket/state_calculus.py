@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import IncompleteState, refuse_deep_recursion
+from .errors import IncompleteState, InvalidArgument, refuse_deep_recursion
 from .graph_core import CubicGraph, bridges_per_component, build_graph
 from .matching import PerfectMatching, complement_cycles, trace_cycles, validate_matching
 
@@ -106,10 +106,10 @@ def make_state(g: CubicGraph, matching: Iterable[int], switches: Sequence[str]) 
     m = frozenset(range(g.edge_count)).difference(*cc.cycles)  # the edges on no cycle
     ordered = sorted(m)
     if len(switches) != len(ordered):
-        raise ValueError(f"need {len(ordered)} switch settings, got {len(switches)}")
+        raise InvalidArgument(f"need {len(ordered)} switch settings, got {len(switches)}")
     for s in switches:
         if s not in SWITCH_SETTINGS:
-            raise ValueError(f"unknown switch setting {s!r}")
+            raise InvalidArgument(f"unknown switch setting {s!r}")
     # passages are (arriving, departing), site ends (departing, arriving)
     sites = [Site(e, *(cc.passages[n][::-1] for n in g.edges[e]), sw)
              for e, sw in zip(ordered, switches)]

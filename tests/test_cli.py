@@ -76,6 +76,20 @@ def test_count_per_coloring_dump(capsys):
     assert all(len(row["coloring"]) == 9 for row in rows)
 
 
+def test_plain_is_refused_outside_the_penrose_method(capsys):
+    code, payload, err = run(
+        capsys, "count", "k33", "--as", "diagram", "--method", "penrose-skein", "--plain"
+    )
+    assert (code, payload) == (1, None)
+    assert err.startswith("error:") and "--plain" in err
+
+
+def test_per_coloring_is_refused_outside_the_penrose_method(capsys):
+    code, payload, err = run(capsys, "count", "k33", "--per-coloring")
+    assert (code, payload) == (1, None)
+    assert err.startswith("error:") and "--per-coloring" in err
+
+
 def test_count_from_graph_file(tmp_path: Path, capsys):
     path = tmp_path / "theta.json"
     path.write_text(cb.graph_to_json(gen.theta()))

@@ -1,0 +1,39 @@
+"""Bad arguments to the public functions raise the package's own error type,
+which is also a ValueError for callers that catch that."""
+
+from __future__ import annotations
+
+import pytest
+
+import chromatic_bracket as cb
+from chromatic_bracket import generators as gen
+from chromatic_bracket.diagram import CROSSING, Port
+from chromatic_bracket.errors import ChromaticBracketError, InvalidArgument
+
+K33 = gen.k33()
+K33_MATCHING = cb.enumerate_perfect_matchings(K33)[0]
+
+BAD_CALLS = {
+    "unknown crossing kind": lambda: cb.build_diagram(0, ("wavy",), []),
+    "negative node count": lambda: cb.build_diagram(-1, (), []),
+    "negative free loops": lambda: cb.build_diagram(0, (), [], free_loops=-1),
+    "strand from a crossing port": lambda: cb.trace_strand(
+        cb.encircle_arc(gen.theta_diagram(), 0), Port(CROSSING, 0, 0)),
+    "node order not a permutation": lambda: cb.chord_immersion(K33, [0] * 6),
+    "isaacs_j too small": lambda: gen.isaacs_j(2),
+    "random_cubic odd n": lambda: gen.random_cubic(5, 0),
+    "random_plane_cubic odd n": lambda: gen.random_plane_cubic(3, 0),
+    "unknown generator": lambda: gen.named_graph("nope"),
+    "generator without n": lambda: gen.named_graph("isaacs_j"),
+    "edge endpoint out of range": lambda: cb.build_graph(2, [(0, 1), (0, 1), (0, 2)]),
+    "unknown crossing weight kind": lambda: cb.crossing_weight("wavy", 0, 0),
+    "too few switches": lambda: cb.make_state(K33, K33_MATCHING, []),
+    "unknown switch": lambda: cb.make_state(K33, K33_MATCHING, ["sideways"] * 3),
+}
+
+
+@pytest.mark.parametrize("call", BAD_CALLS.values(), ids=BAD_CALLS.keys())
+def test_bad_arguments_raise_the_package_error(call):
+    with pytest.raises(ChromaticBracketError) as info:
+        call()
+    assert isinstance(info.value, InvalidArgument) and isinstance(info.value, ValueError)

@@ -357,7 +357,8 @@ def test_skein_expands_along_the_min_fill_rank():
 @st.composite
 def ranked_diagrams(draw) -> tuple[cb.Diagram, list[int]]:
     """A small plane diagram or loop-free chord immersion, maybe with an arc
-    encircled, its crossings of mixed kinds; and an order of its nodes."""
+    encircled, its crossings of mixed kinds, with 0 to 2 free loops; and an
+    order of its nodes."""
     if draw(st.booleans()):
         d = gen.random_plane_cubic(draw(st.sampled_from((2, 4, 6, 8, 10))), draw(st.integers(0, 99)))
     else:
@@ -368,7 +369,7 @@ def ranked_diagrams(draw) -> tuple[cb.Diagram, list[int]]:
         d = cb.encircle_arc(d, draw(st.integers(0, len(d.arcs) - 1)))
     kinds = draw(st.lists(st.sampled_from((PLAIN, CIRCLED, DOTTED)),
                           min_size=d.crossing_count, max_size=d.crossing_count))
-    d = cb.build_diagram(d.node_count, kinds, d.arcs)
+    d = cb.build_diagram(d.node_count, kinds, d.arcs, free_loops=draw(st.integers(0, 2)))
     return d, draw(st.permutations(range(d.node_count)))
 
 
@@ -376,11 +377,7 @@ def ranked_diagrams(draw) -> tuple[cb.Diagram, list[int]]:
 @given(ranked_diagrams())
 def test_skein_value_does_not_depend_on_the_node_order(case):
     d, rank = case
-    k, nodes, pairs = penrose._strands(d, include_crossings=True)
-    adj: list = [{} for _ in range(k)]
-    mult = 1
-    for i, j, a, b in pairs:
-        mult *= penrose._link(adj, i, j, a, b)
+    nodes, adj, mult = penrose._couplings(d, include_crossings=True)
     got = mult * penrose._skein({n: nodes[n] for n in rank}, adj, [100_000], {})
     assert got == cb.skein_evaluate(d) == cb.contract_extended(d)
 
@@ -486,4 +483,8 @@ def test_strand_sum_equals_the_direct_sum(case):
         for i, j, a, b in pairs:
             term *= a + b if c[i] == c[j] else a
         want += term
-    assert penrose._strand_sum(k, nodes, pairs) == want
+    adj: list = [{} for _ in range(k)]
+    mult = 1
+    for i, j, a, b in pairs:
+        mult *= penrose._link(adj, i, j, a, b)
+    assert mult * penrose._strand_sum(nodes, adj) == want
