@@ -103,21 +103,32 @@ def _input_graph(obj: CubicGraph | Diagram) -> CubicGraph:
 def _input_diagram(obj: CubicGraph | Diagram, args: argparse.Namespace) -> Diagram:
     if isinstance(obj, Diagram):
         return obj
-    if getattr(args, "auto_immerse", False):
+    if args.auto_immerse:
         return chord_immersion(obj)
     raise ParseError("this method needs a diagram input, or pass --auto-immerse")
 
 
 def _emit(args: argparse.Namespace, payload: dict, summary: str) -> None:
-    print(json.dumps(payload, separators=(",", ":"), sort_keys=True))
+    # flushed here, so a closed stdout raises BrokenPipeError inside main
+    print(json.dumps(payload, separators=(",", ":"), sort_keys=True), flush=True)
     if not args.json_only:
         print(summary, file=sys.stderr)
 
 
+# the count flags each method reads; a flag given to any other method is refused
+_METHOD_FLAGS = {
+    "brute": (),
+    "penrose": ("plain", "extended", "auto_immerse", "per_coloring"),
+    "penrose-skein": ("auto_immerse",),
+    "states": ("matching_index",),
+}
+
+
 def cmd_count(args: argparse.Namespace, obj: CubicGraph | Diagram) -> int:
-    if args.method != "penrose" and (args.plain or args.per_coloring):
-        flag = "--plain" if args.plain else "--per-coloring"
-        raise ParseError(f"{flag} applies to --method penrose only")
+    for flag in sorted({f for flags in _METHOD_FLAGS.values() for f in flags}):
+        if getattr(args, flag) is not None and flag not in _METHOD_FLAGS[args.method]:
+            option = "--" + flag.replace("_", "-")
+            raise ParseError(f"{option} does not apply to --method {args.method}")
     extras: dict = {}
     t0 = time.perf_counter()
     if args.method == "brute":
@@ -135,7 +146,7 @@ def cmd_count(args: argparse.Namespace, obj: CubicGraph | Diagram) -> int:
             ]
     else:  # states
         g = _input_graph(obj)
-        k, total = args.matching_index, 0
+        k, total = args.matching_index or 0, 0
         for total, m in enumerate(iter_perfect_matchings(g), 1):  # finds m or counts them all
             if total == k + 1:
                 break
@@ -325,16 +336,18 @@ def build_parser() -> argparse.ArgumentParser:
         return sp
 
     p = with_input("count", "count colorings by one method")
-    p.add_argument("--method", choices=("brute", "penrose", "penrose-skein", "states"),
-                   default="brute")
+    p.add_argument("--method", choices=tuple(_METHOD_FLAGS), default="brute")
+    # flags default to None, so _METHOD_FLAGS can tell a given flag from an absent one
     mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--plain", action="store_true",
+    mode.add_argument("--plain", action="store_true", default=None,
                       help="ignore crossing weights (penrose method)")
-    mode.add_argument("--extended", action="store_true", help="include crossing weights (default)")
-    p.add_argument("--auto-immerse", action="store_true",
-                   help="turn a bare graph into a chord-immersion diagram")
-    p.add_argument("--matching-index", type=int, default=0)
-    p.add_argument("--per-coloring", action="store_true",
+    mode.add_argument("--extended", action="store_true", default=None,
+                      help="include crossing weights (penrose method, default)")
+    p.add_argument("--auto-immerse", action="store_true", default=None,
+                   help="turn a bare graph into a chord-immersion diagram (penrose methods)")
+    p.add_argument("--matching-index", type=int, default=None,
+                   help="expand the states of this perfect matching (states method, default 0)")
+    p.add_argument("--per-coloring", action="store_true", default=None,
                    help="dump per-coloring weights (penrose method)")
     p.set_defaults(func=cmd_count)
 
@@ -373,6 +386,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.func(args, obj)
     except ChromaticBracketError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:  # the reader closed stdout, as `| head` does
+        # Python flushes stdout again at exit; devnull keeps that flush quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     finally:
         sys.set_int_max_str_digits(limit)

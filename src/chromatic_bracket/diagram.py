@@ -6,21 +6,18 @@ the clockwise rotation; at a crossing the two strands occupy slots 0<->2 and
 1<->3. Planarity is not assumed but checked, by tracing faces of the rotation
 system and computing the genus.
 
-chord_immersion builds a plane immersion of any abstract cubic graph with
-exact rational geometry: node ports sit on a parabola, edges are chords, and
-interleaving chords meet in circled crossings.
+chord_immersion draws any abstract cubic graph as a plane immersion: node
+ports on a line in a given order, edges as rectilinear chords above it, and a
+circled crossing for each pair of chords whose ports interleave.
 """
 
 from __future__ import annotations
 
 import json
-import random
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
-    DegenerateLayout,
     InvalidArgument,
     NotPlane,
     ParseError,
@@ -236,92 +233,54 @@ def _strand_graph(k: int, triples: Sequence[tuple[int, int, int]]) -> CubicGraph
 # chord immersion
 
 def chord_immersion(g: CubicGraph, node_order: Sequence[int] | None = None) -> Diagram:
-    """Deterministic plane immersion of an abstract cubic graph.
+    """Deterministic plane immersion of an abstract cubic graph, drawn in node_order.
 
-    Every node gets three consecutive positions on a parabola, edges become
-    chords, and interleaving chords produce circled crossings. Three
-    concurrent chords would be a degenerate layout; the node order is then
-    cyclically shifted and, failing that, reshuffled with fixed seeds, so the
-    result stays a deterministic function of (g, node_order).
+    The nodes sit on a line in node_order (default: by id), each with its
+    three ports in slot order, and every edge is a rectilinear chord above
+    the line: it rises at its left port, runs right and drops at its right
+    port, a nested chord running lower. Two chords meet, in one circled
+    crossing, exactly when their ports interleave, and no three chords meet.
     """
-    base = list(node_order) if node_order is not None else list(range(g.node_count))
-    if sorted(base) != list(range(g.node_count)):
+    order = list(node_order) if node_order is not None else list(range(g.node_count))
+    if sorted(order) != list(range(g.node_count)):
         raise InvalidArgument("node_order must be a permutation of all nodes")
-
-    def attempts() -> Iterator[list[int]]:
-        for shift in range(g.node_count):
-            yield base[shift:] + base[:shift]
-        for retry in range(200):
-            order = list(base)
-            random.Random(retry).shuffle(order)
-            yield order
-
-    last_error: DegenerateLayout | None = None
-    for order in attempts():
-        try:
-            d = _chord_layout(g, order)
-        except DegenerateLayout as exc:
-            last_error = exc
-            continue
-        if genus(d) != 0:
-            raise NotPlane("chord layout came out with positive genus")
-        return d
-    raise DegenerateLayout(f"all layout attempts degenerate: {last_error}")
+    d = _chord_layout(g, order)
+    if genus(d) != 0:
+        raise NotPlane("chord layout came out with positive genus")
+    return d
 
 
 def _chord_layout(g: CubicGraph, order: Sequence[int]) -> Diagram:
+    """Chord e rises at x = lo[e], runs right at height level[e], the rank of its
+    span, and drops at x = hi[e]. A crossing is one chord's rise or drop meeting
+    another's run; there the run takes slots 0 -> 2, a drop 1 -> 3 and a rise
+    3 -> 1, so slots go clockwise."""
     rank = {n: r for r, n in enumerate(order)}
-    pos: dict[int, int] = {}
-    slot_of: dict[int, int] = {}
-    for n in range(g.node_count):
-        for i, h in enumerate(sorted(g.incidence[n])):
-            pos[h] = 3 * rank[n] + i
-            slot_of[h] = i
-
-    lo = [min(pos[2 * e], pos[2 * e + 1]) for e in range(g.edge_count)]
-    hi = [max(pos[2 * e], pos[2 * e + 1]) for e in range(g.edge_count)]
-    slope = [lo[e] + hi[e] for e in range(g.edge_count)]
-    prod = [lo[e] * hi[e] for e in range(g.edge_count)]
-
-    # interleaving endpoint intervals = crossing chords
-    pairs: list[tuple[int, int]] = []
-    for e in range(g.edge_count):
-        for f in range(e + 1, g.edge_count):
-            if lo[e] < lo[f] < hi[e] < hi[f] or lo[f] < lo[e] < hi[f] < hi[e]:
-                pairs.append((e, f))
-    x_of: dict[tuple[int, int], Fraction] = {
-        (e, f): Fraction(prod[e] - prod[f], slope[e] - slope[f]) for e, f in pairs
-    }
-    crossing_id = {pair: i for i, pair in enumerate(sorted(pairs))}
-
-    on_chord: dict[int, list[tuple[Fraction, tuple[int, int]]]] = {e: [] for e in range(g.edge_count)}
-    for pair, x in x_of.items():
-        on_chord[pair[0]].append((x, pair))
-        on_chord[pair[1]].append((x, pair))
-    for e, hits in on_chord.items():
-        hits.sort()
-        for (x1, _), (x2, _) in zip(hits, hits[1:]):
-            if x1 == x2:
-                raise DegenerateLayout(f"three chords concurrent on chord {e} at x={x1}")
-
-    def side_slots(pair: tuple[int, int], e: int) -> tuple[int, int]:
-        """(left slot, right slot) of chord e at the crossing of `pair`."""
-        e1, e2 = pair
-        if e == e1:
-            return 0, 2
-        return (3, 1) if slope[e1] < slope[e2] else (1, 3)
-
+    at = {h: (3 * rank[n] + s, Port(NODE, n, s))
+          for n in range(g.node_count) for s, h in enumerate(g.incidence[n])}
+    edges = range(g.edge_count)
+    ends = [sorted((at[2 * e], at[2 * e + 1])) for e in edges]
+    lo = [left for (left, _), _ in ends]
+    hi = [right for _, (right, _) in ends]
+    level = {e: i for i, e in enumerate(sorted(edges, key=lambda e: (hi[e] - lo[e], e)))}
+    pairs = [(e, f) for e in edges for f in edges[e + 1:]
+             if lo[e] < lo[f] < hi[e] < hi[f] or lo[f] < lo[e] < hi[f] < hi[e]]
+    # per chord: (0 rise / 1 run / 2 drop, place along that part, crossing, slot in, slot out)
+    hits: list[list[tuple[int, int, int, int, int]]] = [[] for _ in edges]
+    for x, (e, f) in enumerate(pairs):
+        a, b = (e, f) if lo[e] < lo[f] else (f, e)
+        if level[a] > level[b]:  # a's drop meets b's run
+            hits[a].append((2, -level[b], x, 1, 3))
+            hits[b].append((1, hi[a], x, 0, 2))
+        else:  # b's rise meets a's run
+            hits[b].append((0, level[a], x, 3, 1))
+            hits[a].append((1, lo[b], x, 0, 2))
     arcs: list[tuple[Port, Port]] = []
-    for e in range(g.edge_count):
-        h_lo, h_hi = (2 * e, 2 * e + 1) if pos[2 * e] < pos[2 * e + 1] else (2 * e + 1, 2 * e)
-        prev = Port(NODE, g.half_edge_node(h_lo), slot_of[h_lo])
-        for _, pair in on_chord[e]:
-            left, right = side_slots(pair, e)
-            x = crossing_id[pair]
-            arcs.append((prev, Port(CROSSING, x, left)))
-            prev = Port(CROSSING, x, right)
-        arcs.append((prev, Port(NODE, g.half_edge_node(h_hi), slot_of[h_hi])))
-
+    for ((_, prev), (_, last)), on_chord in zip(ends, hits):
+        for *_, x, enter, leave in sorted(on_chord):
+            arcs.append((prev, Port(CROSSING, x, enter)))
+            prev = Port(CROSSING, x, leave)
+        arcs.append((prev, last))
     return build_diagram(g.node_count, (CIRCLED,) * len(pairs), arcs)
 
 

@@ -35,10 +35,6 @@ class StrandClosesWithoutNode(ChromaticBracketError):
     """A strand forms a closed loop that never touches a trivalent node."""
 
 
-class DegenerateLayout(ChromaticBracketError):
-    """Chord layout failed: three chords pass through a common point."""
-
-
 class PartialColoring(ChromaticBracketError):
     """An edge coloring must assign a color to every edge."""
 

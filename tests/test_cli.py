@@ -90,6 +90,18 @@ def test_per_coloring_is_refused_outside_the_penrose_method(capsys):
     assert err.startswith("error:") and "--per-coloring" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("--method", "states", "--extended"),
+    ("--method", "brute", "--auto-immerse"),
+    ("--method", "brute", "--matching-index", "2"),
+    ("--method", "penrose-skein", "--matching-index", "0", "--auto-immerse"),
+])
+def test_count_refuses_a_flag_its_method_ignores(capsys, argv):
+    code, payload, err = run(capsys, "count", "k33", *argv)
+    assert (code, payload) == (1, None)
+    assert err.startswith("error:") and f"{argv[2]} does not apply to --method {argv[1]}" in err
+
+
 def test_count_from_graph_file(tmp_path: Path, capsys):
     path = tmp_path / "theta.json"
     path.write_text(cb.graph_to_json(gen.theta()))
@@ -280,6 +292,23 @@ def test_python_dash_m_entry_point():
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["count"] == 6
     assert proc.stderr == ""
+
+
+def test_closed_stdout_ends_quietly():
+    import subprocess
+    import sys
+
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "chromatic_bracket", "matchings", "isaacs_j", "--n", "11",
+         "--json-only"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert len(proc.stdout.read(10)) == 10  # the payload is far past a pipe buffer
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait() == 1
+    assert "Traceback" not in err
 
 
 def test_validate_huge_node_count_fails_cleanly(tmp_path: Path, capsys):

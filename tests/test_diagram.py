@@ -137,16 +137,33 @@ def test_crossing_axis_edges_on_immersion():
     assert len(walked) == 2 * d.crossing_count
 
 
+def assert_drawn_in_order(d: cb.Diagram, g: cb.CubicGraph, order: list[int]) -> None:
+    """d is a plane immersion of g whose crossing strand pairs are exactly the
+    strands whose ports interleave when node v's slot s sits at 3 * order.index(v) + s."""
+    assert cb.genus(d) == 0
+    assert all(k == CIRCLED for k in d.crossing_kinds)
+    assert edge_multiset(cb.underlying_graph(d)) == edge_multiset(g)
+    k, triples, axes = cb.trace_strands(d)
+    ends = [[] for _ in range(k)]
+    for v, triple in enumerate(triples):
+        for s, e in enumerate(triple):
+            ends[e].append(3 * order.index(v) + s)
+    lo, hi = zip(*(sorted(pair) for pair in ends))
+    interleaving = [
+        tuple(sorted((e, f))) for e in range(k) for f in range(k) if lo[e] < lo[f] < hi[e] < hi[f]
+    ]
+    assert sorted(tuple(sorted(axis)) for axis in axes) == sorted(interleaving)
+
+
 def test_chord_immersion_round_trips_every_fixture():
     fixtures = [
         gen.theta(), gen.dumbbell(), gen.double_dumbbell(), gen.k4(), gen.prism(),
         gen.k33(), gen.petersen(), gen.truncated_tetrahedron(), gen.isaacs_j(3),
+        gen.random_cubic(26, 1),
     ]
     for g in fixtures:
-        d = cb.chord_immersion(g)
-        assert cb.genus(d) == 0
-        assert all(k == CIRCLED for k in d.crossing_kinds)
-        assert edge_multiset(cb.underlying_graph(d)) == edge_multiset(g)
+        assert_drawn_in_order(cb.chord_immersion(g), g, list(range(g.node_count)))
+    assert cb.chord_immersion(gen.random_cubic(26, 1)).crossing_count == 289
 
 
 def test_chord_immersion_is_deterministic():
@@ -159,9 +176,11 @@ def test_chord_immersion_respects_node_order():
     g = gen.k4()
     a = cb.chord_immersion(g)
     b = cb.chord_immersion(g, node_order=[3, 2, 1, 0])
-    assert edge_multiset(cb.underlying_graph(b)) == edge_multiset(g)
-    assert cb.genus(b) == 0
+    assert_drawn_in_order(b, g, [3, 2, 1, 0])
     assert a != b
+    g = gen.random_cubic(26, 1)
+    order = [(7 * v) % 26 for v in range(26)]
+    assert_drawn_in_order(cb.chord_immersion(g, node_order=order), g, order)
 
 
 def test_theta_chord_immersion_crossing_count():
