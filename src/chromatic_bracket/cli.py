@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import os
 import sys
@@ -240,12 +239,12 @@ def cmd_matchings(args: argparse.Namespace, obj: CubicGraph | Diagram) -> int:
 
 def cmd_formation(args: argparse.Namespace, obj: CubicGraph | Diagram) -> int:
     g = _input_graph(obj)
-    k = args.coloring_index
-    c = next(itertools.islice(iter_colorings(g), k, None), None) if k >= 0 else None
-    if c is None:
-        raise IndexOutOfRange(
-            f"coloring index {k} out of range; the graph has {count_colorings(g)} colorings"
-        )
+    k, total = args.coloring_index, 0
+    for total, c in enumerate(iter_colorings(g), 1):  # finds c or counts them all
+        if total == k + 1:
+            break
+    else:
+        raise IndexOutOfRange(f"coloring index {k} out of range; the graph has {total} colorings")
     f = formation_from_coloring(g, c)
     payload = {
         "input": args.input,
@@ -389,7 +388,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1
     except BrokenPipeError:  # the reader closed stdout, as `| head` does
         # Python flushes stdout again at exit; devnull keeps that flush quiet
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 1
     finally:
         sys.set_int_max_str_digits(limit)

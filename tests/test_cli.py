@@ -195,10 +195,15 @@ def test_formation_on_plane_diagram_reports_meetings(capsys):
     assert set(payload["meetings"].values()) <= {"bounce", "cross"}
 
 
-def test_formation_index_out_of_range(capsys):
-    code, _, err = run(capsys, "formation", "theta", "--coloring-index", "6")
-    assert code == 1
-    assert "out of range" in err
+def test_formation_index_out_of_range(capsys, monkeypatch):
+    def no_second_walk(g):
+        raise AssertionError("formation counts the colorings it walks")
+
+    monkeypatch.setattr("chromatic_bracket.cli.count_colorings", no_second_walk)
+    for k in ("6", "-1"):
+        code, _, err = run(capsys, "formation", "theta", "--coloring-index", k)
+        assert code == 1
+        assert err == f"error: coloring index {k} out of range; the graph has 6 colorings\n"
 
 
 def test_gen_graph_round_trips(capsys):
@@ -309,6 +314,33 @@ def test_closed_stdout_ends_quietly():
     err = proc.stderr.read().decode()
     assert proc.wait() == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="needs /proc/self/fd")
+def test_closed_stdout_leaks_no_descriptor():
+    import subprocess
+
+    script = """
+import os, sys
+from chromatic_bracket.cli import main
+
+def open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+before = open_fds()
+for _ in range(5):
+    r, w = os.pipe()  # stdout becomes a pipe whose reader is gone
+    os.dup2(w, sys.stdout.fileno())
+    os.close(r)
+    os.close(w)
+    if main(["count", "k33", "--json-only"]) != 1:
+        sys.exit("a closed stdout should exit 1")
+print(before, open_fds(), file=sys.stderr)
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    before, after = map(int, proc.stderr.split())
+    assert after == before
 
 
 def test_validate_huge_node_count_fails_cleanly(tmp_path: Path, capsys):

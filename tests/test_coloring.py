@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 import chromatic_bracket as cb
 from chromatic_bracket import generators as gen
 from chromatic_bracket.errors import PartialColoring, RecursionBudgetExceeded
+from chromatic_bracket.matching import even_matching_sum
 
 # frozen reference counts, checked against an independent brute-force pass
 FIXTURE_COUNTS = {
@@ -125,6 +126,37 @@ def test_count_multiplies_over_components():
     ]:
         want = math.prod(sum(1 for _ in cb.iter_colorings(g)) for g in parts)
         assert cb.count_colorings(disjoint_union(*parts)) == want, parts
+
+
+def relabelled(g: cb.CubicGraph, rng) -> cb.CubicGraph:
+    """g with its nodes renamed, each edge's ends swapped at random and the
+    edge list shuffled, so the search meets its edges in another order."""
+    name = list(range(g.node_count))
+    rng.shuffle(name)
+    edges = [(name[u], name[v]) if rng.random() < 0.5 else (name[v], name[u])
+             for u, v in g.edges]
+    rng.shuffle(edges)
+    return cb.build_graph(g.node_count, edges)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=8).map(lambda k: 2 * k), st.integers(0, 10_000),
+       st.sampled_from([(), ("theta",), ("k33",), ("petersen",), ("theta", "k33")]),
+       st.randoms(use_true_random=False))
+def test_count_does_not_depend_on_labels(n: int, seed: int, extra: tuple[str, ...], rng) -> None:
+    # random_cubic may draw parallel edges and loops
+    g = disjoint_union(gen.random_cubic(n, seed), *(getattr(gen, name)() for name in extra))
+    assert cb.count_colorings(relabelled(g, rng)) == cb.count_colorings(g)
+
+
+@settings(max_examples=6, deadline=None)
+@given(st.integers(min_value=9, max_value=12).map(lambda k: 2 * k), st.integers(0, 10_000))
+def test_count_agrees_with_matchings_and_states_past_enumeration(n: int, seed: int) -> None:
+    g = loop_free_cubic(n, seed)
+    want = cb.count_colorings(g)
+    assert even_matching_sum(g, cb.iter_perfect_matchings(g)) == want
+    m = next(cb.iter_perfect_matchings(g), None)
+    assert want == (0 if m is None else cb.logical_expansion_count(g, m))
 
 
 def prism_ladder(k: int) -> cb.CubicGraph:
