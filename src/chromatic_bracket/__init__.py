@@ -63,7 +63,6 @@ from .graph_core import (
     is_connected,
 )
 from .matching import (
-    ComplementCycles,
     colorings_from_even_matching,
     complement_cycles,
     count_from_even_matchings,
@@ -111,9 +110,9 @@ __all__ = [
     "connected_components", "bridges", "bridges_per_component",
     "graph_to_json", "graph_from_json", "graph_to_json_dict", "graph_from_json_dict",
     # matchings
-    "ComplementCycles", "validate_matching", "enumerate_perfect_matchings",
-    "iter_perfect_matchings", "complement_cycles", "is_even_matching",
-    "colorings_from_even_matching", "matching_from_coloring", "count_from_even_matchings",
+    "validate_matching", "enumerate_perfect_matchings", "iter_perfect_matchings",
+    "complement_cycles", "is_even_matching", "colorings_from_even_matching",
+    "matching_from_coloring", "count_from_even_matchings",
     # diagrams
     "Diagram", "Port", "NODE", "CROSSING", "CIRCLED", "PLAIN", "DOTTED",
     "build_diagram", "chord_immersion", "genus", "trace_faces", "trace_strand",

@@ -12,7 +12,7 @@ import json
 import os
 import sys
 import time
-from typing import Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
 
 from . import generators
 from .coloring import coloring_names, count_colorings, iter_colorings
@@ -57,6 +57,8 @@ from .penrose import (
     weight_tables,
 )
 from .state_calculus import _expansion_count, logical_expansion_count
+
+T = TypeVar("T")
 
 
 def _load_file(path: str) -> object:
@@ -114,6 +116,16 @@ def _emit(args: argparse.Namespace, payload: dict, summary: str) -> None:
         print(summary, file=sys.stderr)
 
 
+def _item(items: Iterable[T], k: int, out_of_range: Callable[[int], ChromaticBracketError]) -> T:
+    """Item k of items; past the end, raise out_of_range(total) once the same
+    pass has counted them all."""
+    total = 0
+    for total, item in enumerate(items, 1):
+        if total == k + 1:
+            return item
+    raise out_of_range(total)
+
+
 # the count flags each method reads; a flag given to any other method is refused
 _METHOD_FLAGS = {
     "brute": (),
@@ -145,14 +157,10 @@ def cmd_count(args: argparse.Namespace, obj: CubicGraph | Diagram) -> int:
             ]
     else:  # states
         g = _input_graph(obj)
-        k, total = args.matching_index or 0, 0
-        for total, m in enumerate(iter_perfect_matchings(g), 1):  # finds m or counts them all
-            if total == k + 1:
-                break
-        else:
-            if not total:
-                raise NoPerfectMatching("the states method needs a perfect matching")
-            raise IndexOutOfRange(f"matching index {k} out of range: {total} perfect matchings")
+        k = args.matching_index or 0
+        m = _item(iter_perfect_matchings(g), k, lambda total: (
+            IndexOutOfRange(f"matching index {k} out of range: {total} perfect matchings") if total
+            else NoPerfectMatching("the states method needs a perfect matching")))
         extras["matching"] = sorted(m)
         value = logical_expansion_count(g, m)
     payload = {
@@ -239,12 +247,9 @@ def cmd_matchings(args: argparse.Namespace, obj: CubicGraph | Diagram) -> int:
 
 def cmd_formation(args: argparse.Namespace, obj: CubicGraph | Diagram) -> int:
     g = _input_graph(obj)
-    k, total = args.coloring_index, 0
-    for total, c in enumerate(iter_colorings(g), 1):  # finds c or counts them all
-        if total == k + 1:
-            break
-    else:
-        raise IndexOutOfRange(f"coloring index {k} out of range; the graph has {total} colorings")
+    k = args.coloring_index
+    c = _item(iter_colorings(g), k, lambda total: IndexOutOfRange(
+        f"coloring index {k} out of range; the graph has {total} colorings"))
     f = formation_from_coloring(g, c)
     payload = {
         "input": args.input,

@@ -33,8 +33,8 @@ class Formation:
 def formation_from_coloring(g: CubicGraph, c: Sequence[int]) -> Formation:
     if not is_proper(g, c):
         raise ImproperColoring("formations exist only for proper colorings")
-    red = complement_cycles(g, (e for e in range(g.edge_count) if c[e] == BLUE)).cycles
-    blue = complement_cycles(g, (e for e in range(g.edge_count) if c[e] == RED)).cycles
+    red = complement_cycles(g, (e for e in range(g.edge_count) if c[e] == BLUE))
+    blue = complement_cycles(g, (e for e in range(g.edge_count) if c[e] == RED))
     shared = frozenset(e for e in range(g.edge_count) if c[e] == PURPLE)
     return Formation(red, blue, shared)
 

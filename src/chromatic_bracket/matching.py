@@ -11,7 +11,6 @@ edges all purple.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .coloring import BLUE, PURPLE, RED, EdgeColoring, is_proper
@@ -19,27 +18,6 @@ from .errors import ImproperColoring, NotAMatching, OddCycle, refuse_deep_recurs
 from .graph_core import CubicGraph
 
 PerfectMatching = frozenset[int]
-
-
-@dataclass(frozen=True)
-class ComplementCycles:
-    """Cycles of the graph minus a perfect matching.
-
-    cycles: edge ids in traversal order, one tuple per cycle. Tracing
-    (trace_cycles) starts at the lowest unused non-matched edge and walks it
-    from endpoint 0 to endpoint 1, so the decomposition is deterministic.
-    passages: node -> (arriving half-edge, departing half-edge) on its cycle.
-    """
-
-    cycles: tuple[tuple[int, ...], ...]
-    passages: dict[int, tuple[int, int]]
-
-    @property
-    def lengths(self) -> tuple[int, ...]:
-        return tuple(len(c) for c in self.cycles)
-
-    def all_even(self) -> bool:
-        return all(len(c) % 2 == 0 for c in self.cycles)
 
 
 def validate_matching(g: CubicGraph, edge_ids: Iterable[int]) -> PerfectMatching:
@@ -140,16 +118,16 @@ def _complement_link(g: CubicGraph, m: PerfectMatching) -> list[int]:
     return link
 
 
-def complement_cycles(g: CubicGraph, matching: Iterable[int]) -> ComplementCycles:
-    link = _complement_link(g, validate_matching(g, matching))
-    walks, _ = trace_cycles(link)
-    node = g.half_edge_node
-    return ComplementCycles(tuple([tuple([h >> 1 for h in w]) for w in walks]),
-                            {node(h ^ 1): (h ^ 1, link[h ^ 1]) for w in walks for h in w})
+def complement_cycles(g: CubicGraph, matching: Iterable[int]) -> tuple[tuple[int, ...], ...]:
+    """The cycles of g minus a perfect matching, each its edge ids in walking
+    order (trace_cycles: from the lowest edge not yet walked, leaving it from
+    endpoint 0), so the decomposition is deterministic."""
+    walks, _ = trace_cycles(_complement_link(g, validate_matching(g, matching)))
+    return tuple([tuple([h >> 1 for h in w]) for w in walks])
 
 
 def is_even_matching(g: CubicGraph, matching: Iterable[int]) -> bool:
-    return complement_cycles(g, matching).all_even()
+    return all(len(c) % 2 == 0 for c in complement_cycles(g, matching))
 
 
 def colorings_from_even_matching(g: CubicGraph, matching: Iterable[int]) -> list[EdgeColoring]:
@@ -158,15 +136,15 @@ def colorings_from_even_matching(g: CubicGraph, matching: Iterable[int]) -> list
     Matched edges get purple; each complement cycle alternates red/blue and
     contributes an independent factor of 2, so 2^(#cycles) colorings come back.
     """
-    cc = complement_cycles(g, matching)
-    for cyc in cc.cycles:
+    cycles = complement_cycles(g, matching)
+    for cyc in cycles:
         if len(cyc) % 2:
             raise OddCycle(f"complement cycle of length {len(cyc)}")
     template = [PURPLE] * g.edge_count
     out: list[EdgeColoring] = []
-    for firsts in itertools.product((RED, BLUE), repeat=len(cc.cycles)):
+    for firsts in itertools.product((RED, BLUE), repeat=len(cycles)):
         colors = list(template)
-        for cyc, first in zip(cc.cycles, firsts):
+        for cyc, first in zip(cycles, firsts):
             second = BLUE if first == RED else RED
             for i, e in enumerate(cyc):
                 colors[e] = first if i % 2 == 0 else second

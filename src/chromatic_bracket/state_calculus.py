@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 from .errors import IncompleteState, InvalidArgument, refuse_deep_recursion
 from .graph_core import CubicGraph, bridges_per_component, build_graph
-from .matching import PerfectMatching, complement_cycles, trace_cycles, validate_matching
+from .matching import PerfectMatching, _complement_link, trace_cycles, validate_matching
 
 PARALLEL = "parallel"
 CROSSED = "crossed"
@@ -102,17 +102,17 @@ def _count_loop_colorings(k: int, pairs: Sequence[Pair]) -> int:
 def make_state(g: CubicGraph, matching: Iterable[int], switches: Sequence[str]) -> State:
     """The state of one switch vector (in edge-id order of the sites), with
     site ends oriented along the complement cycles and its loops traced."""
-    cc = complement_cycles(g, matching)  # validates the matching
-    m = frozenset(range(g.edge_count)).difference(*cc.cycles)  # the edges on no cycle
+    m = validate_matching(g, matching)
     ordered = sorted(m)
     if len(switches) != len(ordered):
         raise InvalidArgument(f"need {len(ordered)} switch settings, got {len(switches)}")
     for s in switches:
         if s not in SWITCH_SETTINGS:
             raise InvalidArgument(f"unknown switch setting {s!r}")
-    # passages are (arriving, departing), site ends (departing, arriving)
-    sites = [Site(e, *(cc.passages[n][::-1] for n in g.edges[e]), sw)
-             for e, sw in zip(ordered, switches)]
+    cycle_link = _complement_link(g, m)
+    # a complement walk departs each node along some h and arrives there along cycle_link[h]
+    ends = {g.half_edge_node(h): (h, cycle_link[h]) for w in trace_cycles(cycle_link)[0] for h in w}
+    sites = [Site(e, *(ends[n] for n in g.edges[e]), sw) for e, sw in zip(ordered, switches)]
     site_links = [s.links() for s in sites]
     link = [-1] * (2 * g.edge_count)
     for (a, b), (c, d) in site_links:

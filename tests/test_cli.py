@@ -539,7 +539,8 @@ def test_matchings_reads_cycles_without_revalidating(monkeypatch, capsys):
     assert (code, payload["matching_count"], len(checked)) == (0, 6, 0)
     monkeypatch.undo()
     g = gen.k33()
-    rows = [{"edges": sorted(m), "cycle_lengths": list(cc.lengths), "even": cc.all_even()}
-            for m in cb.enumerate_perfect_matchings(g) for cc in [cb.complement_cycles(g, m)]]
+    rows = [{"edges": sorted(m), "cycle_lengths": [len(c) for c in cycles],
+             "even": all(len(c) % 2 == 0 for c in cycles)}
+            for m in cb.enumerate_perfect_matchings(g) for cycles in [cb.complement_cycles(g, m)]]
     assert payload["matchings"] == rows
     assert payload["even_count"] == sum(row["even"] for row in rows)

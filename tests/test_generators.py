@@ -62,8 +62,8 @@ def test_four_touching_fixture_is_valid():
     g, m = gen.four_touching_fixture()
     assert degrees(g) == [3] * g.node_count
     assert m in set(map(frozenset, cb.enumerate_perfect_matchings(g)))
-    cc = cb.complement_cycles(g, m)
-    assert sorted(len(c) for c in cc.cycles) == [3, 3, 3, 3]
+    cycles = cb.complement_cycles(g, m)
+    assert sorted(len(c) for c in cycles) == [3, 3, 3, 3]
 
 
 def test_plane_fixture_diagrams_match_their_graphs():

@@ -117,12 +117,13 @@ def test_each_matching_is_validated_at_most_once(monkeypatch):
 
 def test_complement_cycles_on_theta():
     g = gen.theta()
-    cc = cb.complement_cycles(g, {0})
-    assert [len(c) for c in cc.cycles] == [2]
-    assert sorted(cc.cycles[0]) == [1, 2]
+    cycles = cb.complement_cycles(g, {0})
+    assert [len(c) for c in cycles] == [2]
+    assert sorted(cycles[0]) == [1, 2]
     # both nodes sit on the single cycle, one arrival and one departure each
-    assert set(cc.passages) == {0, 1}
-    for n, (arrive, depart) in cc.passages.items():
+    (site,) = cb.make_state(g, {0}, [cb.PARALLEL]).sites
+    for n, (depart, arrive) in zip(g.edges[0], (site.ends_u, site.ends_v)):
+        assert depart != arrive
         assert g.half_edge_node(arrive) == n
         assert g.half_edge_node(depart) == n
 
@@ -130,27 +131,33 @@ def test_complement_cycles_on_theta():
 def test_complement_cycles_are_node_disjoint_and_cover():
     g = gen.truncated_tetrahedron()
     for m in cb.enumerate_perfect_matchings(g):
-        cc = cb.complement_cycles(g, m)
-        edges_seen = [e for cyc in cc.cycles for e in cyc]
+        cycles = cb.complement_cycles(g, m)
+        edges_seen = [e for cyc in cycles for e in cyc]
         assert sorted(edges_seen) == sorted(set(range(g.edge_count)) - set(m))
-        assert len(cc.passages) == g.node_count
+        # every node lies on exactly one cycle
+        on = [0] * g.node_count
+        for cyc in cycles:
+            for n in {n for e in cyc for n in g.edges[e]}:
+                on[n] += 1
+        assert on == [1] * g.node_count
 
 
 def test_petersen_complements_are_five_five():
     g = gen.petersen()
     for m in cb.enumerate_perfect_matchings(g):
-        cc = cb.complement_cycles(g, m)
-        assert sorted(len(c) for c in cc.cycles) == [5, 5]
+        cycles = cb.complement_cycles(g, m)
+        assert sorted(len(c) for c in cycles) == [5, 5]
         assert not cb.is_even_matching(g, m)
 
 
 def test_dumbbell_complement_is_two_odd_loops():
     g = gen.dumbbell()
-    cc = cb.complement_cycles(g, {1})
-    assert sorted(len(c) for c in cc.cycles) == [1, 1]
+    cycles = cb.complement_cycles(g, {1})
+    assert sorted(len(c) for c in cycles) == [1, 1]
     # each loop edge leaves from endpoint 0 and arrives back at endpoint 1
-    assert cc.cycles == ((0,), (2,))
-    assert cc.passages == {0: (1, 0), 1: (5, 4)}
+    assert cycles == ((0,), (2,))
+    (site,) = cb.make_state(g, {1}, [cb.PARALLEL]).sites
+    assert (site.ends_u, site.ends_v) == ((0, 1), (4, 5))
     assert not cb.is_even_matching(g, {1})
 
 
@@ -160,9 +167,9 @@ def test_even_matching_expands_to_proper_colorings():
         for m in cb.enumerate_perfect_matchings(g):
             if not cb.is_even_matching(g, m):
                 continue
-            cc = cb.complement_cycles(g, m)
+            cycles = cb.complement_cycles(g, m)
             cs = cb.colorings_from_even_matching(g, m)
-            assert len(cs) == 2 ** len(cc.cycles)
+            assert len(cs) == 2 ** len(cycles)
             assert len(set(cs)) == len(cs)
             for c in cs:
                 assert cb.is_proper(g, c)

@@ -125,6 +125,34 @@ def test_make_state_validates_input():
         make_state(g, {0, 1}, [PARALLEL, PARALLEL])
 
 
+def first_loop_free_random_cubic(n: int) -> cb.CubicGraph:
+    return next(g for g in (gen.random_cubic(n, seed) for seed in itertools.count())
+                if not cb.has_loop(g))
+
+
+def test_site_ends_follow_the_complement_walk():
+    # a complement walk leaves its first edge from endpoint 0 and departs each
+    # node along the half-edge after the one it arrived by; a site end is
+    # (departing, arriving) on that walk, whatever the switches
+    graphs = [gen.truncated_tetrahedron(), gen.k33(), gen.prism(),
+              *(first_loop_free_random_cubic(n) for n in range(4, 14, 2))]
+    for g in graphs:
+        for m in cb.enumerate_perfect_matchings(g):
+            walked = {}  # node -> (departing, arriving)
+            for cyc in cb.complement_cycles(g, m):
+                x, departs = g.edges[cyc[0]][0], []
+                for e in cyc:
+                    departs.append(2 * e if g.edges[e][0] == x else 2 * e + 1)
+                    x = g.half_edge_node(departs[-1] ^ 1)
+                assert x == g.edges[cyc[0]][0]
+                for before, h in zip(departs[-1:] + departs[:-1], departs):
+                    walked[g.half_edge_node(h)] = (h, before ^ 1)
+            for switches in ([PARALLEL] * len(m), [CROSSED] * len(m)):
+                for site in make_state(g, m, switches).sites:
+                    u, v = g.edges[site.edge]
+                    assert (site.ends_u, site.ends_v) == (walked[u], walked[v]), (g, m, site)
+
+
 def test_expansion_matches_brute_force_on_fixtures():
     for name in ("theta", "k4", "prism", "k33", "petersen", "truncated_tetrahedron"):
         g = getattr(gen, name)()
