@@ -1,15 +1,15 @@
 """Proper 3-edge-colorings by exhaustive backtracking.
 
 Ground truth for the whole package: every other counting method is checked
-against these counts. The count searches each component once, tightest edge
-first (fail first): after its first node's three edges, the next edge is
-always the one with the most colored edges at its two ends, so a clash shows
-at the edge that causes it. The two edges at the first node are fixed to R
-and B and the result multiplied by 6: those edges differ in every proper
-coloring, and each color permutation maps the colorings with (R, B) there
-one-to-one onto those with another of the 6 ordered pairs. Listing keeps
-plain BFS order from each component's lowest node, because `formation
---coloring-index k` names a coloring by its place in that order.
+against these counts. The count searches each component once, in the one
+search order (graph_core.tightest_first): after its first node's three
+edges, always the edge with the most colored edges at its two ends, so a
+clash shows at the edge that causes it. The two edges at the first node are
+fixed to R and B and the result multiplied by 6: those edges differ in every
+proper coloring, and each color permutation maps the colorings with (R, B)
+there one-to-one onto those with another of the 6 ordered pairs. Listing
+keeps plain BFS order from each component's lowest node, because
+`formation --coloring-index k` names a coloring by its place in that order.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Iterator, Sequence
 
 from .errors import PartialColoring, refuse_deep_recursion
-from .graph_core import CubicGraph, connected_components, has_loop
+from .graph_core import CubicGraph, connected_components, has_loop, tightest_first
 
 RED, BLUE, PURPLE = 0, 1, 2
 COLORS = (RED, BLUE, PURPLE)
@@ -58,36 +58,6 @@ def _bfs_components(g: CubicGraph) -> list[list[int]]:
             for nodes in connected_components(g)]
 
 
-def _tightest_first(g: CubicGraph) -> list[list[int]]:
-    """Edge ids of each component, tightest first: its first node's three edges
-    in BFS order, then always the unplaced edge with the most placed edges at
-    its two ends (a parallel twin counts at both), ties to the earlier BFS
-    position."""
-    m = g.edge_count
-    key = [0] * m  # m for each placed edge end at its ends, minus its BFS position
-    seen = [False] * m  # on the frontier or placed
-    orders = []
-    for bfs in _bfs_components(g):
-        for i, e in enumerate(bfs):
-            key[e] = -i
-        order: list[int] = []
-        frontier = bfs[:3]
-        for e in frontier:
-            seen[e] = True
-        while frontier:
-            e = frontier[0] if len(order) < 3 else max(frontier, key=key.__getitem__)
-            frontier.remove(e)
-            order.append(e)
-            for x in g.edges[e]:
-                for h in g.incidence[x]:
-                    key[h // 2] += m
-                    if not seen[h // 2]:
-                        seen[h // 2] = True
-                        frontier.append(h // 2)
-        orders.append(order)
-    return orders
-
-
 def count_colorings(g: CubicGraph) -> int:
     """Exact number of proper 3-edge-colorings (one class per component, times 6),
     searched tightest edge first; iter_colorings keeps BFS order."""
@@ -113,8 +83,9 @@ def count_colorings(g: CubicGraph) -> int:
         return total
 
     count = 1
+    node_edges = [[h // 2 for h in hs] for hs in g.incidence]
     with refuse_deep_recursion("brute-force search"):
-        for order in _tightest_first(g):
+        for order in tightest_first(node_edges, _bfs_components(g)):
             ends = [g.edges[e] for e in order]
             for (u, v), bit in zip(ends, (1 << RED, 1 << BLUE)):
                 used[u] |= bit

@@ -138,6 +138,43 @@ def min_fill_order(neighbours: Sequence[Iterable[int]]) -> list[int]:
     return order
 
 
+def tightest_first(groups: Iterable[Sequence[int]],
+                   parts: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The one search order, fail first (Haralick & Elliott 1980): each part
+    keeps its first three items, then takes the unplaced item with the most
+    placed co-members (once per shared group), ties to the earlier position,
+    else the earliest unplaced item. A lazy heap: O((items + groups) log items)."""
+    import heapq  # deferred, as in min_fill_order
+    pos = {x: i for part in parts for i, x in enumerate(part)}  # groups must lie within one part
+    co: dict[int, list[int]] = {}  # per item, the positions of its groups' members
+    for group in groups:
+        ps = [pos[x] for x in group]
+        for x in group:
+            co.setdefault(x, []).extend(ps)
+    orders = []
+    for part in parts:
+        n = len(part)
+        count = [0] * n  # placed co-members; -1 once placed
+        heap = list(range(n))  # position - count * n; stale keys are skipped
+        order: list[int] = []
+        while len(order) < n:
+            i = len(order)
+            if i >= 3:
+                key = heapq.heappop(heap)
+                i = key % n
+                if key // n != -count[i]:
+                    continue
+            count[i] = -1
+            order.append(part[i])
+            for j in co.get(part[i], ()):
+                c = count[j] + 1
+                if c > 0:
+                    count[j] = c
+                    heapq.heappush(heap, j - c * n)
+        orders.append(order)
+    return orders
+
+
 def connected_components(g: CubicGraph) -> list[list[NodeId]]:
     """The nodes of each component, in BFS order from its lowest node."""
     neighbours: list[list[NodeId]] = [[] for _ in range(g.node_count)]

@@ -33,7 +33,7 @@ from .errors import (
     RecursionBudgetExceeded,
     refuse_deep_recursion,
 )
-from .graph_core import CubicGraph, components, min_fill_order
+from .graph_core import CubicGraph, components, min_fill_order, tightest_first
 
 
 class NodeWeight(NamedTuple):
@@ -142,9 +142,9 @@ def _strand_sum(nodes: Sequence[tuple[int, ...]], adj: list[dict[int, tuple[int,
     a color]. Closed strands (on no node) with at most two pair neighbours
     are summed out first. The rest fall into components, strands joined by a
     node or a pair factor, and the total is the product of their sums. Each
-    is backtracked with its nodes in BFS order and its closed strands last,
-    refusing a color a node already holds; its node i-powers must leave a
-    real sign.
+    is backtracked in tightest_first order over the node triples, closed
+    strands last, refusing a color a node already holds; its node i-powers
+    must leave a real sign.
 
     A circled factor (-1, 2) is the sign (-1)^[colors differ]: each position
     keeps a bitmask of its earlier circled partners, each color a bitmask of
@@ -183,12 +183,13 @@ def _strand_sum(nodes: Sequence[tuple[int, ...]], adj: list[dict[int, tuple[int,
         raise RecursionBudgetExceeded("closed strand core too large to sum")
 
     # blocks: the strands of each node component in BFS order, then each core
-    # strand; pair factors join blocks into components, kept in block order
+    # strand; pair factors join blocks into components, then tightest first
     blocks = [list(dict.fromkeys(s for n in part for s in nodes[n]))
               for part in components(node_nbrs)] + [[s] for s in core]
     block_of = {s: b for b, block in enumerate(blocks) for s in block}
     parts = [[s for b in sorted(part) for s in blocks[b]] for part in
              components([[block_of[w] for s in block for w in adj[s]] for block in blocks])]
+    parts = tightest_first(nodes, parts)
     order = [s for part in parts for s in part]
     starts = list(itertools.accumulate(map(len, parts), initial=0))
     fixed = {lo for lo in starts[:-1] if at[order[lo]]}  # the component holds a node

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 import chromatic_bracket as cb
 from chromatic_bracket import generators as gen
 from chromatic_bracket.errors import PartialColoring, RecursionBudgetExceeded
+from chromatic_bracket.graph_core import has_loop
 from chromatic_bracket.matching import even_matching_sum
 
 # frozen reference counts, checked against an independent brute-force pass
@@ -173,6 +174,14 @@ def test_deep_search_fails_typed_and_is_skipped_after_a_zero_component():
         next(cb.iter_colorings(deep))
     # a component without colorings ends the count before the deep one
     assert cb.count_colorings(disjoint_union(gen.petersen(), deep)) == 0
+
+
+def test_search_order_on_a_large_graph_is_built_before_the_typed_refusal():
+    # 15000 edges: the order is built for the whole component, then the
+    # search refuses the depth; no timing is asserted
+    g = next(g for g in map(gen.random_cubic, [10000] * 10, range(10)) if not has_loop(g))
+    with pytest.raises(RecursionBudgetExceeded):
+        cb.count_colorings(g)
 
 
 # the lists iter_colorings gave before the count used the color symmetry

@@ -2,7 +2,8 @@
 read from the incidence and loops from the component labels. Orienting sites
 along complement cycles and tracing loops serve make_state only; a call to
 either from logical_expansion_count, directly or through a helper of
-state_calculus, fails here."""
+state_calculus, fails here. Every name in TRACERS must still be defined in
+the package, so a renamed tracer cannot leave the guard checking nothing."""
 
 from __future__ import annotations
 
@@ -11,7 +12,8 @@ from pathlib import Path
 
 import chromatic_bracket as cb
 
-TRACERS = {"complement_cycles", "_site_ends", "_trace_loops", "trace_cycles"}
+TRACERS = {"complement_cycles", "_complement_link", "trace_cycles"}
+PACKAGE = Path(cb.__file__).parent
 
 
 def called_names(fn: ast.AST) -> set[str]:
@@ -20,7 +22,7 @@ def called_names(fn: ast.AST) -> set[str]:
 
 
 def test_expansion_calls_no_tracer():
-    path = Path(cb.__file__).parent / "state_calculus.py"
+    path = PACKAGE / "state_calculus.py"
     tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
     fns = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
     reached, todo = set(), ["logical_expansion_count"]
@@ -32,3 +34,10 @@ def test_expansion_calls_no_tracer():
         todo += [n for n in called_names(fns[name]) if n in fns]
     found = sorted(n for f in reached for n in called_names(fns[f]) & TRACERS)
     assert not found, f"logical_expansion_count reaches {found}"
+
+
+def test_every_tracer_is_defined():
+    defined = {f.name for path in PACKAGE.glob("*.py")
+               for f in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+               if isinstance(f, ast.FunctionDef)}
+    assert TRACERS <= defined, f"not defined in the package: {sorted(TRACERS - defined)}"

@@ -9,8 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 import chromatic_bracket as cb
 from chromatic_bracket import generators as gen
+from chromatic_bracket.coloring import _bfs_components
 from chromatic_bracket.errors import DegreeViolation, EmptyGraph, ParseError
-from chromatic_bracket.graph_core import min_fill_order
+from chromatic_bracket.graph_core import min_fill_order, tightest_first
 
 
 def test_build_graph_theta():
@@ -209,3 +210,63 @@ def test_min_fill_order_breaks_ties_by_degree_then_vertex():
     cycle = [[1, 3], [0, 2], [1, 3], [2, 0]]
     assert min_fill_order(cycle) == [0, 1, 2, 3]
     assert min_fill_order([list(reversed(ns)) for ns in cycle]) == [0, 1, 2, 3]
+
+
+@st.composite
+def grouped_parts(draw) -> tuple[list[list[int]], list[list[int]]]:
+    """Items 0..n-1 shuffled into parts, and groups of distinct items, each
+    within one part (repeated and single-item groups included)."""
+    items = draw(st.permutations(range(draw(st.integers(0, 14)))))
+    cuts = sorted(draw(st.lists(st.integers(0, len(items)), max_size=3)))
+    parts = [list(items[a:b]) for a, b in zip([0, *cuts], [*cuts, len(items)])]
+    groups = [draw(st.lists(st.sampled_from(part), min_size=1, max_size=4, unique=True))
+              for part in parts if part for _ in range(draw(st.integers(0, 6)))]
+    return groups, parts
+
+
+def greedy_tightest(groups: list[list[int]], parts: list[list[int]]) -> list[list[int]]:
+    """The same rule, every unplaced item recounted at every step."""
+    orders = []
+    for part in parts:
+        order = list(part[:3])
+        rest = list(part[3:])
+        while rest:
+            def key(x):
+                return sum(len(set(g) & set(order)) for g in groups if x in g), -part.index(x)
+            x = max(rest, key=key)
+            rest.remove(x)
+            order.append(x)
+        orders.append(order)
+    return orders
+
+
+@settings(max_examples=200, deadline=None)
+@given(grouped_parts())
+def test_tightest_first_is_the_greedy_permutation(case):
+    groups, parts = case
+    orders = tightest_first(groups, parts)
+    assert [sorted(o) for o in orders] == [sorted(p) for p in parts]
+    assert [o[:3] for o in orders] == [p[:3] for p in parts]
+    assert orders == greedy_tightest(groups, parts)
+
+
+def test_tightest_first_counts_per_shared_group_and_breaks_ties_by_position():
+    # 4 shares two groups with 0, 3 one group with 1
+    assert tightest_first([[0, 4], [0, 4], [1, 3]], [[0, 1, 2, 3, 4]]) == [[0, 1, 2, 4, 3]]
+    # 9 and 8 both share one group with 5: 9 sits earlier in the part
+    assert tightest_first([[5, 8], [5, 9]], [[5, 6, 7, 9, 8]]) == [[5, 6, 7, 9, 8]]
+    assert tightest_first([[5, 8], [5, 9]], [[5, 6, 7, 8, 9]]) == [[5, 6, 7, 8, 9]]
+
+
+def test_tightest_first_falls_back_to_the_earliest_unplaced_item():
+    assert tightest_first([[2, 5]], [[0, 1, 2, 3, 4, 5]]) == [[0, 1, 2, 5, 3, 4]]
+    assert tightest_first([], [[4, 3, 2, 1, 0], [], [7, 6]]) == [[4, 3, 2, 1, 0], [], [7, 6]]
+
+
+def test_tightest_first_is_pinned_on_petersen_and_isaacs_j5():
+    # the brute-force edge orders from before the helper moved to graph_core
+    def order(g):
+        return tightest_first([[h // 2 for h in hs] for hs in g.incidence], _bfs_components(g))
+    assert order(gen.petersen()) == [[0, 4, 5, 1, 6, 3, 9, 2, 7, 10, 12, 14, 13, 11, 8]]
+    assert order(gen.isaacs_j(5)) == [[0, 4, 5, 1, 6, 3, 9, 2, 7, 8, 10, 15, 11, 16, 20, 29,
+                                       19, 14, 24, 25, 21, 12, 17, 26, 23, 22, 13, 18, 28, 27]]
