@@ -351,7 +351,7 @@ def diagram_from_json_dict(data: object) -> Diagram:
         ):
             raise ParseError(f"bad crossing entry {entry!r}")
         kinds[entry["id"]] = entry["kind"]
-    if sorted(kinds) != list(range(len(kinds))):
+    if sorted(kinds) != list(range(len(data["crossings"]))):  # a repeated id shortens kinds
         raise ParseError("crossing ids must be dense from 0")
     free_loops = data.get("free_loops", 0)
     if type(free_loops) is not int or free_loops < 0:

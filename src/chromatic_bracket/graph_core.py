@@ -187,62 +187,48 @@ def connected_components(g: CubicGraph) -> list[list[NodeId]]:
 def bridges(g: CubicGraph) -> frozenset[EdgeId]:
     """Edge ids whose removal disconnects the graph.
 
-    Parallel edges are never bridges because the DFS only refuses to reuse
-    the specific edge instance it arrived by, and a loop cannot be a bridge.
     Raises Disconnected when the graph has more than one component; callers
-    holding a disconnected graph should work per component.
+    holding a disconnected graph should use bridges_per_component.
     """
     if not is_connected(g):
         raise Disconnected("bridge finding requires a connected graph")
-    return _bridges_connected(g, 0)
-
-
-def _bridges_connected(g: CubicGraph, root: NodeId) -> frozenset[EdgeId]:
-    pre: dict[NodeId, int] = {}
-    low: dict[NodeId, int] = {}
-    out: set[EdgeId] = set()
-    counter = 0
-
-    # Iterative DFS: stack entries are (node, arrival edge id, iterator index,
-    # arrival-edge copies skipped). The skip flag consumes the arrival edge
-    # exactly once while keeping its id available for bridge reporting; a
-    # parallel twin has a different id and is still walked as a back edge.
-    stack: list[list[int]] = [[root, -1, 0, 0]]
-    pre[root] = low[root] = counter
-    counter += 1
-    while stack:
-        frame = stack[-1]
-        n, arrived_by, i, skipped = frame
-        if i < len(g.incidence[n]):
-            frame[2] += 1
-            h = g.incidence[n][i]
-            e = h // 2
-            if e == arrived_by and not skipped:
-                frame[3] = 1
-                continue
-            m = g.half_edge_node(g.other_end(h))
-            if m in pre:
-                low[n] = min(low[n], pre[m])
-            else:
-                pre[m] = low[m] = counter
-                counter += 1
-                stack.append([m, e, 0, 0])
-        else:
-            stack.pop()
-            if stack:
-                parent = stack[-1][0]
-                low[parent] = min(low[parent], low[n])
-                if low[n] > pre[parent]:
-                    out.add(arrived_by)
-    return frozenset(out)
+    return bridges_per_component(g)
 
 
 def bridges_per_component(g: CubicGraph) -> frozenset[EdgeId]:
-    """Bridge set of a possibly disconnected graph."""
-    out: set[EdgeId] = set()
+    """Edge ids whose removal splits a component: the tree edges of the
+    forest of the one BFS (a node's parent is the first node to see it) that
+    no other edge closes a cycle over. A parallel twin closes one over its
+    partner, a loop closes none. Each other edge climbs its tree path, and a
+    union-find jump table skips edges already covered, so each is climbed once."""
+    parent = list(range(g.node_count))
+    via = [-1] * g.node_count  # the tree edge to the parent
+    depth = [-1] * g.node_count
     for block in connected_components(g):
-        out |= _bridges_connected(g, block[0])
-    return frozenset(out)
+        depth[block[0]] = 0
+        for v in block:
+            for h in g.incidence[v]:
+                w = g.half_edge_node(h ^ 1)
+                if depth[w] < 0:
+                    parent[w], via[w], depth[w] = v, h // 2, depth[v] + 1
+    jump = list(range(g.node_count))  # towards the lowest ancestor whose tree edge is uncovered
+
+    def find(x: NodeId) -> NodeId:
+        while jump[x] != x:
+            jump[x] = jump[jump[x]]
+            x = jump[x]
+        return x
+
+    for e, (u, v) in enumerate(g.edges):
+        if via[u] == e or via[v] == e:
+            continue
+        u, v = find(u), find(v)
+        while u != v:  # the deeper end lies below the two ends' common ancestor
+            if depth[u] < depth[v]:
+                u, v = v, u
+            jump[u] = parent[u]
+            u = find(u)
+    return frozenset(via[x] for x in range(g.node_count) if jump[x] == x and via[x] >= 0)
 
 
 def graph_to_json_dict(g: CubicGraph) -> dict:

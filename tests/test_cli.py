@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import re
+import shlex
 import sys
 from pathlib import Path
 
@@ -10,7 +12,7 @@ import pytest
 
 import chromatic_bracket as cb
 from chromatic_bracket import generators as gen
-from chromatic_bracket.cli import main
+from chromatic_bracket.cli import console_main, main
 
 
 def run(capsys, *argv: str) -> tuple[int, dict | None, str]:
@@ -131,6 +133,16 @@ def test_bad_json_file_fails_cleanly(tmp_path: Path, capsys):
     code, _, err = run(capsys, "count", str(path))
     assert code == 1
     assert "error" in err
+
+
+def test_repeated_crossing_id_in_a_diagram_file_fails_cleanly(tmp_path: Path, capsys):
+    data = cb.diagram_to_json_dict(gen.k33_diagram())
+    data["crossings"].append({**data["crossings"][0], "kind": "plain"})
+    path = tmp_path / "k33_twice.json"
+    path.write_text(json.dumps(data))
+    code, payload, err = run(capsys, "count", str(path), "--method", "penrose", "--extended")
+    assert (code, payload) == (1, None)
+    assert err.startswith("error:") and "crossing ids" in err
 
 
 def test_crosscheck_agreement(capsys):
@@ -544,3 +556,34 @@ def test_matchings_reads_cycles_without_revalidating(monkeypatch, capsys):
             for m in cb.enumerate_perfect_matchings(g) for cycles in [cb.complement_cycles(g, m)]]
     assert payload["matchings"] == rows
     assert payload["even_count"] == sum(row["even"] for row in rows)
+
+
+def test_readme_command_examples_give_their_answers(capsys):
+    # the sh block under "## Command line" in README.md
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## Command line\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    checked = []
+    for line in block.splitlines():
+        command, _, comment = line.partition("#")
+        argv = [*shlex.split(command)[1:], "--json-only"]
+        count = re.search(r"-?\d+$", comment)
+        if argv[0] == "count" and count:
+            code, payload, _ = run(capsys, *argv)
+            assert (code, payload["count"]) == (0, int(count[0])), line
+        elif argv[0] == "matchings":
+            code, payload, _ = run(capsys, *argv)
+            summary = f"{payload['matching_count']} matchings, {payload['even_count']} even"
+            assert (code, summary) == (0, comment.strip()), line
+        else:
+            continue
+        checked.append(argv[0])
+    assert checked == ["count"] * 5 + ["matchings"]
+
+
+@pytest.mark.parametrize("name, code, count", [("k33", 0, 12), ("moebius", 1, None)])
+def test_console_main_exits_with_mains_code(monkeypatch, capsys, name, code, count):
+    monkeypatch.setattr(sys, "argv", ["chromatic-bracket", "count", name, "--json-only"])
+    with pytest.raises(SystemExit) as exc:
+        console_main()
+    out = capsys.readouterr().out
+    assert (exc.value.code, json.loads(out)["count"] if out else None) == (code, count)

@@ -243,6 +243,20 @@ def test_diagram_json_rejects_bools_as_ints():
             cb.diagram_from_json_dict(data)
 
 
+def _k33_with_a_repeated_crossing() -> dict:
+    """k33's diagram JSON with its one crossing listed again, as plain."""
+    data = cb.diagram_to_json_dict(gen.k33_diagram())
+    data["crossings"].append({**data["crossings"][0], "kind": PLAIN})
+    return data
+
+
+def test_diagram_json_rejects_a_repeated_crossing_id():
+    # a dict keyed by id would keep the last entry's kind, and the extended
+    # bracket would read 0 in place of 12
+    with pytest.raises(ParseError, match="crossing ids"):
+        cb.diagram_from_json_dict(_k33_with_a_repeated_crossing())
+
+
 def test_free_loops_survive_json():
     base = gen.theta_diagram()
     d = cb.build_diagram(base.node_count, (), base.arcs, free_loops=3)

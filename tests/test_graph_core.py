@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 import chromatic_bracket as cb
 from chromatic_bracket import generators as gen
 from chromatic_bracket.coloring import _bfs_components
-from chromatic_bracket.errors import DegreeViolation, EmptyGraph, ParseError
-from chromatic_bracket.graph_core import min_fill_order, tightest_first
+from chromatic_bracket.errors import DegreeViolation, Disconnected, EmptyGraph, ParseError
+from chromatic_bracket.graph_core import components, min_fill_order, tightest_first
 
 
 def test_build_graph_theta():
@@ -86,6 +86,62 @@ def test_double_dumbbell_bridges_are_all_non_loop_edges():
     non_loops = frozenset(e for e, (u, v) in enumerate(g.edges) if u != v)
     assert cb.bridges(g) == non_loops
     assert len(non_loops) == 5
+
+
+def bridges_by_definition(g: cb.CubicGraph) -> frozenset[int]:
+    """The non-loop edges whose endpoints fall into different components once
+    that edge is removed."""
+    out = set()
+    for e, (u, v) in enumerate(g.edges):
+        neighbours: list[list[int]] = [[] for _ in range(g.node_count)]
+        for f, (a, b) in enumerate(g.edges):
+            if f != e:
+                neighbours[a].append(b)
+                neighbours[b].append(a)
+        if u != v and not any(u in part and v in part for part in components(neighbours)):
+            out.add(e)
+    return frozenset(out)
+
+
+def open_ladder(rungs: int) -> cb.CubicGraph:
+    """A ladder whose end rungs are doubled, rungs listed before rails: a BFS
+    tree from node 0 runs down both rails, so each later rung's tree path
+    climbs back to the first rung."""
+    ends = [(0, 1), (2 * rungs - 2, 2 * rungs - 1)]
+    rails = [(2 * i + s, 2 * i + 2 + s) for i in range(rungs - 1) for s in (0, 1)]
+    return cb.build_graph(2 * rungs, [(2 * i, 2 * i + 1) for i in range(rungs)] + ends + rails)
+
+
+cubic_draws = st.builds(gen.random_cubic, st.integers(1, 12).map(lambda k: 2 * k), st.integers(0, 10**6))
+
+
+@settings(deadline=None)
+@given(cubic_draws)
+def test_bridges_are_the_edges_whose_removal_splits_a_component(g):
+    # random_cubic keeps its loops and parallel twins
+    want = bridges_by_definition(g)
+    assert cb.bridges_per_component(g) == want
+    if cb.is_connected(g):
+        assert cb.bridges(g) == want
+    else:
+        with pytest.raises(Disconnected):
+            cb.bridges(g)
+
+
+@settings(deadline=None)
+@given(cubic_draws, cubic_draws)
+def test_bridges_per_component_on_disjoint_unions(a, b):
+    shifted = [(u + a.node_count, v + a.node_count) for u, v in b.edges]
+    g = cb.build_graph(a.node_count + b.node_count, list(a.edges) + shifted)
+    assert cb.bridges_per_component(g) == bridges_by_definition(g)
+    with pytest.raises(Disconnected):
+        cb.bridges(g)
+
+
+def test_an_open_ladder_has_no_bridges():
+    assert bridges_by_definition(open_ladder(6)) == frozenset()
+    g = open_ladder(8000)
+    assert cb.bridges_per_component(g) == cb.bridges(g) == frozenset()
 
 
 def test_graph_json_round_trip_bit_exact():
