@@ -73,7 +73,6 @@ from .matching import (
     validate_matching,
 )
 from .penrose import (
-    NodeWeight,
     contract_extended,
     contract_plain,
     crossing_weight,
@@ -125,7 +124,7 @@ __all__ = [
     "Site", "State", "PARALLEL", "CROSSED", "make_state",
     "count_state_colorings", "logical_expansion_count", "squeeze", "state_has_isthmus",
     # bracket
-    "NodeWeight", "node_weight", "crossing_weight",
+    "node_weight", "crossing_weight",
     "contract_plain", "contract_extended", "per_coloring_weight",
     "skein_evaluate", "expand_circled", "insert_twist", "encircle_arc",
 ]

@@ -14,9 +14,10 @@ keeps plain BFS order from each component's lowest node, because
 
 from __future__ import annotations
 
+import sys
 from typing import Iterator, Sequence
 
-from .errors import PartialColoring, refuse_deep_recursion
+from .errors import PartialColoring, RecursionBudgetExceeded, refuse_deep_recursion
 from .graph_core import CubicGraph, connected_components, has_loop, tightest_first
 
 RED, BLUE, PURPLE = 0, 1, 2
@@ -60,7 +61,8 @@ def _bfs_components(g: CubicGraph) -> list[list[int]]:
 
 def count_colorings(g: CubicGraph) -> int:
     """Exact number of proper 3-edge-colorings (one class per component, times 6),
-    searched tightest edge first; iter_colorings keeps BFS order."""
+    searched tightest edge first; iter_colorings keeps BFS order. A component
+    with as many edges as the recursion limit is refused before its order is built."""
     if has_loop(g):
         return 0
     used = [0] * g.node_count
@@ -83,9 +85,12 @@ def count_colorings(g: CubicGraph) -> int:
         return total
 
     count = 1
-    node_edges = [[h // 2 for h in hs] for hs in g.incidence]
     with refuse_deep_recursion("brute-force search"):
-        for order in tightest_first(node_edges, _bfs_components(g)):
+        for nodes in connected_components(g):
+            if 3 * len(nodes) // 2 >= sys.getrecursionlimit():  # one frame per edge
+                raise RecursionBudgetExceeded("brute-force search is too deep for the Python stack")
+            groups = [[h // 2 for h in g.incidence[n]] for n in nodes]
+            [order] = tightest_first(groups, [list(dict.fromkeys(e for es in groups for e in es))])
             ends = [g.edges[e] for e in order]
             for (u, v), bit in zip(ends, (1 << RED, 1 << BLUE)):
                 used[u] |= bit

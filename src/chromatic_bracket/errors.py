@@ -60,11 +60,8 @@ class NotPlane(ChromaticBracketError):
 
 
 class NonIntegerResult(ChromaticBracketError):
-    """A bracket sum came out with a dangling imaginary factor.
-
-    This cannot happen when the node-weight conventions are consistent; it is
-    kept as a loud guard against convention bugs.
-    """
+    """penrose.coloring_weight got an odd number of node triples: each node
+    weighs i times a sign, so their product keeps a factor i."""
 
 
 class NotCircled(ChromaticBracketError):

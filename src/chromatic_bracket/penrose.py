@@ -1,16 +1,18 @@
 """Bracket evaluation of diagrams: direct tensor contraction and skein rewriting.
 
-Nodes carry the epsilon weight +i or -i depending on whether their clockwise
-colors read as a rotation of (R, B, P) or of (R, P, B). Circled crossings
-weigh +1 when their two strand colors agree and -1 otherwise; dotted
-crossings demand agreement; plain crossings weigh 1 and are invisible to the
-algebra. All arithmetic is exact: signs and i-exponents, never floats.
+A node weighs i times the epsilon sign of its clockwise colors: +1 on a
+rotation of (R, B, P), -1 on one of (R, P, B). Every node set summed here
+has an even count n (each component is cubic), so a node product is the
+integer (-1)^(n/2) times the product of the signs. Circled crossings weigh
++1 when their two strand colors agree and -1 otherwise; dotted crossings
+demand agreement; plain crossings weigh 1 and are invisible to the algebra.
+All arithmetic is exact: integer signs, never floats.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .coloring import BLUE, PURPLE, RED, is_proper
 from .diagram import (
@@ -36,21 +38,15 @@ from .errors import (
 from .graph_core import CubicGraph, components, min_fill_order, tightest_first
 
 
-class NodeWeight(NamedTuple):
-    """Epsilon weight of one node: zero flag plus the power of i (mod 4)."""
-
-    zero: bool
-    i_power: int
+# epsilon sign of each proper node coloring: +1 on the rotations of (R, B, P), -1 on those of (R, P, B)
+_EPSILON = {t: 1 if t in ((RED, BLUE, PURPLE), (BLUE, PURPLE, RED), (PURPLE, RED, BLUE)) else -1
+            for t in itertools.permutations((RED, BLUE, PURPLE))}
 
 
-# i-power of each proper node coloring: 1 on the rotations of (R, B, P), 3 on those of (R, P, B)
-_NODE_I_POWER = {t: 1 if t in ((RED, BLUE, PURPLE), (BLUE, PURPLE, RED), (PURPLE, RED, BLUE)) else 3
-                 for t in itertools.permutations((RED, BLUE, PURPLE))}
-
-
-def node_weight(cw_colors: Sequence[int]) -> NodeWeight:
-    i_power = _NODE_I_POWER.get(tuple(cw_colors))
-    return NodeWeight(True, 0) if i_power is None else NodeWeight(False, i_power)
+def node_weight(cw_colors: Sequence[int]) -> int:
+    """The epsilon sign of a node's clockwise colors, 0 when a color repeats;
+    the node weighs i times this sign."""
+    return _EPSILON.get(tuple(cw_colors), 0)
 
 
 # Each crossing weighs a + b*[its two strand colors agree].
@@ -62,12 +58,6 @@ def crossing_weight(kind: str, color_a: int, color_b: int) -> int:
         raise InvalidArgument(f"unknown crossing kind {kind!r}")
     a, b = _PAIR_FACTOR[kind]
     return a + b if color_a == color_b else a
-
-
-def _sign_of_i_power(exp: int, context: str) -> int:
-    if exp % 2:
-        raise NonIntegerResult(f"odd i-power in {context}; node convention broken")
-    return 1 if exp % 4 == 0 else -1
 
 
 def weight_tables(d: Diagram, include_crossings: bool) -> tuple[CubicGraph, list, list]:
@@ -85,10 +75,14 @@ def coloring_weight(
 ) -> int:
     """Weight of one proper coloring: node weights times crossing weights.
 
-    The node i-powers are summed first and must leave a real sign.
+    The n node weights i*epsilon multiply to (-1)^(n/2) times the epsilon
+    signs; an odd n would leave a factor i and raises NonIntegerResult.
     """
-    exp = sum(_NODE_I_POWER[c[a], c[b], c[e]] for a, b, e in nodes)
-    term = _sign_of_i_power(exp, "node-weight product")
+    if len(nodes) % 2:
+        raise NonIntegerResult(f"{len(nodes)} nodes: an odd node count leaves a factor i")
+    term = -1 if len(nodes) % 4 else 1
+    for a, b, e in nodes:
+        term *= _EPSILON[c[a], c[b], c[e]]
     for ea, eb, a, b in crossings:
         term *= a + b if c[ea] == c[eb] else a
         if term == 0:
@@ -143,8 +137,9 @@ def _strand_sum(nodes: Sequence[tuple[int, ...]], adj: list[dict[int, tuple[int,
     are summed out first. The rest fall into components, strands joined by a
     node or a pair factor, and the total is the product of their sums. Each
     is backtracked in tightest_first order over the node triples, closed
-    strands last, refusing a color a node already holds; its node i-powers
-    must leave a real sign.
+    strands last, refusing a color a node already holds and multiplying in
+    each node's epsilon sign once its strands are colored. The i^n = (-1)^(n/2)
+    of the n node weights is applied once; every component's n is even.
 
     A circled factor (-1, 2) is the sign (-1)^[colors differ]: each position
     keeps a bitmask of its earlier circled partners, each color a bitmask of
@@ -152,12 +147,12 @@ def _strand_sum(nodes: Sequence[tuple[int, ...]], adj: list[dict[int, tuple[int,
     outside that color. Other factors are multiplied in one by one. In a
     component with a node, the first node's first two strands are fixed to
     (R, B) and its sum taken 6 times: pair factors read only agreement, and
-    an odd color permutation turns each node's i into -i, which conjugates
-    the real node product and so leaves it unchanged.
+    an odd color permutation flips every epsilon, which an even node count
+    leaves unchanged in the product.
     """
     if not adj:
         return 1
-    k, mult = len(adj), 1
+    k, mult = len(adj), -1 if len(nodes) % 4 else 1
     at, node_nbrs = _node_adjacency(k, nodes)
     todo = [s for s in range(k) if not at[s]]
     gone: set[int] = set()
@@ -211,10 +206,10 @@ def _strand_sum(nodes: Sequence[tuple[int, ...]], adj: list[dict[int, tuple[int,
     by_color = [0, 0, 0]
     held = [0] * (len(nodes) + 2 * len(core))
 
-    def rec(d: int, term: int, exp: int) -> None:
+    def rec(d: int, term: int) -> None:
         nonlocal total
         if d == stop:
-            total += term * _sign_of_i_power(exp, "node-weight product")
+            total += term
             return
         u, v = ends[d]
         taken = held[u] | held[v]
@@ -224,7 +219,7 @@ def _strand_sum(nodes: Sequence[tuple[int, ...]], adj: list[dict[int, tuple[int,
             if taken & bit:
                 continue
             colors[d] = c
-            t, e = term, exp
+            t = term
             for p, a, b in links[d]:
                 t *= a + b if colors[p] == c else a
             if not t:
@@ -232,18 +227,18 @@ def _strand_sum(nodes: Sequence[tuple[int, ...]], adj: list[dict[int, tuple[int,
             if (signs[d] & ~by_color[c]).bit_count() & 1:
                 t = -t
             for x, y, z in done[d]:
-                e += _NODE_I_POWER[colors[x], colors[y], colors[z]]
+                t *= _EPSILON[colors[x], colors[y], colors[z]]
             held[u] |= bit
             held[v] |= bit
             by_color[c] |= me
-            rec(d + 1, t, e)
+            rec(d + 1, t)
             held[u] ^= bit
             held[v] ^= bit
             by_color[c] ^= me
 
     for lo, stop in zip(starts, starts[1:]):
         total = 0
-        rec(lo, 1, 0)
+        rec(lo, 1)
         mult *= total * (6 if lo in fixed else 1)
     return mult
 

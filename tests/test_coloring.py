@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import chromatic_bracket as cb
-from chromatic_bracket import generators as gen
+from chromatic_bracket import coloring, generators as gen
 from chromatic_bracket.errors import PartialColoring, RecursionBudgetExceeded
-from chromatic_bracket.graph_core import has_loop
+from chromatic_bracket.graph_core import has_loop, tightest_first
 from chromatic_bracket.matching import even_matching_sum
 
 # frozen reference counts, checked against an independent brute-force pass
@@ -176,12 +176,16 @@ def test_deep_search_fails_typed_and_is_skipped_after_a_zero_component():
     assert cb.count_colorings(disjoint_union(gen.petersen(), deep)) == 0
 
 
-def test_search_order_on_a_large_graph_is_built_before_the_typed_refusal():
-    # 15000 edges: the order is built for the whole component, then the
-    # search refuses the depth; no timing is asserted
+def test_a_component_too_deep_to_search_is_refused_before_its_order_is_built(monkeypatch):
+    # one frame per edge: 1200 and 15000 edges pass the recursion limit, so
+    # the count refuses them without building the search order first
+    built = []
+    monkeypatch.setattr(coloring, "tightest_first", lambda *args: built.append(args) or tightest_first(*args))
     g = next(g for g in map(gen.random_cubic, [10000] * 10, range(10)) if not has_loop(g))
-    with pytest.raises(RecursionBudgetExceeded):
-        cb.count_colorings(g)
+    for deep in (prism_ladder(400), g):
+        with pytest.raises(RecursionBudgetExceeded):
+            cb.count_colorings(deep)
+    assert built == []
 
 
 # the lists iter_colorings gave before the count used the color symmetry

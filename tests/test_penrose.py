@@ -16,10 +16,12 @@ from chromatic_bracket.diagram import trace_strand
 from chromatic_bracket.errors import (
     ImproperColoring,
     IndexOutOfRange,
+    NonIntegerResult,
     NotCircled,
     RecursionBudgetExceeded,
     StrandClosesWithoutNode,
 )
+from chromatic_bracket.graph_core import components
 
 N = lambda o, s: Port("n", o, s)
 X = lambda o, s: Port("x", o, s)
@@ -43,13 +45,20 @@ def test_node_weight_permutation_table():
     plus = [(RED, BLUE, PURPLE), (BLUE, PURPLE, RED), (PURPLE, RED, BLUE)]
     minus = [(RED, PURPLE, BLUE), (PURPLE, BLUE, RED), (BLUE, RED, PURPLE)]
     for colors in plus:
-        w = cb.node_weight(colors)
-        assert (w.zero, w.i_power) == (False, 1)
+        assert cb.node_weight(colors) == 1
     for colors in minus:
-        w = cb.node_weight(colors)
-        assert (w.zero, w.i_power) == (False, 3)
+        assert cb.node_weight(colors) == -1
     for colors in [(RED, RED, BLUE), (BLUE, BLUE, BLUE), (RED, BLUE, BLUE)]:
-        assert cb.node_weight(colors).zero
+        assert cb.node_weight(colors) == 0
+
+
+def test_an_odd_node_count_has_no_integer_weight():
+    # one node weighs +-i, so coloring_weight refuses an odd number of triples
+    with pytest.raises(NonIntegerResult):
+        penrose.coloring_weight((RED, BLUE, PURPLE), [(0, 1, 2)])
+    with pytest.raises(NonIntegerResult):
+        penrose.coloring_weight((RED, BLUE, PURPLE), [(0, 1, 2)] * 3)
+    assert penrose.coloring_weight((RED, BLUE, PURPLE), [(0, 1, 2), (0, 2, 1)]) == 1  # i * -i
 
 
 def test_crossing_weight_table():
@@ -382,23 +391,52 @@ def test_skein_value_does_not_depend_on_the_node_order(case):
     assert got == cb.skein_evaluate(d) == cb.contract_extended(d)
 
 
+@st.composite
+def surgered_diagrams(draw) -> cb.Diagram:
+    """A diagram from ranked_diagrams with up to two more arcs encircled or twisted."""
+    d, _ = draw(ranked_diagrams())
+    for _ in range(draw(st.integers(0, 2))):
+        surgery = draw(st.sampled_from((cb.encircle_arc, cb.insert_twist)))
+        d = surgery(d, draw(st.integers(0, len(d.arcs) - 1)))
+    return d
+
+
+@settings(max_examples=60, deadline=None)
+@given(surgered_diagrams())
+def test_every_summed_node_component_has_an_even_node_count(d):
+    # the parity argument behind the integer node product: contraction and
+    # every skein leaf sum node sets whose components are cubic, so even
+    sizes = []
+    strand_sum = penrose._strand_sum
+
+    def recording(nodes, adj):
+        sizes.extend(map(len, components(penrose._node_adjacency(len(adj), nodes)[1])))
+        return strand_sum(nodes, adj)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(penrose, "_strand_sum", recording)
+        assert cb.skein_evaluate(d) == cb.contract_extended(d)
+    assert all(n % 2 == 0 for n in sizes)
+
+
 def test_components_are_summed_apart(monkeypatch):
-    # one search over all components visits the product of their leaves,
-    # about 10x more per prism; summed apart, their leaves add up
-    leaves = []
-    sign = penrose._sign_of_i_power
+    # one search over all components multiplies their search steps, about
+    # 10x more per prism; summed apart, they add up. Each step that completes
+    # a node reads its epsilon sign once.
+    reads = []
 
-    def counting(exp: int, context: str) -> int:
-        leaves.append(exp)
-        if len(leaves) > budget:
-            raise RecursionBudgetExceeded("leaf budget spent")
-        return sign(exp, context)
+    class CountingTable(dict):
+        def __getitem__(self, key):
+            reads.append(key)
+            if len(reads) > budget:
+                raise RecursionBudgetExceeded("epsilon read budget spent")
+            return super().__getitem__(key)
 
-    monkeypatch.setattr(penrose, "_sign_of_i_power", counting)
+    monkeypatch.setattr(penrose, "_EPSILON", CountingTable(penrose._EPSILON))
     prism = gen.prism_diagram()
     budget = 10**6
     assert cb.contract_extended(prism) == 6
-    budget, leaves[:] = 8 * len(leaves), []
+    budget, reads[:] = 8 * len(reads), []
     arcs = [tuple(Port(p.kind, p.owner + c * prism.node_count, p.slot) for p in arc)
             for c in range(8) for arc in prism.arcs]
     assert cb.contract_extended(cb.build_diagram(8 * prism.node_count, (), arcs)) == 6**8
@@ -473,16 +511,17 @@ def strand_sum_inputs(draw) -> tuple[int, list, list]:
 @example((4, [], [(i, j, -1, 2) for i, j in itertools.combinations(range(4), 2)]))
 def test_strand_sum_equals_the_direct_sum(case):
     k, nodes, pairs = case
-    want = 0
+    # each node weighs i times its epsilon sign, in complex arithmetic here:
+    # the reference checks on its own that the i's cancel
+    want = 0j
     for c in itertools.product(range(3), repeat=k):
-        weights = [cb.node_weight([c[s] for s in t]) for t in nodes]
-        if any(w.zero for w in weights):
-            continue
-        exp = sum(w.i_power for w in weights)  # even: the node count is even
-        term = (-1) ** (exp // 2)
+        term = 1j ** len(nodes)
+        for t in nodes:
+            term *= cb.node_weight([c[s] for s in t])
         for i, j, a, b in pairs:
             term *= a + b if c[i] == c[j] else a
         want += term
+    assert want.imag == 0
     adj: list = [{} for _ in range(k)]
     mult = 1
     for i, j, a, b in pairs:
