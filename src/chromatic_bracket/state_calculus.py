@@ -7,7 +7,7 @@ with site links, and a state coloring assigns one of three colors per loop
 so that the two loops meeting at every site differ.
 
 make_state orients sites along the complement cycles and traces loops; the
-expansion builds no state and reads its loops off one union-find.
+expansion builds no state and keeps only the ends and node masks of paths.
 """
 
 from __future__ import annotations
@@ -135,20 +135,21 @@ def count_state_colorings(s: State) -> int:
 def logical_expansion_count(g: CubicGraph, matching: Iterable[int]) -> int:
     """Sum count_state_colorings over the switch vectors, searched site by site.
 
-    A site's ends are its edge's other edges at u, (a, b), and at v, (c, d);
-    its switches are the two pairings (a-c, b-d) and (a-d, b-c), and a sum
-    over both never reads which one make_state calls parallel. Sites are set
-    in edge-id order; each link joins the components of its two edges in a
-    union-find that relabels the smaller one, undone on the way back. a and
-    b lie on the site's two strands under both switches, as do c and d, and
-    components only grow; so once either pair shares a component, every
-    completion of the branch has a zero site and the branch is cut. A union
-    joins a pair only by relabelling one of its edges, so only the edges it
-    would relabel are checked; a pair that is one edge (a loop at a site's
-    end) is cut at the root. At a leaf the components are the loops. Each
-    link joins a u-end edge to a v-end edge, so every loop passes some
-    u-end; loops are numbered by first appearance there, and a site's pair
-    is the loops of its a and b.
+    A site's ends are its edge's other half-edges at u, (a, b), and at v,
+    (c, d); its switches are the two pairings (a-c, b-d) and (a-d, b-c), and a
+    sum over both never reads which one make_state calls parallel. Sites are
+    set in edge-id order, and each complement half-edge is linked once, at its
+    own site; so until it closes, every component is a path, kept as the far
+    end of each free end and the mask of the nodes it touches. A link closes a
+    loop when its two ends are one path's ends and otherwise joins two paths;
+    both are O(1) and undone on the way back. a and b lie on the site's two
+    strands under both switches, as do c and d, and components only grow; so
+    once a node's two half-edges share a component, every completion of the
+    branch has a zero site and the branch is cut. That happens exactly when a
+    join's two paths touch a common node; a pair that is one edge (a loop at
+    a site's end) is cut at the root. At a leaf every path has closed into a
+    loop; loops are numbered by lowest node, and two loops form a site's pair
+    when they share a node.
 
     Equals count_colorings(g) for every perfect matching: each proper
     coloring selects exactly one switch per site (the pairing whose linked
@@ -159,42 +160,43 @@ def logical_expansion_count(g: CubicGraph, matching: Iterable[int]) -> int:
 
 def _expansion_count(g: CubicGraph, m: PerfectMatching) -> int:
     """logical_expansion_count of a perfect matching, which is not validated."""
-    ends = [[[h >> 1 for h in g.incidence[x] if h >> 1 != e] for x in g.edges[e]]
-            for e in sorted(m)]
-    if any(a == b for site in ends for a, b in site):
+    ends = [[[h for h in g.incidence[x] if h >> 1 != e] for x in g.edges[e]] for e in sorted(m)]
+    if any(a ^ 1 == b for site in ends for a, b in site):
         return 0
     choices = [(((a, c), (b, d)), ((a, d), (b, c))) for (a, b), (c, d) in ends]
-    partners = [[h >> 1 for x in g.edges[e] for h in g.incidence[x] if h >> 1 != e and h >> 1 not in m]
-                for e in range(g.edge_count)]  # the complement edges e meets: never on its loop
-    label = list(range(g.edge_count))  # component of each edge
-    members = [[e] for e in range(g.edge_count)]
+    far = [h ^ 1 for h in range(2 * g.edge_count)]  # the other free end of h's path
+    mask = [1 << u | 1 << v for u, v in g.edges for _ in (0, 1)]  # the nodes h's path touches
+    loops: list[int] = []  # the node masks of the closed loops
 
     def rec(i: int) -> int:
         if i == len(choices):
-            loop: dict[int, int] = {}  # component -> loop number
-            pairs = [(loop.setdefault(label[a], len(loop)), loop.setdefault(label[b], len(loop)))
-                     for (a, b), _ in ends]
-            return _count_loop_colorings(len(loop), pairs)
+            ring = sorted(loops, key=lambda x: x & -x)  # by lowest node
+            pairs = [(p, q) for p, x in enumerate(ring) for q in range(p + 1, len(ring)) if x & ring[q]]
+            return _count_loop_colorings(len(ring), pairs)
         total = 0
-        for links in choices[i]:
-            joined = []
-            for a, b in links:
-                small, big = label[a], label[b]
-                if small != big:
-                    if len(members[small]) > len(members[big]):
-                        small, big = big, small
-                    if any(label[x] == big for e in members[small] for x in partners[e]):
-                        break  # the union would put a pair on one loop
-                    for e in members[small]:
-                        label[e] = big
-                    members[big] += members[small]
-                    joined.append((small, big))
+        for (a, b), (c, d) in choices[i]:
+            x, y = far[a], far[b]
+            if x == b:  # a and b are one path's ends: it closes
+                loops.append(mask[a])
+            elif mask[a] & mask[b]:
+                continue  # the join would put a pair on one loop
             else:
+                far[x], far[y] = y, x
+                mask[x] = mask[y] = mask[a] | mask[b]
+            z, w = far[c], far[d]
+            if z == d:
+                loops.append(mask[c])
                 total += rec(i + 1)
-            for small, big in reversed(joined):
-                del members[big][-len(members[small]):]
-                for e in members[small]:
-                    label[e] = small
+                loops.pop()
+            elif not mask[c] & mask[d]:
+                far[z], far[w] = w, z
+                mask[z] = mask[w] = mask[c] | mask[d]
+                total += rec(i + 1)
+                far[z], far[w], mask[z], mask[w] = c, d, mask[c], mask[d]
+            if x == b:  # undo the first link
+                loops.pop()
+            else:
+                far[x], far[y], mask[x], mask[y] = a, b, mask[a], mask[b]
         return total
 
     with refuse_deep_recursion("state expansion"):

@@ -229,6 +229,10 @@ K4_PAIR = cb.build_graph(8, list(gen.k4().edges) + [(u + 4, v + 4) for u, v in g
 K4_REVERSED = cb.build_graph(4, [(v, u) for u, v in gen.k4().edges])
 # two digons joined by two edges: matched edge 0 has the parallel twin 1
 DIGON_RING = cb.build_graph(4, [(0, 1), (0, 1), (0, 2), (1, 3), (2, 3), (2, 3)])
+# a snark beside the prism: 8 vectors reach a leaf, whose loops lie on two
+# components that share no node, and each counts 0 there
+J3_PRISM = cb.build_graph(18, list(gen.isaacs_j(3).edges)
+                          + [(u + 12, v + 12) for u, v in gen.prism().edges])
 
 
 @settings(max_examples=15, deadline=None)
@@ -238,6 +242,7 @@ DIGON_RING = cb.build_graph(4, [(0, 1), (0, 1), (0, 2), (1, 3), (2, 3), (2, 3)])
 @example(K4_PAIR)
 @example(K4_REVERSED)
 @example(DIGON_RING)
+@example(J3_PRISM)
 def test_expansion_is_the_sum_over_built_states(g: cb.CubicGraph) -> None:
     # the definition: one make_state per switch vector, summed
     for m in cb.enumerate_perfect_matchings(g):
@@ -246,6 +251,43 @@ def test_expansion_is_the_sum_over_built_states(g: cb.CubicGraph) -> None:
             for vec in itertools.product(SWITCH_SETTINGS, repeat=len(m))
         )
         assert logical_expansion_count(g, m) == by_definition
+
+
+def leaf_calls(g: cb.CubicGraph) -> int:
+    """How often the expansion reaches a leaf over every perfect matching of g."""
+    real, traced = state_calculus._count_loop_colorings, []
+
+    def counted(*args):
+        traced.append(args)
+        return real(*args)
+
+    with pytest.MonkeyPatch.context() as mp:  # not the fixture: hypothesis reruns the body
+        mp.setattr(state_calculus, "_count_loop_colorings", counted)
+        for m in cb.enumerate_perfect_matchings(g):
+            logical_expansion_count(g, m)
+    return len(traced)
+
+
+def test_isaacs_j5_reaches_182_leaves():
+    # the README's figure: over the 32 matchings, 182 of the 32 768 switch
+    # vectors have no zeroing site; a weaker cut counts the same but reaches more
+    g = gen.isaacs_j(5)
+    assert len(cb.enumerate_perfect_matchings(g)) == 32
+    assert leaf_calls(g) == 182
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.tuples(st.integers(1, 5), st.integers(0, 10_000))
+       .map(lambda a: gen.random_cubic(2 * a[0], a[1])))
+@example(DIGON_RING)
+@example(K4_PAIR)
+def test_leaves_are_the_vectors_without_a_zeroing_site(g: cb.CubicGraph) -> None:
+    # loops and parallel edges included: the cut fires exactly when a site's
+    # two strands would share a loop, so every other vector reaches a leaf
+    want = sum(all(a != b for a, b in make_state(g, m, vec).site_graph)
+               for m in cb.enumerate_perfect_matchings(g)
+               for vec in itertools.product(SWITCH_SETTINGS, repeat=len(m)))
+    assert leaf_calls(g) == want
 
 
 @settings(max_examples=15, deadline=None)
