@@ -4,7 +4,8 @@ A diagram is purely combinatorial: trivalent nodes with 3 ports, 4-valent
 crossings with 4 ports, and arcs pairing ports. Slot order around a vertex is
 the clockwise rotation; at a crossing the two strands occupy slots 0<->2 and
 1<->3. Planarity is not assumed but checked, by tracing faces of the rotation
-system and computing the genus.
+system and computing the genus. Walks number the ports in sorted Port order:
+node port (n, s) is 3n + s, crossing port (x, s) is 3N + 4x + s for N nodes.
 
 chord_immersion draws any abstract cubic graph as a plane immersion: node
 ports on a line in a given order, edges as rectilinear chords above it, and a
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     InvalidArgument,
@@ -41,11 +42,6 @@ class Port(NamedTuple):
     slot: int
 
 
-def strand_partner_slot(slot: int) -> int:
-    """The slot the strand continues to on the other side of a crossing."""
-    return (slot + 2) % 4
-
-
 @dataclass(frozen=True)
 class Diagram:
     node_count: int
@@ -65,14 +61,6 @@ class Diagram:
     def crossing_count(self) -> int:
         return len(self.crossing_kinds)
 
-    def ports(self) -> list[Port]:
-        out = [Port(NODE, n, s) for n in range(self.node_count) for s in range(3)]
-        out += [Port(CROSSING, x, s) for x in range(self.crossing_count) for s in range(4)]
-        return out
-
-    def degree(self, kind: str) -> int:
-        return 3 if kind == NODE else 4
-
 
 def build_diagram(
     node_count: int,
@@ -83,7 +71,8 @@ def build_diagram(
     """Validate and canonicalize a diagram.
 
     Arcs are normalized (smaller port first, arcs sorted) so that equal
-    diagrams compare and serialize identically.
+    diagrams compare and serialize identically. A port is a triple of kind
+    NODE or CROSSING, int owner and int slot.
     """
     kinds = tuple(crossing_kinds)
     for k in kinds:
@@ -93,49 +82,69 @@ def build_diagram(
         raise InvalidArgument("node_count and free_loops must be nonnegative")
     norm: list[tuple[Port, Port]] = []
     for pair in arcs:
-        p, q = (Port(*pair[0]), Port(*pair[1]))
+        p, q = _arc_port(pair[0]), _arc_port(pair[1])
         if p == q:
             raise UnmatchedPort(f"arc joins port {p} to itself")
-        norm.append((min(p, q), max(p, q)))
+        norm.append((p, q) if p < q else (q, p))
     norm.sort()
-    d = Diagram(node_count, kinds, tuple(norm), free_loops)
-    ports = d.ports()
-    valid = set(ports)
-    counts: dict[Port, int] = {}
-    for p, q in d.arcs:
-        for port in (p, q):
-            if port not in valid:
+    crossings, base = len(kinds), 3 * node_count
+    covered = [0] * (base + 4 * crossings)
+    for arc in norm:
+        for port in arc:
+            kind, owner, slot = port
+            if kind == NODE and 0 <= owner < node_count and 0 <= slot < 3:
+                covered[3 * owner + slot] += 1
+            elif kind == CROSSING and 0 <= owner < crossings and 0 <= slot < 4:
+                covered[base + 4 * owner + slot] += 1
+            else:
                 raise UnmatchedPort(f"port {port} does not exist")
-            counts[port] = counts.get(port, 0) + 1
-    for port in ports:
-        if counts.get(port, 0) != 1:
-            raise UnmatchedPort(f"port {port} is covered {counts.get(port, 0)} times, expected 1")
-    return d
+    if covered.count(1) != len(covered):
+        code = next(c for c, k in enumerate(covered) if k != 1)
+        port = _port_of(code, node_count)
+        raise UnmatchedPort(f"port {port} is covered {covered[code]} times, expected 1")
+    return Diagram(node_count, kinds, tuple(norm), free_loops)
+
+
+def _arc_port(obj: object) -> Port:
+    # type() rather than isinstance(): True must not pass as owner or slot 1
+    try:
+        p = obj if type(obj) is Port else Port._make(obj)
+    except TypeError:
+        raise InvalidArgument(f"port {obj!r} does not have three fields") from None
+    if p.kind not in (NODE, CROSSING) or type(p.owner) is not int or type(p.slot) is not int:
+        raise UnmatchedPort(f"port {p} does not exist")
+    return p
+
+
+def _port_of(code: int, node_count: int) -> Port:
+    base = 3 * node_count
+    return Port(NODE, *divmod(code, 3)) if code < base else Port(CROSSING, *divmod(code - base, 4))
 
 
 # ---------------------------------------------------------------------------
 # faces and genus
 
-def _face_successor(d: Diagram, p: Port) -> Port:
-    q = d.mate[p]
-    return Port(q.kind, q.owner, (q.slot + 1) % d.degree(q.kind))
+def _face_walks(d: Diagram) -> Iterator[list[int]]:
+    """Face boundary walks of the rotation system as port codes, each from its
+    lowest code: a walk leaves a port over its arc and turns clockwise."""
+    base, mate = 3 * d.node_count, d.mate
+    seen = bytearray(base + 4 * d.crossing_count)
+    for start in range(len(seen)):
+        if seen[start]:
+            continue
+        walk, c = [], start
+        while not seen[c]:
+            seen[c] = 1
+            walk.append(c)
+            kind, owner, slot = mate[(NODE, c // 3, c % 3) if c < base else
+                                     (CROSSING, (c - base) // 4, (c - base) % 4)]
+            c = 3 * owner + (slot + 1) % 3 if kind == NODE else base + 4 * owner + (slot + 1) % 4
+        yield walk
 
 
 def trace_faces(d: Diagram) -> list[list[Port]]:
     """Face boundary walks of the rotation system, deterministic order."""
-    faces: list[list[Port]] = []
-    seen: set[Port] = set()
-    for start in sorted(d.mate):
-        if start in seen:
-            continue
-        walk: list[Port] = []
-        p = start
-        while p not in seen:
-            seen.add(p)
-            walk.append(p)
-            p = _face_successor(d, p)
-        faces.append(walk)
-    return faces
+    return [[_port_of(c, d.node_count) for c in walk] for walk in _face_walks(d)]
 
 
 def genus(d: Diagram) -> int:
@@ -153,7 +162,7 @@ def genus(d: Diagram) -> int:
         b = q.owner if q.kind == NODE else n + q.owner
         neighbours[a].append(b)
         neighbours[b].append(a)
-    return (2 * len(components(neighbours)) - v + len(d.arcs) - len(trace_faces(d))) // 2
+    return (2 * len(components(neighbours)) - v + len(d.arcs) - sum(1 for _ in _face_walks(d))) // 2
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +179,7 @@ def trace_strand(d: Diagram, start: Port) -> tuple[Port, list[tuple[int, int]]]:
     cur = d.mate[start]
     while cur.kind == CROSSING:
         traversals.append((cur.owner, cur.slot))
-        cur = d.mate[Port(CROSSING, cur.owner, strand_partner_slot(cur.slot))]
+        cur = d.mate[(CROSSING, cur.owner, (cur.slot + 2) % 4)]
     return cur, traversals
 
 
@@ -196,10 +205,10 @@ def trace_strands(d: Diagram) -> tuple[int, list[tuple[int, int, int]], list[lis
     for x, pair in enumerate(axes):
         for axis in (0, 1):
             if pair[axis] < 0:
-                cur = Port(CROSSING, x, axis)
-                while axes[cur.owner][cur.slot % 2] < 0:
-                    axes[cur.owner][cur.slot % 2] = k
-                    cur = d.mate[Port(CROSSING, cur.owner, strand_partner_slot(cur.slot))]
+                owner, slot = x, axis
+                while axes[owner][slot % 2] < 0:
+                    axes[owner][slot % 2] = k
+                    _, owner, slot = d.mate[(CROSSING, owner, (slot + 2) % 4)]
                 k += 1
     return k, [tuple(t) for t in triples], axes
 
@@ -277,9 +286,9 @@ def _chord_layout(g: CubicGraph, order: Sequence[int]) -> Diagram:
             hits[a].append((1, lo[b], x, 0, 2))
     arcs: list[tuple[Port, Port]] = []
     for ((_, prev), (_, last)), on_chord in zip(ends, hits):
-        for *_, x, enter, leave in sorted(on_chord):
-            arcs.append((prev, Port(CROSSING, x, enter)))
-            prev = Port(CROSSING, x, leave)
+        for _, _, x, enter, leave in sorted(on_chord):
+            arcs.append((prev, Port._make((CROSSING, x, enter))))
+            prev = Port._make((CROSSING, x, leave))
         arcs.append((prev, last))
     return build_diagram(g.node_count, (CIRCLED,) * len(pairs), arcs)
 
@@ -301,20 +310,20 @@ def _port_from_json(obj: object) -> Port:
         or type(obj[2]) is not int
     ):
         raise ParseError(f"bad port {obj!r}")
-    return Port(obj[0], obj[1], obj[2])
+    return Port._make(obj)
 
 
 def diagram_to_json_dict(d: Diagram) -> dict:
     out: dict = {
         "nodes": [
-            {"id": n, "cw": [_port_to_json(d.mate[Port(NODE, n, s)]) for s in range(3)]}
+            {"id": n, "cw": [_port_to_json(d.mate[(NODE, n, s)]) for s in range(3)]}
             for n in range(d.node_count)
         ],
         "crossings": [
             {
                 "id": x,
                 "kind": d.crossing_kinds[x],
-                "cw": [_port_to_json(d.mate[Port(CROSSING, x, s)]) for s in range(4)],
+                "cw": [_port_to_json(d.mate[(CROSSING, x, s)]) for s in range(4)],
             }
             for x in range(d.crossing_count)
         ],
@@ -375,7 +384,7 @@ def diagram_from_json_dict(data: object) -> Diagram:
             if not isinstance(cw, list) or len(cw) != deg:
                 raise ParseError(f"cw list of {kind}{entry['id']} must have {deg} ports")
             for s, mate_json in enumerate(cw):
-                expect = d.mate[Port(kind, entry["id"], s)]
+                expect = d.mate[(kind, entry["id"], s)]
                 if _port_from_json(mate_json) != expect:
                     raise ParseError(
                         f"cw entry of {kind}{entry['id']} slot {s} disagrees with arcs"

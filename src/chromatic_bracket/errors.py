@@ -28,7 +28,8 @@ class Disconnected(ChromaticBracketError):
 
 
 class UnmatchedPort(ChromaticBracketError):
-    """A diagram port is not covered by exactly one arc."""
+    """A diagram port is not covered by exactly one arc, or does not exist: a
+    port needs kind "n" or "x" and an int owner and slot (True is not 1)."""
 
 
 class StrandClosesWithoutNode(ChromaticBracketError):

@@ -6,6 +6,7 @@ import copy
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import chromatic_bracket as cb
 from chromatic_bracket import CIRCLED, DOTTED, PLAIN, Port
@@ -39,6 +40,46 @@ def test_build_diagram_validates_port_coverage():
         )
     with pytest.raises(UnmatchedPort):
         cb.build_diagram(2, (), [(N(0, 0), N(0, 0)), (N(0, 1), N(1, 1)), (N(0, 2), N(1, 2))])
+
+
+THETA_ARCS = [(N(0, 0), N(1, 0)), (N(0, 1), N(1, 2)), (N(0, 2), N(1, 1))]
+
+
+@pytest.mark.parametrize(
+    "node_count, kinds, arcs, message",
+    [
+        (2, (), [(N(0, 0), N(0, 0))] + THETA_ARCS[1:],
+         "arc joins port Port(kind='n', owner=0, slot=0) to itself"),
+        # the first missing port in sorted arc order, not the lowest missing port
+        (2, (), THETA_ARCS[:2] + [(N(0, 2), N(1, 3)), (N(0, 3), N(1, 1))],
+         "port Port(kind='n', owner=1, slot=3) does not exist"),
+        (2, (), THETA_ARCS + [(N(1, 3), N(2, 0))],
+         "port Port(kind='n', owner=1, slot=3) does not exist"),
+        (2, (), THETA_ARCS + [(N(0, 0), X(0, 0))],
+         "port Port(kind='x', owner=0, slot=0) does not exist"),
+        (2, (PLAIN,), THETA_ARCS + [(X(0, 4), X(0, 0))],
+         "port Port(kind='x', owner=0, slot=4) does not exist"),
+        (2, (), THETA_ARCS[:2], "port Port(kind='n', owner=0, slot=2) is covered 0 times, expected 1"),
+        (2, (), THETA_ARCS + [(N(0, 0), N(1, 1))],
+         "port Port(kind='n', owner=0, slot=0) is covered 2 times, expected 1"),
+        # node ports are checked before crossing ports
+        (2, (PLAIN,), [(X(0, 0), X(0, 1))] + THETA_ARCS[1:],
+         "port Port(kind='n', owner=0, slot=0) is covered 0 times, expected 1"),
+        (2, (PLAIN,), THETA_ARCS + [(X(0, 0), X(0, 1)), (X(0, 2), X(0, 1))],
+         "port Port(kind='x', owner=0, slot=1) is covered 2 times, expected 1"),
+    ],
+)
+def test_build_diagram_error_messages(node_count, kinds, arcs, message):
+    with pytest.raises(UnmatchedPort) as info:
+        cb.build_diagram(node_count, kinds, arcs)
+    assert str(info.value) == message
+    # a diagram JSON with those arcs reports the same port
+    data = {"nodes": [{"id": n} for n in range(node_count)],
+            "crossings": [{"id": x, "kind": k} for x, k in enumerate(kinds)],
+            "arcs": [[list(p), list(q)] for p, q in arcs]}
+    with pytest.raises(ParseError) as info:
+        cb.diagram_from_json_dict(data)
+    assert str(info.value) == message
 
 
 def test_build_diagram_validates_kinds_and_slots():
@@ -316,3 +357,118 @@ def test_chord_immersion_refuses_a_layout_of_positive_genus(monkeypatch):
     monkeypatch.setattr(diagram_module, "_chord_layout", lambda g, order: _scrambled_k4())
     with pytest.raises(NotPlane):
         cb.chord_immersion(gen.k4())
+
+
+# ---------------------------------------------------------------------------
+# the walks on port codes against the walks on Ports they replaced
+
+
+def reference_faces(d: cb.Diagram) -> list[list[Port]]:
+    """Face walks stepping Port by Port: over the arc, then one slot clockwise."""
+    faces, seen = [], set()
+    for start in sorted(d.mate):
+        walk, p = [], start
+        while p not in seen:
+            seen.add(p)
+            walk.append(p)
+            q = d.mate[p]
+            p = Port(q.kind, q.owner, (q.slot + 1) % (3 if q.kind == "n" else 4))
+        if walk:
+            faces.append(walk)
+    return faces
+
+
+def reference_genus(d: cb.Diagram) -> int:
+    vertex = lambda p: p.owner if p.kind == "n" else d.node_count + p.owner
+    root = list(range(d.node_count + d.crossing_count))
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    for p, q in d.arcs:
+        root[find(vertex(p))] = find(vertex(q))
+    c = sum(1 for v in range(len(root)) if find(v) == v)
+    return (2 * c - len(root) + len(d.arcs) - len(reference_faces(d))) // 2
+
+
+def reference_strands(d: cb.Diagram):
+    """trace_strands through d.mate on Ports: a strand leaves crossing slot s at s + 2."""
+    def strand(start):
+        walk, cur = [], d.mate[start]
+        while cur.kind == "x":
+            walk.append((cur.owner, cur.slot))
+            cur = d.mate[X(cur.owner, (cur.slot + 2) % 4)]
+        return cur, walk
+
+    triples = [[-1, -1, -1] for _ in range(d.node_count)]
+    axes = [[-1, -1] for _ in range(d.crossing_count)]
+    k = 0
+    for n, triple in enumerate(triples):
+        for s in range(3):
+            if triple[s] < 0:
+                end, walk = strand(N(n, s))
+                triple[s] = triples[end.owner][end.slot] = k
+                for x, slot in walk:
+                    axes[x][slot % 2] = k
+                k += 1
+    for x, pair in enumerate(axes):
+        for axis in (0, 1):
+            if pair[axis] < 0:
+                cur = X(x, axis)
+                while axes[cur.owner][cur.slot % 2] < 0:
+                    axes[cur.owner][cur.slot % 2] = k
+                    cur = d.mate[X(cur.owner, (cur.slot + 2) % 4)]
+                k += 1
+    return k, [tuple(t) for t in triples], axes, strand
+
+
+@st.composite
+def walk_diagrams(draw) -> cb.Diagram:
+    """A plane diagram, a chord immersion in input or reversed node order, a
+    nodeless ring of crossings, or any pairing of the ports of a few nodes and
+    crossings (of any genus); maybe with arcs encircled or twisted, crossings
+    of mixed kinds and free loops."""
+    source = draw(st.sampled_from(("plane", "chord", "reversed chord", "ring", "pairing")))
+    if source == "plane":
+        d = gen.random_plane_cubic(draw(st.integers(1, 20)) * 2, draw(st.integers(0, 99)))
+    elif source.endswith("chord"):
+        g = gen.random_cubic(draw(st.integers(1, 8)) * 2, draw(st.integers(0, 99)))
+        order = list(range(g.node_count))
+        d = cb.chord_immersion(g, order[::-1] if source == "reversed chord" else order)
+    elif source == "ring":
+        k = draw(st.integers(1, 5))
+        arcs = [(X(x, 2 + a), X((x + 1) % k, a)) for x in range(k) for a in (0, 1)]
+        d = cb.build_diagram(0, (PLAIN,) * k, arcs)
+    else:
+        nodes = 2 * draw(st.integers(0, 2))
+        crossings = draw(st.integers(0 if nodes else 1, 4))
+        ports = [N(n, s) for n in range(nodes) for s in range(3)]
+        ports += [X(x, s) for x in range(crossings) for s in range(4)]
+        ports = draw(st.permutations(ports))
+        d = cb.build_diagram(nodes, (PLAIN,) * crossings, list(zip(ports[::2], ports[1::2])))
+    for _ in range(draw(st.integers(0, 2))):
+        surgery = draw(st.sampled_from((cb.encircle_arc, cb.insert_twist)))
+        d = surgery(d, draw(st.integers(0, len(d.arcs) - 1)))
+    kinds = draw(st.lists(st.sampled_from((PLAIN, CIRCLED, DOTTED)),
+                          min_size=d.crossing_count, max_size=d.crossing_count))
+    return cb.build_diagram(d.node_count, kinds, d.arcs, free_loops=draw(st.integers(0, 2)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(walk_diagrams())
+def test_code_walks_match_the_port_walks(d):
+    faces = cb.trace_faces(d)
+    assert faces == reference_faces(d)
+    assert all(type(p) is Port for walk in faces for p in walk)
+    assert cb.genus(d) == reference_genus(d)
+    k, triples, axes, strand = reference_strands(d)
+    assert cb.trace_strands(d) == (k, triples, axes)
+    for n in range(d.node_count):
+        for s in range(3):
+            assert cb.trace_strand(d, N(n, s)) == strand(N(n, s))
+    text = cb.diagram_to_json(d)
+    again = cb.diagram_from_json(text)
+    assert again == d
+    assert cb.diagram_to_json(again) == text

@@ -7,11 +7,17 @@ import pytest
 
 import chromatic_bracket as cb
 from chromatic_bracket import generators as gen
-from chromatic_bracket.diagram import CROSSING, Port
-from chromatic_bracket.errors import ChromaticBracketError, InvalidArgument
+from chromatic_bracket.diagram import CROSSING, NODE, Port
+from chromatic_bracket.errors import ChromaticBracketError, InvalidArgument, UnmatchedPort
 
 K33 = gen.k33()
 K33_MATCHING = cb.enumerate_perfect_matchings(K33)[0]
+THETA_ARCS = list(gen.theta_diagram().arcs)  # the first arc is (n0.0, n1.0)
+
+
+def theta_with_first_port(port: object):
+    """Build theta with port in place of its first arc's node-0 port."""
+    return cb.build_diagram(2, (), [(port, THETA_ARCS[0][1])] + THETA_ARCS[1:])
 
 BAD_CALLS = {
     "unknown crossing kind": lambda: cb.build_diagram(0, ("wavy",), []),
@@ -29,6 +35,9 @@ BAD_CALLS = {
     "unknown crossing weight kind": lambda: cb.crossing_weight("wavy", 0, 0),
     "too few switches": lambda: cb.make_state(K33, K33_MATCHING, []),
     "unknown switch": lambda: cb.make_state(K33, K33_MATCHING, ["sideways"] * 3),
+    "port with two fields": lambda: theta_with_first_port((NODE, 0)),
+    "port with four fields": lambda: theta_with_first_port((NODE, 0, 0, 0)),
+    "port that is a number": lambda: theta_with_first_port(0),
 }
 
 
@@ -37,3 +46,24 @@ def test_bad_arguments_raise_the_package_error(call):
     with pytest.raises(ChromaticBracketError) as info:
         call()
     assert isinstance(info.value, InvalidArgument) and isinstance(info.value, ValueError)
+
+
+MISTYPED_PORTS = {
+    "str owner": (NODE, "0", 0),
+    "None owner": (NODE, None, 0),
+    "float owner": Port(NODE, 0.0, 0),
+    "bool owner": Port(NODE, False, 0),
+    "float slot": (NODE, 0, 0.0),
+    "bool slot": (NODE, 0, False),
+    "unknown kind": ("q", 0, 0),
+    "None kind": (None, 0, 0),
+}
+
+
+@pytest.mark.parametrize("port", MISTYPED_PORTS.values(), ids=MISTYPED_PORTS.keys())
+def test_mistyped_ports_do_not_exist(port):
+    # each matches n0.0 only by value, or does not sort with it: ports are
+    # checked by type, so none is read as n0.0 and none raises a bare TypeError
+    assert theta_with_first_port(Port(NODE, 0, 0)) == gen.theta_diagram()
+    with pytest.raises(UnmatchedPort, match="does not exist"):
+        theta_with_first_port(port)
