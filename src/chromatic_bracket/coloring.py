@@ -45,7 +45,7 @@ def is_proper(g: CubicGraph, coloring: Sequence[int]) -> bool:
     if len(coloring) != g.edge_count:
         raise PartialColoring(f"coloring covers {len(coloring)} of {g.edge_count} edges")
     for c in coloring:
-        if c not in COLORS:
+        if type(c) is not int or c not in COLORS:  # type(): True is not BLUE
             raise PartialColoring(f"not a color: {c!r}")
     for stubs in g.incidence:
         if len({coloring[h // 2] for h in stubs}) != 3:

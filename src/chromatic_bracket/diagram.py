@@ -64,41 +64,51 @@ class Diagram:
 
 def build_diagram(
     node_count: int,
-    crossing_kinds: Sequence[str],
+    crossing_kinds: Iterable[str],
     arcs: Iterable[Sequence[Port]],
     free_loops: int = 0,
 ) -> Diagram:
-    """Validate and canonicalize a diagram.
+    """Check and canonicalize a diagram: the one place a diagram is checked.
 
     Arcs are normalized (smaller port first, arcs sorted) so that equal
-    diagrams compare and serialize identically. A port is a triple of kind
-    NODE or CROSSING, int owner and int slot.
+    diagrams compare and serialize identically. Raises InvalidArgument for a
+    node_count or free_loops that is not a nonnegative int, an unknown crossing
+    kind or an arc that is not a list or tuple of two ports, and _arc_port's
+    errors for each port; UnmatchedPort for a port not covered exactly once.
     """
+    if not (type(node_count) is int and node_count >= 0 and type(free_loops) is int and free_loops >= 0
+            and isinstance(crossing_kinds, Iterable) and isinstance(arcs, Iterable)):
+        raise InvalidArgument("node_count and free_loops must be nonnegative ints, "
+                              "and crossing_kinds and arcs iterable")
     kinds = tuple(crossing_kinds)
     for k in kinds:
         if k not in CROSSING_KINDS:
             raise InvalidArgument(f"unknown crossing kind {k!r}")
-    if node_count < 0 or free_loops < 0:
-        raise InvalidArgument("node_count and free_loops must be nonnegative")
     norm: list[tuple[Port, Port]] = []
     for pair in arcs:
+        if type(pair) not in (list, tuple) or len(pair) != 2:
+            raise InvalidArgument(f"arc {pair!r} is not a pair of ports")
         p, q = _arc_port(pair[0]), _arc_port(pair[1])
         if p == q:
             raise UnmatchedPort(f"arc joins port {p} to itself")
         norm.append((p, q) if p < q else (q, p))
     norm.sort()
     crossings, base = len(kinds), 3 * node_count
-    covered = [0] * (base + 4 * crossings)
+    # as in build_graph, 2|A| port ends leave a code below 2|A| + 1 uncovered if any is
+    size = min(base + 4 * crossings, 2 * len(norm) + 1)
+    covered = [0] * size
     for arc in norm:
         for port in arc:
             kind, owner, slot = port
             if kind == NODE and 0 <= owner < node_count and 0 <= slot < 3:
-                covered[3 * owner + slot] += 1
+                code = 3 * owner + slot
             elif kind == CROSSING and 0 <= owner < crossings and 0 <= slot < 4:
-                covered[base + 4 * owner + slot] += 1
+                code = base + 4 * owner + slot
             else:
                 raise UnmatchedPort(f"port {port} does not exist")
-    if covered.count(1) != len(covered):
+            if code < size:
+                covered[code] += 1
+    if covered.count(1) != size:
         code = next(c for c, k in enumerate(covered) if k != 1)
         port = _port_of(code, node_count)
         raise UnmatchedPort(f"port {port} is covered {covered[code]} times, expected 1")
@@ -296,38 +306,21 @@ def _chord_layout(g: CubicGraph, order: Sequence[int]) -> Diagram:
 # ---------------------------------------------------------------------------
 # JSON wire format
 
-def _port_to_json(p: Port) -> list:
-    return [p.kind, p.owner, p.slot]
-
-
-def _port_from_json(obj: object) -> Port:
-    # type() rather than isinstance(): JSON true/false must not pass as 1/0
-    if (
-        not isinstance(obj, list)
-        or len(obj) != 3
-        or obj[0] not in (NODE, CROSSING)
-        or type(obj[1]) is not int
-        or type(obj[2]) is not int
-    ):
-        raise ParseError(f"bad port {obj!r}")
-    return Port._make(obj)
-
-
 def diagram_to_json_dict(d: Diagram) -> dict:
     out: dict = {
         "nodes": [
-            {"id": n, "cw": [_port_to_json(d.mate[(NODE, n, s)]) for s in range(3)]}
+            {"id": n, "cw": [list(d.mate[(NODE, n, s)]) for s in range(3)]}
             for n in range(d.node_count)
         ],
         "crossings": [
             {
                 "id": x,
                 "kind": d.crossing_kinds[x],
-                "cw": [_port_to_json(d.mate[(CROSSING, x, s)]) for s in range(4)],
+                "cw": [list(d.mate[(CROSSING, x, s)]) for s in range(4)],
             }
             for x in range(d.crossing_count)
         ],
-        "arcs": [[_port_to_json(p), _port_to_json(q)] for p, q in d.arcs],
+        "arcs": [[list(p), list(q)] for p, q in d.arcs],
     }
     if d.free_loops:
         out["free_loops"] = d.free_loops
@@ -339,56 +332,39 @@ def diagram_to_json(d: Diagram) -> str:
 
 
 def diagram_from_json_dict(data: object) -> Diagram:
+    """Read diagram JSON. This checks the node and crossing entries, that their
+    ids are dense and that "cw" lists agree with the arcs; build_diagram checks
+    the arcs, kinds and free_loops, and its errors become ParseErrors."""
     if not isinstance(data, dict):
         raise ParseError("diagram JSON must be an object")
     for key in ("nodes", "crossings", "arcs"):
         if key not in data or not isinstance(data[key], list):
             raise ParseError(f"diagram JSON needs list field {key!r}")
-    node_ids = []
-    for entry in data["nodes"]:
-        if not isinstance(entry, dict) or type(entry.get("id")) is not int:
-            raise ParseError(f"bad node entry {entry!r}")
-        node_ids.append(entry["id"])
-    if sorted(node_ids) != list(range(len(node_ids))):
-        raise ParseError("node ids must be dense from 0")
-    kinds: dict[int, str] = {}
-    for entry in data["crossings"]:
-        if (
-            not isinstance(entry, dict)
-            or type(entry.get("id")) is not int
-            or entry.get("kind") not in CROSSING_KINDS
-        ):
-            raise ParseError(f"bad crossing entry {entry!r}")
-        kinds[entry["id"]] = entry["kind"]
-    if sorted(kinds) != list(range(len(data["crossings"]))):  # a repeated id shortens kinds
-        raise ParseError("crossing ids must be dense from 0")
-    free_loops = data.get("free_loops", 0)
-    if type(free_loops) is not int or free_loops < 0:
-        raise ParseError("free_loops must be a nonnegative integer")
-    arcs = []
-    for entry in data["arcs"]:
-        if not isinstance(entry, list) or len(entry) != 2:
-            raise ParseError(f"bad arc entry {entry!r}")
-        arcs.append((_port_from_json(entry[0]), _port_from_json(entry[1])))
+    by_id: dict[str, dict] = {}
+    for key, name in (("nodes", "node"), ("crossings", "crossing")):
+        for entry in data[key]:
+            if not isinstance(entry, dict) or type(entry.get("id")) is not int:
+                raise ParseError(f"bad {name} entry {entry!r}")
+        by_id[key] = {entry["id"]: entry for entry in data[key]}
+        if sorted(by_id[key]) != list(range(len(data[key]))):  # a repeated id shortens by_id
+            raise ParseError(f"{name} ids must be dense from 0")
+    crossings = by_id["crossings"]
     try:
-        d = build_diagram(len(node_ids), [kinds[i] for i in range(len(kinds))], arcs, free_loops)
+        d = build_diagram(len(data["nodes"]), [crossings[x].get("kind") for x in range(len(crossings))],
+                          data["arcs"], data.get("free_loops", 0))
+        # the arcs are authoritative; "cw" entries, when present, must agree
+        for kind, key, deg in ((NODE, "nodes", 3), (CROSSING, "crossings", 4)):
+            for owner, entry in by_id[key].items():
+                cw = entry.get("cw")
+                if cw is None:
+                    continue
+                if not isinstance(cw, list) or len(cw) != deg:
+                    raise ParseError(f"cw list of {kind}{owner} must have {deg} ports")
+                for s, mate_json in enumerate(cw):
+                    if _arc_port(mate_json) != d.mate[(kind, owner, s)]:
+                        raise ParseError(f"cw entry of {kind}{owner} slot {s} disagrees with arcs")
     except (UnmatchedPort, ValueError) as exc:
         raise ParseError(str(exc)) from exc
-    # the arcs are authoritative; "cw" entries, when present, must agree
-    for kind, entries in ((NODE, data["nodes"]), (CROSSING, data["crossings"])):
-        deg = 3 if kind == NODE else 4
-        for entry in entries:
-            cw = entry.get("cw")
-            if cw is None:
-                continue
-            if not isinstance(cw, list) or len(cw) != deg:
-                raise ParseError(f"cw list of {kind}{entry['id']} must have {deg} ports")
-            for s, mate_json in enumerate(cw):
-                expect = d.mate[(kind, entry["id"], s)]
-                if _port_from_json(mate_json) != expect:
-                    raise ParseError(
-                        f"cw entry of {kind}{entry['id']} slot {s} disagrees with arcs"
-                    )
     return d
 
 

@@ -92,7 +92,8 @@ class NoPerfectMatching(ChromaticBracketError):
 
 
 class InvalidArgument(ChromaticBracketError, ValueError):
-    """A function got an argument outside its domain; also a ValueError."""
+    """A function got an argument outside its domain, such as a value of the wrong
+    type given to build_graph or build_diagram; also a ValueError."""
 
 
 class ParseError(ChromaticBracketError):

@@ -50,22 +50,28 @@ class CubicGraph:
 
 
 def build_graph(node_count: int, edges: Iterable[Sequence[int]]) -> CubicGraph:
-    """Validate and freeze a cubic multigraph.
+    """Check and freeze a cubic multigraph: the one place a graph is checked.
 
-    Raises EmptyGraph for zero nodes and DegreeViolation for the lowest node
+    Raises InvalidArgument for a node_count that is not an int, an edge that
+    is not a list or tuple of two ints (by type(), so True is not 1) or one out
+    of range; EmptyGraph for zero nodes; DegreeViolation for the lowest node
     whose half-edge count differs from 3.
     """
+    if type(node_count) is not int or not isinstance(edges, Iterable):
+        raise InvalidArgument("node_count must be an int and edges iterable")
+    edge_tuple = tuple(edges)
+    for e in edge_tuple:
+        if type(e) not in (list, tuple) or len(e) != 2 or type(e[0]) is not int or type(e[1]) is not int:
+            raise InvalidArgument(f"edge {e!r} is not a pair of ints")
     if node_count <= 0:
         raise EmptyGraph("a cubic graph needs at least one node")
-    edge_tuple = tuple((int(u), int(v)) for u, v in edges)
-    for u, v in edge_tuple:
-        if not (0 <= u < node_count and 0 <= v < node_count):
-            raise InvalidArgument(f"edge endpoint out of range: ({u}, {v})")
     # The edges touch at most 2|E| nodes, so when node_count is larger some
     # node below 2|E| + 1 has degree 0 and the lowest violation lies in range.
     size = min(node_count, 2 * len(edge_tuple) + 1)
     degree = [0] * size
     for u, v in edge_tuple:
+        if not (0 <= u < node_count and 0 <= v < node_count):
+            raise InvalidArgument(f"edge endpoint out of range: ({u}, {v})")
         if u < size:
             degree[u] += 1
         if v < size:
@@ -73,7 +79,7 @@ def build_graph(node_count: int, edges: Iterable[Sequence[int]]) -> CubicGraph:
     for n, d in enumerate(degree):
         if d != 3:
             raise DegreeViolation(n, d)
-    return CubicGraph(node_count, edge_tuple)
+    return CubicGraph(node_count, tuple(map(tuple, edge_tuple)))
 
 
 def has_loop(g: CubicGraph) -> bool:
@@ -240,21 +246,13 @@ def graph_to_json(g: CubicGraph) -> str:
 
 
 def graph_from_json_dict(data: object) -> CubicGraph:
-    if not isinstance(data, dict):
-        raise ParseError("graph JSON must be an object")
+    """Read {"nodes": n, "edges": [[u, v], ...]}: this checks only the object's
+    shape, and build_graph checks the values (its InvalidArgument becomes a
+    ParseError; EmptyGraph and DegreeViolation pass through)."""
+    if not isinstance(data, dict) or "nodes" not in data or not isinstance(data.get("edges"), list):
+        raise ParseError("graph JSON must be an object with 'nodes' and an 'edges' list")
     try:
-        nodes = data["nodes"]
-        edges = data["edges"]
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"graph JSON is missing key: {exc}") from exc
-    # type() rather than isinstance(): JSON true/false must not pass as 1/0
-    if type(nodes) is not int or not isinstance(edges, list):
-        raise ParseError("graph JSON: 'nodes' must be an int and 'edges' a list")
-    for item in edges:
-        if not (isinstance(item, list) and len(item) == 2 and all(type(x) is int for x in item)):
-            raise ParseError(f"graph JSON: bad edge entry {item!r}")
-    try:
-        return build_graph(nodes, edges)
+        return build_graph(data["nodes"], data["edges"])
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
 

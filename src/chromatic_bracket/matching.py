@@ -21,7 +21,11 @@ PerfectMatching = frozenset[int]
 
 
 def validate_matching(g: CubicGraph, edge_ids: Iterable[int]) -> PerfectMatching:
-    m = frozenset(int(e) for e in edge_ids)
+    ids = list(edge_ids) if isinstance(edge_ids, Iterable) else [edge_ids]
+    for e in ids:
+        if type(e) is not int:  # type(): True is not edge 1
+            raise NotAMatching(f"edge id {e!r} is not an int")
+    m = frozenset(ids)
     cover = [0] * g.node_count
     for e in m:
         if not 0 <= e < g.edge_count:

@@ -70,6 +70,9 @@ def test_is_proper_rejects_bad_input():
         cb.is_proper(g, (0, 1))
     with pytest.raises(PartialColoring):
         cb.is_proper(g, (0, 1, 5))
+    for not_ints in ((0, True, 2), (0, 1, 2.0)):  # True == 1 and 2.0 == 2, but neither is a color
+        with pytest.raises(PartialColoring):
+            cb.is_proper(g, not_ints)
 
 
 def test_color_constants_and_names():

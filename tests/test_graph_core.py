@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import chromatic_bracket as cb
 from chromatic_bracket import generators as gen
 from chromatic_bracket.coloring import _bfs_components
-from chromatic_bracket.errors import DegreeViolation, Disconnected, EmptyGraph, ParseError
+from chromatic_bracket.errors import DegreeViolation, Disconnected, EmptyGraph, ParseError, UnmatchedPort
 from chromatic_bracket.graph_core import components, min_fill_order, tightest_first
 
 
@@ -198,6 +198,13 @@ def test_huge_node_count_is_a_degree_violation_not_an_allocation():
     with pytest.raises(DegreeViolation) as info:
         cb.build_graph(10**15, [(0, 1), (0, 1), (0, 2)])
     assert (info.value.node, info.value.degree) == (1, 2)
+
+
+def test_huge_diagram_node_count_is_an_unmatched_port_not_an_allocation():
+    # the coverage table is bounded by the arcs, as the degree table is by the edges
+    with pytest.raises(UnmatchedPort) as info:
+        cb.build_diagram(10**9, (), [])
+    assert str(info.value) == "port Port(kind='n', owner=0, slot=0) is covered 0 times, expected 1"
 
 
 def test_graph_json_integer_past_the_digit_limit_is_a_parse_error():

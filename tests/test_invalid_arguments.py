@@ -38,6 +38,19 @@ BAD_CALLS = {
     "port with two fields": lambda: theta_with_first_port((NODE, 0)),
     "port with four fields": lambda: theta_with_first_port((NODE, 0, 0, 0)),
     "port that is a number": lambda: theta_with_first_port(0),
+    # the builders type every argument, so none is coerced or fails bare
+    "graph node count a float": lambda: cb.build_graph(2.0, [(0, 1)] * 3),
+    "graph edges not iterable": lambda: cb.build_graph(2, None),
+    "edge of a float and a bool": lambda: cb.build_graph(2, [(0, 1), (0, 1), (0.0, True)]),
+    "edge of three ints": lambda: cb.build_graph(2, [(0, 1), (0, 1), (0, 1, 2)]),
+    "edge that is a number": lambda: cb.build_graph(2, [(0, 1), (0, 1), 5]),
+    "diagram node count a float": lambda: cb.build_diagram(2.0, (), THETA_ARCS),
+    "diagram node count a str": lambda: cb.build_diagram("2", (), THETA_ARCS),
+    "free loops a float": lambda: cb.build_diagram(2, (), THETA_ARCS, free_loops=1.5),
+    "crossing kinds not iterable": lambda: cb.build_diagram(2, None, THETA_ARCS),
+    "arcs not iterable": lambda: cb.build_diagram(2, (), 5),
+    "arc with one port": lambda: cb.build_diagram(2, (), [THETA_ARCS[0][:1]] + THETA_ARCS[1:]),
+    "arc that is a number": lambda: cb.build_diagram(2, (), [5] + THETA_ARCS[1:]),
 }
 
 

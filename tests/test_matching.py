@@ -79,6 +79,10 @@ def test_validate_matching_rejects_bad_sets():
         cb.validate_matching(gen.dumbbell(), {0, 2})  # loops are not matchable
     with pytest.raises(NotAMatching):
         cb.validate_matching(g, {0, 99})
+    # {0, 5} is a perfect matching of k4; ids are typed, not coerced with int()
+    for not_ints in ([0.0, 5], ["5", 0], ["x"], None, [True, 4], [[0]]):
+        with pytest.raises(NotAMatching):
+            cb.validate_matching(g, not_ints)
 
 
 @pytest.mark.parametrize("check", [cb.complement_cycles, cb.is_even_matching,
