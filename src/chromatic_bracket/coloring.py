@@ -17,7 +17,7 @@ from __future__ import annotations
 import sys
 from typing import Iterator, Sequence
 
-from .errors import PartialColoring, RecursionBudgetExceeded, refuse_deep_recursion
+from .errors import PartialColoring, RecursionBudgetExceeded, refuse_deep_recursion, shown
 from .graph_core import CubicGraph, connected_components, has_loop, tightest_first
 
 RED, BLUE, PURPLE = 0, 1, 2
@@ -42,11 +42,13 @@ def is_proper(g: CubicGraph, coloring: Sequence[int]) -> bool:
     A loop contributes the same color twice at its node, so a graph with a
     loop never has a proper coloring.
     """
+    if not isinstance(coloring, Sequence):
+        raise PartialColoring(f"coloring {shown(coloring)} is not a sequence")
     if len(coloring) != g.edge_count:
         raise PartialColoring(f"coloring covers {len(coloring)} of {g.edge_count} edges")
     for c in coloring:
         if type(c) is not int or c not in COLORS:  # type(): True is not BLUE
-            raise PartialColoring(f"not a color: {c!r}")
+            raise PartialColoring(f"not a color: {shown(c)}")
     for stubs in g.incidence:
         if len({coloring[h // 2] for h in stubs}) != 3:
             return False
@@ -85,19 +87,22 @@ def count_colorings(g: CubicGraph) -> int:
         return total
 
     count = 1
-    with refuse_deep_recursion("brute-force search"):
-        for nodes in connected_components(g):
-            if 3 * len(nodes) // 2 >= sys.getrecursionlimit():  # one frame per edge
-                raise RecursionBudgetExceeded("brute-force search is too deep for the Python stack")
-            groups = [[h // 2 for h in g.incidence[n]] for n in nodes]
-            [order] = tightest_first(groups, [list(dict.fromkeys(e for es in groups for e in es))])
-            ends = [g.edges[e] for e in order]
-            for (u, v), bit in zip(ends, (1 << RED, 1 << BLUE)):
-                used[u] |= bit
-                used[v] |= bit
-            count *= 6 * rec(2)
-            if not count:
-                break
+    try:
+        with refuse_deep_recursion("brute-force search"):
+            for nodes in connected_components(g):
+                if 3 * len(nodes) // 2 >= sys.getrecursionlimit():  # one frame per edge
+                    raise RecursionBudgetExceeded("brute-force search is too deep for the Python stack")
+                groups = [[h // 2 for h in g.incidence[n]] for n in nodes]
+                [order] = tightest_first(groups, [list(dict.fromkeys(e for es in groups for e in es))])
+                ends = [g.edges[e] for e in order]
+                for (u, v), bit in zip(ends, (1 << RED, 1 << BLUE)):
+                    used[u] |= bit
+                    used[v] |= bit
+                count *= 6 * rec(2)
+                if not count:
+                    break
+    finally:
+        del rec  # rec holds itself; let go so refcounting frees it
     return count
 
 
@@ -127,8 +132,11 @@ def iter_colorings(g: CubicGraph) -> Iterator[EdgeColoring]:
             used[u] ^= bit
             used[v] ^= bit
 
-    with refuse_deep_recursion("coloring enumeration"):
-        yield from rec(0)
+    try:
+        with refuse_deep_recursion("coloring enumeration"):
+            yield from rec(0)
+    finally:  # on close() too
+        del rec  # rec holds itself; let go so refcounting frees it
 
 
 def enumerate_colorings(g: CubicGraph) -> list[EdgeColoring]:

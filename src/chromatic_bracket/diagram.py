@@ -24,6 +24,7 @@ from .errors import (
     ParseError,
     StrandClosesWithoutNode,
     UnmatchedPort,
+    shown,
 )
 from .graph_core import CubicGraph, build_graph, components
 
@@ -83,14 +84,14 @@ def build_diagram(
     kinds = tuple(crossing_kinds)
     for k in kinds:
         if k not in CROSSING_KINDS:
-            raise InvalidArgument(f"unknown crossing kind {k!r}")
+            raise InvalidArgument(f"unknown crossing kind {shown(k)}")
     norm: list[tuple[Port, Port]] = []
     for pair in arcs:
         if type(pair) not in (list, tuple) or len(pair) != 2:
-            raise InvalidArgument(f"arc {pair!r} is not a pair of ports")
+            raise InvalidArgument(f"arc {shown(pair)} is not a pair of ports")
         p, q = _arc_port(pair[0]), _arc_port(pair[1])
         if p == q:
-            raise UnmatchedPort(f"arc joins port {p} to itself")
+            raise UnmatchedPort(f"arc joins port {shown(p)} to itself")
         norm.append((p, q) if p < q else (q, p))
     norm.sort()
     crossings, base = len(kinds), 3 * node_count
@@ -105,7 +106,7 @@ def build_diagram(
             elif kind == CROSSING and 0 <= owner < crossings and 0 <= slot < 4:
                 code = base + 4 * owner + slot
             else:
-                raise UnmatchedPort(f"port {port} does not exist")
+                raise UnmatchedPort(f"port {shown(port)} does not exist")
             if code < size:
                 covered[code] += 1
     if covered.count(1) != size:
@@ -120,9 +121,9 @@ def _arc_port(obj: object) -> Port:
     try:
         p = obj if type(obj) is Port else Port._make(obj)
     except TypeError:
-        raise InvalidArgument(f"port {obj!r} does not have three fields") from None
+        raise InvalidArgument(f"port {shown(obj)} does not have three fields") from None
     if p.kind not in (NODE, CROSSING) or type(p.owner) is not int or type(p.slot) is not int:
-        raise UnmatchedPort(f"port {p} does not exist")
+        raise UnmatchedPort(f"port {shown(p)} does not exist")
     return p
 
 
@@ -182,9 +183,15 @@ def trace_strand(d: Diagram, start: Port) -> tuple[Port, list[tuple[int, int]]]:
     """Walk from a node port through crossings to the far node port.
 
     Returns the far port and the (crossing id, entry slot) list in walk order.
+    A start that is not a Port (by type) or not at a node is an InvalidArgument,
+    and a port d lacks an UnmatchedPort.
     """
-    if start.kind != NODE:
+    if type(start) is not Port:  # a plain tuple has no .kind
+        raise InvalidArgument(f"strand start {shown(start)} is not a Port")
+    if _arc_port(start).kind != NODE:
         raise InvalidArgument("strand tracing starts at a node port")
+    if start not in d.mate:
+        raise UnmatchedPort(f"port {shown(start)} does not exist")
     traversals: list[tuple[int, int]] = []
     cur = d.mate[start]
     while cur.kind == CROSSING:
@@ -260,8 +267,11 @@ def chord_immersion(g: CubicGraph, node_order: Sequence[int] | None = None) -> D
     port, a nested chord running lower. Two chords meet, in one circled
     crossing, exactly when their ports interleave, and no three chords meet.
     """
-    order = list(node_order) if node_order is not None else list(range(g.node_count))
-    if sorted(order) != list(range(g.node_count)):
+    if node_order is None:
+        node_order = range(g.node_count)
+    order = list(node_order) if isinstance(node_order, Iterable) else []  # [] is no permutation
+    # type(): True is not node 1, and no other type sorts with the ids
+    if any(type(n) is not int for n in order) or sorted(order) != list(range(g.node_count)):
         raise InvalidArgument("node_order must be a permutation of all nodes")
     d = _chord_layout(g, order)
     if genus(d) != 0:
@@ -344,7 +354,7 @@ def diagram_from_json_dict(data: object) -> Diagram:
     for key, name in (("nodes", "node"), ("crossings", "crossing")):
         for entry in data[key]:
             if not isinstance(entry, dict) or type(entry.get("id")) is not int:
-                raise ParseError(f"bad {name} entry {entry!r}")
+                raise ParseError(f"bad {name} entry {shown(entry)}")
         by_id[key] = {entry["id"]: entry for entry in data[key]}
         if sorted(by_id[key]) != list(range(len(data[key]))):  # a repeated id shortens by_id
             raise ParseError(f"{name} ids must be dense from 0")

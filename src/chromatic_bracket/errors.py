@@ -10,6 +10,30 @@ class ChromaticBracketError(Exception):
     """Base class for every error raised by this package."""
 
 
+class _Verbatim(str):
+    __repr__ = str.__str__
+
+
+def _bounded(value: object) -> object:
+    if isinstance(value, int) and value.bit_length() > 2000:  # about 602 digits
+        return _Verbatim(f"<int of {value.bit_length()} bits>")
+    if type(value) in (tuple, list):
+        return type(value)(map(_bounded, value))
+    if type(value) is dict:
+        return {_bounded(k): _bounded(v) for k, v in value.items()}
+    if isinstance(value, tuple) and hasattr(value, "_make"):  # a named tuple, such as a Port
+        return value._make(map(_bounded, value))
+    return value
+
+
+def shown(value: object) -> str:
+    """repr(value) for an error message. An int of more than 2000 bits, alone or
+    in tuples, lists and dicts, shows as its bit length: it is never converted
+    to decimal, which past sys.get_int_max_str_digits() raises a bare ValueError
+    (Python accepts no limit below 640 digits)."""
+    return repr(_bounded(value))
+
+
 class EmptyGraph(ChromaticBracketError):
     """A graph must have at least one node."""
 

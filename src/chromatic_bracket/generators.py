@@ -10,7 +10,7 @@ import random
 from typing import Callable
 
 from .diagram import CIRCLED, Diagram, Port, build_diagram, chord_immersion, genus, underlying_graph
-from .errors import InvalidArgument, NotPlane
+from .errors import InvalidArgument, NotPlane, shown
 from .graph_core import CubicGraph, build_graph
 
 
@@ -265,7 +265,7 @@ def named_graph(name: str, n: int | None = None, seed: int = 0) -> CubicGraph:
     if name in _PLAIN_GRAPHS:
         return _PLAIN_GRAPHS[name]()
     if name not in GENERATOR_NAMES:
-        raise InvalidArgument(f"unknown generator {name!r}; known: {', '.join(GENERATOR_NAMES)}")
+        raise InvalidArgument(f"unknown generator {shown(name)}; known: {', '.join(GENERATOR_NAMES)}")
     if n is None:
         raise InvalidArgument(f"{name} needs --n")
     if name == "isaacs_j":

@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .errors import DegreeViolation, Disconnected, EmptyGraph, InvalidArgument, ParseError
+from .errors import DegreeViolation, Disconnected, EmptyGraph, InvalidArgument, ParseError, shown
 
 NodeId = int
 EdgeId = int
@@ -62,7 +62,7 @@ def build_graph(node_count: int, edges: Iterable[Sequence[int]]) -> CubicGraph:
     edge_tuple = tuple(edges)
     for e in edge_tuple:
         if type(e) not in (list, tuple) or len(e) != 2 or type(e[0]) is not int or type(e[1]) is not int:
-            raise InvalidArgument(f"edge {e!r} is not a pair of ints")
+            raise InvalidArgument(f"edge {shown(e)} is not a pair of ints")
     if node_count <= 0:
         raise EmptyGraph("a cubic graph needs at least one node")
     # The edges touch at most 2|E| nodes, so when node_count is larger some
@@ -71,7 +71,7 @@ def build_graph(node_count: int, edges: Iterable[Sequence[int]]) -> CubicGraph:
     degree = [0] * size
     for u, v in edge_tuple:
         if not (0 <= u < node_count and 0 <= v < node_count):
-            raise InvalidArgument(f"edge endpoint out of range: ({u}, {v})")
+            raise InvalidArgument(f"edge endpoint out of range: {shown((u, v))}")
         if u < size:
             degree[u] += 1
         if v < size:

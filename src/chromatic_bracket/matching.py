@@ -14,7 +14,7 @@ import itertools
 from typing import Iterable, Iterator, Sequence
 
 from .coloring import BLUE, PURPLE, RED, EdgeColoring, is_proper
-from .errors import ImproperColoring, NotAMatching, OddCycle, refuse_deep_recursion
+from .errors import ImproperColoring, NotAMatching, OddCycle, refuse_deep_recursion, shown
 from .graph_core import CubicGraph
 
 PerfectMatching = frozenset[int]
@@ -24,12 +24,12 @@ def validate_matching(g: CubicGraph, edge_ids: Iterable[int]) -> PerfectMatching
     ids = list(edge_ids) if isinstance(edge_ids, Iterable) else [edge_ids]
     for e in ids:
         if type(e) is not int:  # type(): True is not edge 1
-            raise NotAMatching(f"edge id {e!r} is not an int")
+            raise NotAMatching(f"edge id {shown(e)} is not an int")
     m = frozenset(ids)
     cover = [0] * g.node_count
     for e in m:
         if not 0 <= e < g.edge_count:
-            raise NotAMatching(f"edge id {e} out of range")
+            raise NotAMatching(f"edge id {shown(e)} out of range")
         u, v = g.edges[e]
         if u == v:
             raise NotAMatching(f"edge {e} is a loop")
@@ -78,8 +78,11 @@ def iter_perfect_matchings(g: CubicGraph) -> Iterator[PerfectMatching]:
         for x in passed:
             free[x] += 1
 
-    with refuse_deep_recursion("perfect-matching search"):
-        yield from rec(0, ())
+    try:
+        with refuse_deep_recursion("perfect-matching search"):
+            yield from rec(0, ())
+    finally:  # on close() too
+        del rec  # rec holds itself; let go so refcounting frees it
 
 
 def enumerate_perfect_matchings(g: CubicGraph) -> list[PerfectMatching]:

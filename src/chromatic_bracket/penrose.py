@@ -34,6 +34,7 @@ from .errors import (
     NotCircled,
     RecursionBudgetExceeded,
     refuse_deep_recursion,
+    shown,
 )
 from .graph_core import CubicGraph, components, min_fill_order, tightest_first
 
@@ -55,7 +56,7 @@ _PAIR_FACTOR = {PLAIN: (1, 0), CIRCLED: (-1, 2), DOTTED: (0, 1)}
 
 def crossing_weight(kind: str, color_a: int, color_b: int) -> int:
     if kind not in _PAIR_FACTOR:
-        raise InvalidArgument(f"unknown crossing kind {kind!r}")
+        raise InvalidArgument(f"unknown crossing kind {shown(kind)}")
     a, b = _PAIR_FACTOR[kind]
     return a + b if color_a == color_b else a
 
@@ -236,10 +237,13 @@ def _strand_sum(nodes: Sequence[tuple[int, ...]], adj: list[dict[int, tuple[int,
             held[v] ^= bit
             by_color[c] ^= me
 
-    for lo, stop in zip(starts, starts[1:]):
-        total = 0
-        rec(lo, 1)
-        mult *= total * (6 if lo in fixed else 1)
+    try:
+        for lo, stop in zip(starts, starts[1:]):
+            total = 0
+            rec(lo, 1)
+            mult *= total * (6 if lo in fixed else 1)
+    finally:
+        del rec  # rec holds itself; let go so refcounting frees it
     return mult
 
 
@@ -281,7 +285,7 @@ def expand_circled(d: Diagram, crossing: int) -> tuple[Diagram, Diagram]:
     every strand coloring: (2*[a==b] - 1) is exactly the circled weight.
     """
     if not 0 <= crossing < d.crossing_count:
-        raise NotCircled(f"no crossing {crossing}")
+        raise NotCircled(f"no crossing {shown(crossing)}")
     if d.crossing_kinds[crossing] != CIRCLED:
         raise NotCircled(f"crossing {crossing} is {d.crossing_kinds[crossing]}, not circled")
 
@@ -295,8 +299,10 @@ def expand_circled(d: Diagram, crossing: int) -> tuple[Diagram, Diagram]:
 
 def _cut_arc(d: Diagram, arc_index: int) -> tuple[Port, Port, list]:
     """The two ports of arc arc_index and the other arcs."""
+    if type(arc_index) is not int:  # type(): True is not arc 1
+        raise InvalidArgument(f"arc index {shown(arc_index)} is not an int")
     if not 0 <= arc_index < len(d.arcs):
-        raise IndexOutOfRange(f"no arc {arc_index}")
+        raise IndexOutOfRange(f"no arc {shown(arc_index)}")
     p, q = d.arcs[arc_index]
     return p, q, [a for i, a in enumerate(d.arcs) if i != arc_index]
 
@@ -418,6 +424,8 @@ def skein_evaluate(d: Diagram, budget: int = 100_000) -> int:
     renaming is reused: one budget step is one expansion of a state new to
     this evaluation. Agrees with contract_extended wherever both apply.
     """
+    if type(budget) is not int or budget < 0:
+        raise InvalidArgument(f"skein budget {shown(budget)} is not a nonnegative int")
     nodes, adj, mult = _couplings(d, include_crossings=True)
     choice = len({s for t in nodes for s in t if not adj[s]}) > 1
     rank = min_fill_order(_node_adjacency(len(adj), nodes)[1]) if choice else range(len(nodes))

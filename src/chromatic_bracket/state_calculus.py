@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import IncompleteState, InvalidArgument, refuse_deep_recursion
+from .errors import IncompleteState, InvalidArgument, refuse_deep_recursion, shown
 from .graph_core import CubicGraph, bridges_per_component, build_graph
 from .matching import PerfectMatching, _complement_link, trace_cycles, validate_matching
 
@@ -96,7 +96,10 @@ def _count_loop_colorings(k: int, pairs: Sequence[Pair]) -> int:
                 total += rec(i + 1)
         return total
 
-    return 6 * rec(2)
+    try:
+        return 6 * rec(2)
+    finally:
+        del rec  # rec holds itself; let go so refcounting frees it
 
 
 def make_state(g: CubicGraph, matching: Iterable[int], switches: Sequence[str]) -> State:
@@ -108,7 +111,7 @@ def make_state(g: CubicGraph, matching: Iterable[int], switches: Sequence[str]) 
         raise InvalidArgument(f"need {len(ordered)} switch settings, got {len(switches)}")
     for s in switches:
         if s not in SWITCH_SETTINGS:
-            raise InvalidArgument(f"unknown switch setting {s!r}")
+            raise InvalidArgument(f"unknown switch setting {shown(s)}")
     cycle_link = _complement_link(g, m)
     # a complement walk departs each node along some h and arrives there along cycle_link[h]
     ends = {g.half_edge_node(h): (h, cycle_link[h]) for w in trace_cycles(cycle_link)[0] for h in w}
@@ -199,8 +202,11 @@ def _expansion_count(g: CubicGraph, m: PerfectMatching) -> int:
                 far[x], far[y], mask[x], mask[y] = a, b, mask[a], mask[b]
         return total
 
-    with refuse_deep_recursion("state expansion"):
-        return rec(0)
+    try:
+        with refuse_deep_recursion("state expansion"):
+            return rec(0)
+    finally:
+        del rec  # rec holds itself; let go so refcounting frees it
 
 
 def squeeze(s: State) -> CubicGraph:

@@ -315,16 +315,17 @@ def test_closed_stdout_ends_quietly():
     import subprocess
     import sys
 
-    proc = subprocess.Popen(
+    # the with block closes stderr too, so no pipe is left to the garbage collector
+    with subprocess.Popen(
         [sys.executable, "-m", "chromatic_bracket", "matchings", "isaacs_j", "--n", "11",
          "--json-only"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-    )
-    assert len(proc.stdout.read(10)) == 10  # the payload is far past a pipe buffer
-    proc.stdout.close()
-    err = proc.stderr.read().decode()
-    assert proc.wait() == 1
+    ) as proc:
+        assert len(proc.stdout.read(10)) == 10  # the payload is far past a pipe buffer
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 1
     assert "Traceback" not in err
 
 

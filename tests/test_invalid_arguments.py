@@ -8,11 +8,19 @@ import pytest
 import chromatic_bracket as cb
 from chromatic_bracket import generators as gen
 from chromatic_bracket.diagram import CROSSING, NODE, Port
-from chromatic_bracket.errors import ChromaticBracketError, InvalidArgument, UnmatchedPort
+from chromatic_bracket.errors import (
+    ChromaticBracketError,
+    InvalidArgument,
+    NotAMatching,
+    NotCircled,
+    PartialColoring,
+    UnmatchedPort,
+)
 
 K33 = gen.k33()
 K33_MATCHING = cb.enumerate_perfect_matchings(K33)[0]
 THETA_ARCS = list(gen.theta_diagram().arcs)  # the first arc is (n0.0, n1.0)
+HUGE = 10**5000  # past the default int-to-str limit of 4300 digits
 
 
 def theta_with_first_port(port: object):
@@ -51,6 +59,15 @@ BAD_CALLS = {
     "arcs not iterable": lambda: cb.build_diagram(2, (), 5),
     "arc with one port": lambda: cb.build_diagram(2, (), [THETA_ARCS[0][:1]] + THETA_ARCS[1:]),
     "arc that is a number": lambda: cb.build_diagram(2, (), [5] + THETA_ARCS[1:]),
+    "edge endpoint past the digit limit": lambda: cb.build_graph(2, [(0, HUGE)]),
+    # typed refusals, not a bare TypeError, AttributeError or exhausted budget
+    "node order that is a number": lambda: cb.chord_immersion(gen.theta(), 5),
+    "arc index a str": lambda: cb.encircle_arc(gen.theta_diagram(), "0"),
+    "arc index a bool": lambda: cb.encircle_arc(gen.theta_diagram(), True),
+    "twist arc index a str": lambda: cb.insert_twist(gen.theta_diagram(), "0"),
+    "strand start a plain tuple": lambda: cb.trace_strand(gen.theta_diagram(), (NODE, 0, 0)),
+    "skein budget a float": lambda: cb.skein_evaluate(gen.theta_diagram(), 1.5),
+    "skein budget negative": lambda: cb.skein_evaluate(gen.theta_diagram(), -1),
 }
 
 
@@ -80,3 +97,32 @@ def test_mistyped_ports_do_not_exist(port):
     assert theta_with_first_port(Port(NODE, 0, 0)) == gen.theta_diagram()
     with pytest.raises(UnmatchedPort, match="does not exist"):
         theta_with_first_port(port)
+
+
+HUGE_INT_CALLS = {
+    "graph edge endpoint": (lambda: cb.build_graph(2, [(0, HUGE)]), InvalidArgument),
+    "diagram port owner": (lambda: cb.build_diagram(2, (), [((NODE, HUGE, 0), (NODE, 0, 0))]),
+                           UnmatchedPort),
+    "matching edge id": (lambda: cb.validate_matching(K33, [HUGE]), NotAMatching),
+    "crossing to expand": (lambda: cb.expand_circled(cb.chord_immersion(K33), HUGE), NotCircled),
+}
+
+
+@pytest.mark.parametrize("call, error", HUGE_INT_CALLS.values(), ids=HUGE_INT_CALLS.keys())
+def test_huge_ints_get_bounded_messages(call, error):
+    # the message names the int by its size; formatting it in decimal would
+    # raise a bare ValueError past the digit limit
+    with pytest.raises(error, match="<int of 16610 bits>") as info:
+        call()
+    assert len(str(info.value)) < 100
+
+
+@pytest.mark.parametrize("port", [Port(NODE, 99, 0), Port(NODE, 0, 7)], ids=["owner", "slot"])
+def test_strand_from_a_missing_port_is_refused(port):
+    with pytest.raises(UnmatchedPort, match="does not exist"):
+        cb.trace_strand(gen.theta_diagram(), port)
+
+
+def test_coloring_that_is_not_a_sequence_is_partial():
+    with pytest.raises(PartialColoring, match="not a sequence"):
+        cb.is_proper(gen.theta(), None)
