@@ -13,7 +13,6 @@ from .coloring import (
     COLORS,
     PURPLE,
     RED,
-    color_name,
     coloring_names,
     count_colorings,
     enumerate_colorings,
@@ -30,13 +29,10 @@ from .diagram import (
     Port,
     build_diagram,
     chord_immersion,
-    diagram_from_json,
     diagram_from_json_dict,
-    diagram_to_json,
     diagram_to_json_dict,
     genus,
     trace_faces,
-    trace_strand,
     trace_strands,
     underlying_graph,
 )
@@ -55,9 +51,7 @@ from .graph_core import (
     bridges_per_component,
     build_graph,
     connected_components,
-    graph_from_json,
     graph_from_json_dict,
-    graph_to_json,
     graph_to_json_dict,
     has_loop,
     is_connected,
@@ -102,21 +96,20 @@ __all__ = [
     "__version__",
     # colors and colorings
     "RED", "BLUE", "PURPLE", "COLORS", "COLOR_NAMES",
-    "color_name", "coloring_names", "is_proper",
+    "coloring_names", "is_proper",
     "count_colorings", "enumerate_colorings", "iter_colorings",
     # graphs
     "CubicGraph", "build_graph", "has_loop", "is_connected",
     "connected_components", "bridges", "bridges_per_component",
-    "graph_to_json", "graph_from_json", "graph_to_json_dict", "graph_from_json_dict",
+    "graph_to_json_dict", "graph_from_json_dict",
     # matchings
     "validate_matching", "enumerate_perfect_matchings", "iter_perfect_matchings",
     "complement_cycles", "is_even_matching", "colorings_from_even_matching",
     "matching_from_coloring", "count_from_even_matchings",
     # diagrams
     "Diagram", "Port", "NODE", "CROSSING", "CIRCLED", "PLAIN", "DOTTED",
-    "build_diagram", "chord_immersion", "genus", "trace_faces", "trace_strand",
-    "trace_strands", "underlying_graph",
-    "diagram_to_json", "diagram_from_json", "diagram_to_json_dict", "diagram_from_json_dict",
+    "build_diagram", "chord_immersion", "genus", "trace_faces",
+    "trace_strands", "underlying_graph", "diagram_to_json_dict", "diagram_from_json_dict",
     # formations
     "Formation", "BOUNCE", "CROSS", "formation_from_coloring",
     "coloring_from_formation", "classify_meetings", "crossing_parity",

@@ -14,10 +14,9 @@ keeps plain BFS order from each component's lowest node, because
 
 from __future__ import annotations
 
-import sys
 from typing import Iterator, Sequence
 
-from .errors import PartialColoring, RecursionBudgetExceeded, refuse_deep_recursion, shown
+from .errors import PartialColoring, refuse_deep_recursion, shown
 from .graph_core import CubicGraph, connected_components, has_loop, tightest_first
 
 RED, BLUE, PURPLE = 0, 1, 2
@@ -26,10 +25,6 @@ COLOR_NAMES = ("R", "B", "P")
 
 # Total assignment edge id -> color, as a tuple indexed by edge id.
 EdgeColoring = tuple[int, ...]
-
-
-def color_name(color: int) -> str:
-    return COLOR_NAMES[color]
 
 
 def coloring_names(coloring: Sequence[int]) -> list[str]:
@@ -63,8 +58,7 @@ def _bfs_components(g: CubicGraph) -> list[list[int]]:
 
 def count_colorings(g: CubicGraph) -> int:
     """Exact number of proper 3-edge-colorings (one class per component, times 6),
-    searched tightest edge first; iter_colorings keeps BFS order. A component
-    with as many edges as the recursion limit is refused before its order is built."""
+    searched tightest edge first; iter_colorings keeps BFS order."""
     if has_loop(g):
         return 0
     used = [0] * g.node_count
@@ -90,8 +84,6 @@ def count_colorings(g: CubicGraph) -> int:
     try:
         with refuse_deep_recursion("brute-force search"):
             for nodes in connected_components(g):
-                if 3 * len(nodes) // 2 >= sys.getrecursionlimit():  # one frame per edge
-                    raise RecursionBudgetExceeded("brute-force search is too deep for the Python stack")
                 groups = [[h // 2 for h in g.incidence[n]] for n in nodes]
                 [order] = tightest_first(groups, [list(dict.fromkeys(e for es in groups for e in es))])
                 ends = [g.edges[e] for e in order]

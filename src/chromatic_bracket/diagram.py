@@ -14,7 +14,6 @@ circled crossing for each pair of chords whose ports interleave.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -179,29 +178,11 @@ def genus(d: Diagram) -> int:
 # ---------------------------------------------------------------------------
 # strands and the underlying graph
 
-def trace_strand(d: Diagram, start: Port) -> tuple[Port, list[tuple[int, int]]]:
-    """Walk from a node port through crossings to the far node port.
-
-    Returns the far port and the (crossing id, entry slot) list in walk order.
-    A start that is not a Port (by type) or not at a node is an InvalidArgument,
-    and a port d lacks an UnmatchedPort.
-    """
-    if type(start) is not Port:  # a plain tuple has no .kind
-        raise InvalidArgument(f"strand start {shown(start)} is not a Port")
-    if _arc_port(start).kind != NODE:
-        raise InvalidArgument("strand tracing starts at a node port")
-    if start not in d.mate:
-        raise UnmatchedPort(f"port {shown(start)} does not exist")
-    traversals: list[tuple[int, int]] = []
-    cur = d.mate[start]
-    while cur.kind == CROSSING:
-        traversals.append((cur.owner, cur.slot))
-        cur = d.mate[(CROSSING, cur.owner, (cur.slot + 2) % 4)]
-    return cur, traversals
-
-
 def trace_strands(d: Diagram) -> tuple[int, list[tuple[int, int, int]], list[list[int]]]:
-    """Number the strands: node strands by their lowest node port, then closed ones.
+    """Number the strands: node strands by their lowest node port, then closed
+    ones (on no node) by their lowest crossing port. The one strand walk: from
+    each port not yet on a strand, node ports first, over arcs and straight
+    through crossings (slot s to s + 2), to a node or back to the start.
 
     Strand e < 3 * node_count / 2 is edge e of the underlying graph. Returns
     the strand count, the clockwise strand triple of each node (a strand from
@@ -210,23 +191,24 @@ def trace_strands(d: Diagram) -> tuple[int, list[tuple[int, int, int]], list[lis
     """
     triples = [[-1, -1, -1] for _ in range(d.node_count)]
     axes = [[-1, -1] for _ in range(d.crossing_count)]
-    k = 0
-    for n, triple in enumerate(triples):
-        for s in range(3):
-            if triple[s] < 0:
-                end, walk = trace_strand(d, Port(NODE, n, s))
-                triple[s] = triples[end.owner][end.slot] = k
-                for x, slot in walk:
-                    axes[x][slot % 2] = k
-                k += 1
-    for x, pair in enumerate(axes):
-        for axis in (0, 1):
-            if pair[axis] < 0:
-                owner, slot = x, axis
-                while axes[owner][slot % 2] < 0:
-                    axes[owner][slot % 2] = k
-                    _, owner, slot = d.mate[(CROSSING, owner, (slot + 2) % 4)]
-                k += 1
+    starts = [(NODE, n, s) for n in range(d.node_count) for s in range(3)]
+    starts += [(CROSSING, x, axis) for x in range(d.crossing_count) for axis in (0, 1)]
+    mate, k = d.mate, 0
+    for kind, owner, slot in starts:
+        on = triples[owner] if kind == NODE else axes[owner]
+        if on[slot] >= 0:
+            continue
+        on[slot] = k
+        while True:
+            kind, owner, slot = mate[(kind, owner, slot)]
+            if kind == NODE:
+                triples[owner][slot] = k
+                break
+            if axes[owner][slot % 2] >= 0:  # a closed strand is back at its start
+                break
+            axes[owner][slot % 2] = k
+            slot = (slot + 2) % 4
+        k += 1
     return k, [tuple(t) for t in triples], axes
 
 
@@ -337,10 +319,6 @@ def diagram_to_json_dict(d: Diagram) -> dict:
     return out
 
 
-def diagram_to_json(d: Diagram) -> str:
-    return json.dumps(diagram_to_json_dict(d), separators=(",", ":"))
-
-
 def diagram_from_json_dict(data: object) -> Diagram:
     """Read diagram JSON. This checks the node and crossing entries, that their
     ids are dense and that "cw" lists agree with the arcs; build_diagram checks
@@ -376,14 +354,6 @@ def diagram_from_json_dict(data: object) -> Diagram:
     except (UnmatchedPort, ValueError) as exc:
         raise ParseError(str(exc)) from exc
     return d
-
-
-def diagram_from_json(text: str) -> Diagram:
-    try:
-        data = json.loads(text)
-    except ValueError as exc:  # bad JSON, or an integer past the digit limit
-        raise ParseError(f"invalid JSON: {exc}") from exc
-    return diagram_from_json_dict(data)
 
 
 def looks_like_diagram_json(data: object) -> bool:

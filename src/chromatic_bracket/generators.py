@@ -64,7 +64,7 @@ def isaacs_j(n: int) -> CubicGraph:
     Hub b_i joins a_i, c_i, d_i; the a's form an n-cycle; the c's and d's
     form one 2n-cycle c_0..c_{n-1} d_0..d_{n-1}. Uncolorable for odd n.
     """
-    if n < 3:
+    if type(n) is not int or n < 3:  # type(): neither 5.0 nor True is a size
         raise InvalidArgument("isaacs_j needs n >= 3")
     a = lambda i: i
     b = lambda i: n + i
@@ -102,7 +102,7 @@ def random_cubic(n: int, seed: int) -> CubicGraph:
 
     Loops and parallel edges are kept; they are legal cubic multigraphs.
     """
-    if n < 2 or n % 2:
+    if type(n) is not int or n < 2 or n % 2:
         raise InvalidArgument("random_cubic needs even n >= 2")
     rng = random.Random(seed)
     stubs = [v for v in range(n) for _ in range(3)]
@@ -185,7 +185,7 @@ def random_plane_cubic(n: int, seed: int) -> Diagram:
     digon between two new nodes; both moves preserve planarity, cubicity,
     bridgelessness, and the absence of loops, and add two nodes.
     """
-    if n < 2 or n % 2:
+    if type(n) is not int or n < 2 or n % 2:
         raise InvalidArgument("random_plane_cubic needs even n >= 2")
     rng = random.Random(seed)
     mate = dict(theta_diagram().mate)

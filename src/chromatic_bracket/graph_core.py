@@ -8,7 +8,6 @@ exactly three half-edges.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -44,10 +43,6 @@ class CubicGraph:
 
     def half_edge_node(self, h: HalfEdge) -> NodeId:
         return self.edges[h // 2][h % 2]
-
-    def other_end(self, h: HalfEdge) -> HalfEdge:
-        return h ^ 1
-
 
 def build_graph(node_count: int, edges: Iterable[Sequence[int]]) -> CubicGraph:
     """Check and freeze a cubic multigraph: the one place a graph is checked.
@@ -241,10 +236,6 @@ def graph_to_json_dict(g: CubicGraph) -> dict:
     return {"nodes": g.node_count, "edges": [[u, v] for u, v in g.edges]}
 
 
-def graph_to_json(g: CubicGraph) -> str:
-    return json.dumps(graph_to_json_dict(g), separators=(",", ":"))
-
-
 def graph_from_json_dict(data: object) -> CubicGraph:
     """Read {"nodes": n, "edges": [[u, v], ...]}: this checks only the object's
     shape, and build_graph checks the values (its InvalidArgument becomes a
@@ -255,11 +246,3 @@ def graph_from_json_dict(data: object) -> CubicGraph:
         return build_graph(data["nodes"], data["edges"])
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
-
-
-def graph_from_json(text: str) -> CubicGraph:
-    try:
-        data = json.loads(text)
-    except ValueError as exc:  # bad JSON, or an integer past the digit limit
-        raise ParseError(f"invalid JSON: {exc}") from exc
-    return graph_from_json_dict(data)

@@ -47,7 +47,7 @@ def iter_perfect_matchings(g: CubicGraph) -> Iterator[PerfectMatching]:
     free[n] counts n's undecided edges to other uncovered nodes; a branch stops
     when an uncovered node has none left."""
     # each non-loop edge: its id, its ends, and the far ends of the later edges there
-    edges = [(e, u, v, [g.half_edge_node(g.other_end(h)) for x in (u, v) for h in g.incidence[x]
+    edges = [(e, u, v, [g.half_edge_node(h ^ 1) for x in (u, v) for h in g.incidence[x]
                         if h // 2 > e]) for e, (u, v) in enumerate(g.edges) if u != v]
     free = [sum(u != v for u, v in (g.edges[h // 2] for h in hs)) for hs in g.incidence]
     covered = [False] * g.node_count

@@ -284,6 +284,8 @@ def expand_circled(d: Diagram, crossing: int) -> tuple[Diagram, Diagram]:
     value(d) = 2 * value(dotted variant) - value(plain variant), pointwise in
     every strand coloring: (2*[a==b] - 1) is exactly the circled weight.
     """
+    if type(crossing) is not int:  # type(): True is not crossing 1
+        raise InvalidArgument(f"crossing index {shown(crossing)} is not an int")
     if not 0 <= crossing < d.crossing_count:
         raise NotCircled(f"no crossing {shown(crossing)}")
     if d.crossing_kinds[crossing] != CIRCLED:

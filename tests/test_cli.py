@@ -106,14 +106,14 @@ def test_count_refuses_a_flag_its_method_ignores(capsys, argv):
 
 def test_count_from_graph_file(tmp_path: Path, capsys):
     path = tmp_path / "theta.json"
-    path.write_text(cb.graph_to_json(gen.theta()))
+    path.write_text(json.dumps(cb.graph_to_json_dict(gen.theta())))
     code, payload, _ = run(capsys, "count", str(path))
     assert (code, payload["count"]) == (0, 6)
 
 
 def test_count_from_diagram_file_schema_inferred(tmp_path: Path, capsys):
     path = tmp_path / "k33d.json"
-    path.write_text(cb.diagram_to_json(gen.k33_diagram()))
+    path.write_text(json.dumps(cb.diagram_to_json_dict(gen.k33_diagram())))
     code, payload, _ = run(capsys, "count", str(path), "--method", "penrose")
     assert (code, payload["count"]) == (0, 12)
     # same file read as a graph via the underlying multigraph
@@ -366,10 +366,12 @@ def test_validate_huge_node_count_fails_cleanly(tmp_path: Path, capsys):
 
 def test_input_integer_past_the_digit_limit_fails_cleanly(tmp_path: Path, capsys):
     path = tmp_path / "long.json"
-    path.write_text('{"nodes": 1' + "0" * 5000 + ', "edges": []}')
-    code, _, err = run(capsys, "validate", str(path))
-    assert code == 1
-    assert "error:" in err
+    for text in ('{"nodes": 1' + "0" * 5000 + ', "edges": []}',
+                 '{"nodes": [], "crossings": [], "arcs": [], "free_loops": 1' + "0" * 5000 + "}"):
+        path.write_text(text)
+        code, _, err = run(capsys, "validate", str(path))
+        assert code == 1
+        assert "error:" in err
 
 
 def test_counts_past_the_int_digit_limit_print_in_full(tmp_path: Path, capsys):

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import chromatic_bracket as cb
-from chromatic_bracket import coloring, generators as gen
+from chromatic_bracket import generators as gen
 from chromatic_bracket.errors import PartialColoring, RecursionBudgetExceeded
-from chromatic_bracket.graph_core import has_loop, tightest_first
+from chromatic_bracket.graph_core import has_loop
 from chromatic_bracket.matching import even_matching_sum
 
 # frozen reference counts, checked against an independent brute-force pass
@@ -77,7 +77,7 @@ def test_is_proper_rejects_bad_input():
 
 def test_color_constants_and_names():
     assert cb.COLORS == (cb.RED, cb.BLUE, cb.PURPLE) == (0, 1, 2)
-    assert [cb.color_name(c) for c in cb.COLORS] == ["R", "B", "P"]
+    assert [cb.COLOR_NAMES[c] for c in cb.COLORS] == ["R", "B", "P"]
     assert cb.coloring_names((2, 0, 1)) == ["P", "R", "B"]
 
 
@@ -179,16 +179,21 @@ def test_deep_search_fails_typed_and_is_skipped_after_a_zero_component():
     assert cb.count_colorings(disjoint_union(gen.petersen(), deep)) == 0
 
 
-def test_a_component_too_deep_to_search_is_refused_before_its_order_is_built(monkeypatch):
-    # one frame per edge: 1200 and 15000 edges pass the recursion limit, so
-    # the count refuses them without building the search order first
-    built = []
-    monkeypatch.setattr(coloring, "tightest_first", lambda *args: built.append(args) or tightest_first(*args))
+def test_only_a_search_that_overflows_is_refused():
+    # a K4 with edge 2-3 subdivided by node 4, bridged to a 500-rung ladder
+    # with rung 5-505 subdivided by node 1005: 1509 edges, past the recursion
+    # limit, but the search starts on the K4 side and fails there within a few
+    # edges (no cubic graph with a bridge is colorable), so it answers 0
+    k4 = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 4), (4, 3)]
+    ladder = [(5 + a, 5 + b) for a, b in prism_ladder(500).edges if (a, b) != (0, 500)]
+    bridged = cb.build_graph(1006, k4 + ladder + [(5, 1005), (1005, 505), (4, 1005)])
+    assert bridged.edge_count == 1509
+    assert cb.count_colorings(bridged) == 0
+    # one frame per edge: 1200 and 15000 edges that the search does walk
     g = next(g for g in map(gen.random_cubic, [10000] * 10, range(10)) if not has_loop(g))
     for deep in (prism_ladder(400), g):
         with pytest.raises(RecursionBudgetExceeded):
             cb.count_colorings(deep)
-    assert built == []
 
 
 # the lists iter_colorings gave before the count used the color symmetry

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import chromatic_bracket as cb
 from chromatic_bracket import generators as gen
+from chromatic_bracket.cli import _load_file
 from chromatic_bracket.coloring import _bfs_components
 from chromatic_bracket.errors import DegreeViolation, Disconnected, EmptyGraph, ParseError, UnmatchedPort
 from chromatic_bracket.graph_core import components, min_fill_order, tightest_first
@@ -146,32 +148,30 @@ def test_an_open_ladder_has_no_bridges():
 
 def test_graph_json_round_trip_bit_exact():
     for g in (gen.theta(), gen.dumbbell(), gen.k33(), gen.petersen()):
-        text = cb.graph_to_json(g)
-        again = cb.graph_from_json(text)
+        text = json.dumps(cb.graph_to_json_dict(g))
+        again = cb.graph_from_json_dict(json.loads(text))
         assert again == g
-        assert cb.graph_to_json(again) == text
+        assert json.dumps(cb.graph_to_json_dict(again)) == text
 
 
 def test_graph_json_parse_errors():
     with pytest.raises(ParseError):
-        cb.graph_from_json("not json")
+        cb.graph_from_json_dict({"nodes": 2})
     with pytest.raises(ParseError):
-        cb.graph_from_json('{"nodes": 2}')
+        cb.graph_from_json_dict({"nodes": 2, "edges": [[0, "a"], [0, 1]]})
     with pytest.raises(ParseError):
-        cb.graph_from_json('{"nodes": 2, "edges": [[0, "a"], [0, 1]]}')
-    with pytest.raises(ParseError):
-        cb.graph_from_json('[1, 2, 3]')
+        cb.graph_from_json_dict([1, 2, 3])
     # semantic failures keep their specific types
     with pytest.raises(DegreeViolation):
-        cb.graph_from_json('{"nodes": 2, "edges": [[0, 1], [0, 1]]}')
+        cb.graph_from_json_dict({"nodes": 2, "edges": [[0, 1], [0, 1]]})
     with pytest.raises(ParseError):
-        cb.graph_from_json('{"nodes": 2, "edges": [[0, 1], [0, 1], [0, 5]]}')
+        cb.graph_from_json_dict({"nodes": 2, "edges": [[0, 1], [0, 1], [0, 5]]})
 
 
 def test_graph_json_rejects_bools_as_ints():
     # true/false would otherwise be read as node 1/0 (the first is a theta)
     with pytest.raises(ParseError):
-        cb.graph_from_json('{"nodes": 2, "edges": [[0, 1], [0, 1], [false, true]]}')
+        cb.graph_from_json_dict(json.loads('{"nodes": 2, "edges": [[0, 1], [0, 1], [false, true]]}'))
     with pytest.raises(ParseError):
         cb.graph_from_json_dict({"nodes": 2, "edges": [[0, 1], [0, 1], [True, 1]]})
     with pytest.raises(ParseError):
@@ -207,12 +207,14 @@ def test_huge_diagram_node_count_is_an_unmatched_port_not_an_allocation():
     assert str(info.value) == "port Port(kind='n', owner=0, slot=0) is covered 0 times, expected 1"
 
 
-def test_graph_json_integer_past_the_digit_limit_is_a_parse_error():
-    with pytest.raises(ParseError):
-        cb.graph_from_json('{"nodes": 1' + "0" * 5000 + ', "edges": []}')
-    with pytest.raises(ParseError):
-        cb.diagram_from_json('{"nodes": [], "crossings": [], "arcs": [], "free_loops": 1'
-                             + "0" * 5000 + "}")
+def test_graph_json_integer_past_the_digit_limit_is_a_parse_error(tmp_path):
+    # JSON text is decoded in one place, the CLI's file reader
+    path = tmp_path / "long.json"
+    for text in ('{"nodes": 1' + "0" * 5000 + ', "edges": []}',
+                 '{"nodes": [], "crossings": [], "arcs": [], "free_loops": 1' + "0" * 5000 + "}"):
+        path.write_text(text)
+        with pytest.raises(ParseError):
+            _load_file(str(path))
 
 
 @st.composite

@@ -7,7 +7,7 @@ import pytest
 
 import chromatic_bracket as cb
 from chromatic_bracket import generators as gen
-from chromatic_bracket.diagram import CROSSING, NODE, Port
+from chromatic_bracket.diagram import NODE, Port
 from chromatic_bracket.errors import (
     ChromaticBracketError,
     InvalidArgument,
@@ -31,8 +31,6 @@ BAD_CALLS = {
     "unknown crossing kind": lambda: cb.build_diagram(0, ("wavy",), []),
     "negative node count": lambda: cb.build_diagram(-1, (), []),
     "negative free loops": lambda: cb.build_diagram(0, (), [], free_loops=-1),
-    "strand from a crossing port": lambda: cb.trace_strand(
-        cb.encircle_arc(gen.theta_diagram(), 0), Port(CROSSING, 0, 0)),
     "node order not a permutation": lambda: cb.chord_immersion(K33, [0] * 6),
     "isaacs_j too small": lambda: gen.isaacs_j(2),
     "random_cubic odd n": lambda: gen.random_cubic(5, 0),
@@ -65,9 +63,14 @@ BAD_CALLS = {
     "arc index a str": lambda: cb.encircle_arc(gen.theta_diagram(), "0"),
     "arc index a bool": lambda: cb.encircle_arc(gen.theta_diagram(), True),
     "twist arc index a str": lambda: cb.insert_twist(gen.theta_diagram(), "0"),
-    "strand start a plain tuple": lambda: cb.trace_strand(gen.theta_diagram(), (NODE, 0, 0)),
     "skein budget a float": lambda: cb.skein_evaluate(gen.theta_diagram(), 1.5),
     "skein budget negative": lambda: cb.skein_evaluate(gen.theta_diagram(), -1),
+    "crossing index a str": lambda: cb.expand_circled(cb.chord_immersion(K33), "0"),
+    "crossing index a bool": lambda: cb.expand_circled(cb.chord_immersion(K33), True),
+    "random_cubic size a str": lambda: gen.random_cubic("4", 0),
+    "random_plane_cubic size a float": lambda: gen.random_plane_cubic(4.0, 0),
+    "isaacs_j size a str": lambda: gen.isaacs_j("5"),
+    "isaacs_j size a float": lambda: gen.isaacs_j(5.0),
 }
 
 
@@ -115,12 +118,6 @@ def test_huge_ints_get_bounded_messages(call, error):
     with pytest.raises(error, match="<int of 16610 bits>") as info:
         call()
     assert len(str(info.value)) < 100
-
-
-@pytest.mark.parametrize("port", [Port(NODE, 99, 0), Port(NODE, 0, 7)], ids=["owner", "slot"])
-def test_strand_from_a_missing_port_is_refused(port):
-    with pytest.raises(UnmatchedPort, match="does not exist"):
-        cb.trace_strand(gen.theta_diagram(), port)
 
 
 def test_coloring_that_is_not_a_sequence_is_partial():

@@ -1,5 +1,6 @@
-"""Strands are walked in one place: only diagram.py calls trace_strand, so a
-second strand walker elsewhere in the package fails here."""
+"""Strands are walked in one place, diagram.trace_strands: a function named
+trace_strand, or a pass-through (slot + 2) % 4 outside trace_strands, in any
+module of the package fails here."""
 
 from __future__ import annotations
 
@@ -9,13 +10,22 @@ from pathlib import Path
 import chromatic_bracket as cb
 
 
-def test_only_diagram_calls_trace_strand():
-    found = []
+def passes_through(node: ast.AST) -> bool:
+    """(... + 2) % 4: the step from a crossing slot to the opposite one."""
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod)
+            and isinstance(node.right, ast.Constant) and node.right.value == 4
+            and isinstance(node.left, ast.BinOp) and isinstance(node.left.op, ast.Add)
+            and isinstance(node.left.right, ast.Constant) and node.left.right.value == 2)
+
+
+def test_only_trace_strands_walks_strands():
+    defined, walkers = [], []
     for path in sorted(Path(cb.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
-            if isinstance(node, ast.Call):
-                fn = node.func
-                name = fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", None)
-                if name == "trace_strand" and path.name != "diagram.py":
-                    found.append(f"{path.name}:{node.lineno}")
-    assert not found, f"strands walked outside diagram.py: {found}"
+        for top in ast.parse(path.read_text(encoding="utf-8"), str(path)).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.FunctionDef) and node.name == "trace_strand":
+                    defined.append(f"{path.name}:{node.lineno}")
+                if passes_through(node):
+                    walkers.append(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+    assert not defined, f"trace_strand defined again: {defined}"
+    assert walkers == ["diagram.trace_strands"], f"strands walked in: {walkers}"

@@ -12,7 +12,6 @@ import chromatic_bracket as cb
 from chromatic_bracket import BLUE, CIRCLED, DOTTED, PLAIN, PURPLE, RED, Port
 from chromatic_bracket import generators as gen
 from chromatic_bracket import diagram, penrose
-from chromatic_bracket.diagram import trace_strand
 from chromatic_bracket.errors import (
     ImproperColoring,
     IndexOutOfRange,
@@ -312,19 +311,20 @@ def test_skein_matches_contraction_on_mixed_crossing_kinds():
 
 
 def test_skein_traces_each_node_strand_once(monkeypatch):
-    calls = []
+    real, calls = diagram.trace_strands, []
 
-    def counting(d, start):
-        calls.append(start)
-        return trace_strand(d, start)
+    def counted(x):
+        calls.append(x)
+        return real(x)
 
-    monkeypatch.setattr(diagram, "trace_strand", counting)
+    monkeypatch.setattr(diagram, "trace_strands", counted)
+    monkeypatch.setattr(penrose, "trace_strands", counted)
     for n, seed in ((22, 1), (16, 3)):
         d = gen.random_plane_cubic(n, seed)
         want = cb.contract_plain(d)
         calls.clear()
         assert cb.skein_evaluate(d) == want
-        assert len(calls) == 3 * n // 2
+        assert calls == [d]
 
 
 def test_deep_contraction_fails_typed():
