@@ -293,7 +293,7 @@ def cmd_validate(args: argparse.Namespace, obj: CubicGraph | Diagram) -> int:
             "kind": "diagram",
             "nodes": obj.node_count,
             "crossings": obj.crossing_count,
-            "arcs": len(obj.arcs),
+            "arcs": len(obj.peer) // 2,
             "free_loops": obj.free_loops,
             "genus": genus(obj),
         }

@@ -4,8 +4,9 @@ A diagram is purely combinatorial: trivalent nodes with 3 ports, 4-valent
 crossings with 4 ports, and arcs pairing ports. Slot order around a vertex is
 the clockwise rotation; at a crossing the two strands occupy slots 0<->2 and
 1<->3. Planarity is not assumed but checked, by tracing faces of the rotation
-system and computing the genus. Walks number the ports in sorted Port order:
-node port (n, s) is 3n + s, crossing port (x, s) is 3N + 4x + s for N nodes.
+system and computing the genus. A diagram is stored as its port-code table,
+the ports numbered in sorted Port order: node port (n, s) is 3n + s, crossing
+port (x, s) is 3N + 4x + s for N nodes, and peer[c] is the code c's arc joins.
 
 chord_immersion draws any abstract cubic graph as a plane immersion: node
 ports on a line in a given order, edges as rectilinear chords above it, and a
@@ -14,7 +15,8 @@ circled crossing for each pair of chords whose ports interleave.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
@@ -44,22 +46,28 @@ class Port(NamedTuple):
 
 @dataclass(frozen=True)
 class Diagram:
+    """A diagram as its port-code table. Equal tables are equal sorted code
+    arcs, which sort as their Ports do; arcs and mate are Port views of the
+    table, built on first use and kept."""
+
     node_count: int
     crossing_kinds: tuple[str, ...]
-    arcs: tuple[tuple[Port, Port], ...]
+    peer: tuple[int, ...]
     free_loops: int = 0
-    mate: dict[Port, Port] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        mate: dict[Port, Port] = {}
-        for p, q in self.arcs:
-            mate[p] = q
-            mate[q] = p
-        object.__setattr__(self, "mate", mate)
 
     @property
     def crossing_count(self) -> int:
         return len(self.crossing_kinds)
+
+    @cached_property
+    def arcs(self) -> tuple[tuple[Port, Port], ...]:
+        return tuple((_port_of(c, self.node_count), _port_of(m, self.node_count))
+                     for c, m in enumerate(self.peer) if c < m)
+
+    @cached_property
+    def mate(self) -> dict[Port, Port]:
+        port = [_port_of(c, self.node_count) for c in range(len(self.peer))]
+        return {port[c]: port[m] for c, m in enumerate(self.peer)}
 
 
 def build_diagram(
@@ -68,13 +76,14 @@ def build_diagram(
     arcs: Iterable[Sequence[Port]],
     free_loops: int = 0,
 ) -> Diagram:
-    """Check and canonicalize a diagram: the one place a diagram is checked.
+    """Check and canonicalize a diagram: the one place a caller's diagram is checked.
 
-    Arcs are normalized (smaller port first, arcs sorted) so that equal
-    diagrams compare and serialize identically. Raises InvalidArgument for a
-    node_count or free_loops that is not a nonnegative int, an unknown crossing
-    kind or an arc that is not a list or tuple of two ports, and _arc_port's
-    errors for each port; UnmatchedPort for a port not covered exactly once.
+    Equal diagrams compare and serialize identically whatever the order of
+    their arcs and ports. Raises InvalidArgument for a node_count or
+    free_loops that is not a nonnegative int, an unknown crossing kind or an
+    arc that is not a list or tuple of two ports, and _arc_port's errors for
+    each port; UnmatchedPort for a port that does not exist (the first in
+    sorted arc order) or is not covered exactly once.
     """
     if not (type(node_count) is int and node_count >= 0 and type(free_loops) is int and free_loops >= 0
             and isinstance(crossing_kinds, Iterable) and isinstance(arcs, Iterable)):
@@ -84,35 +93,45 @@ def build_diagram(
     for k in kinds:
         if k not in CROSSING_KINDS:
             raise InvalidArgument(f"unknown crossing kind {shown(k)}")
-    norm: list[tuple[Port, Port]] = []
+    ports: list[tuple[Port, Port]] = []
     for pair in arcs:
         if type(pair) not in (list, tuple) or len(pair) != 2:
             raise InvalidArgument(f"arc {shown(pair)} is not a pair of ports")
         p, q = _arc_port(pair[0]), _arc_port(pair[1])
         if p == q:
             raise UnmatchedPort(f"arc joins port {shown(p)} to itself")
-        norm.append((p, q) if p < q else (q, p))
-    norm.sort()
-    crossings, base = len(kinds), 3 * node_count
+        ports.append((p, q))
+    crossings = len(kinds)
+    codes = [(_code(p, node_count, crossings), _code(q, node_count, crossings)) for p, q in ports]
+    if any(a < 0 or b < 0 for a, b in codes):
+        norm = sorted((p, q) if p < q else (q, p) for p, q in ports)
+        port = next(port for arc in norm for port in arc if _code(port, node_count, crossings) < 0)
+        raise UnmatchedPort(f"port {shown(port)} does not exist")
+    return _diagram(node_count, kinds, codes, free_loops)
+
+
+def _diagram(node_count: int, kinds: tuple[str, ...], codes: Sequence[tuple[int, int]],
+             free_loops: int) -> Diagram:
+    """The diagram of arcs given as pairs of existing port codes; raises
+    UnmatchedPort for the lowest port not covered exactly once."""
+    size = 3 * node_count + 4 * len(kinds)
+    if 2 * len(codes) == size:
+        peer = [-1] * size
+        for a, b in codes:
+            if peer[a] >= 0 or peer[b] >= 0:
+                break
+            peer[a], peer[b] = b, a
+        else:
+            return Diagram(node_count, kinds, tuple(peer), free_loops)
     # as in build_graph, 2|A| port ends leave a code below 2|A| + 1 uncovered if any is
-    size = min(base + 4 * crossings, 2 * len(norm) + 1)
-    covered = [0] * size
-    for arc in norm:
-        for port in arc:
-            kind, owner, slot = port
-            if kind == NODE and 0 <= owner < node_count and 0 <= slot < 3:
-                code = 3 * owner + slot
-            elif kind == CROSSING and 0 <= owner < crossings and 0 <= slot < 4:
-                code = base + 4 * owner + slot
-            else:
-                raise UnmatchedPort(f"port {shown(port)} does not exist")
-            if code < size:
-                covered[code] += 1
-    if covered.count(1) != size:
-        code = next(c for c, k in enumerate(covered) if k != 1)
-        port = _port_of(code, node_count)
-        raise UnmatchedPort(f"port {port} is covered {covered[code]} times, expected 1")
-    return Diagram(node_count, kinds, tuple(norm), free_loops)
+    covered = [0] * min(size, 2 * len(codes) + 1)
+    for arc in codes:
+        for c in arc:
+            if c < len(covered):
+                covered[c] += 1
+    code = next(c for c, k in enumerate(covered) if k != 1)
+    port = _port_of(code, node_count)
+    raise UnmatchedPort(f"port {port} is covered {covered[code]} times, expected 1")
 
 
 def _arc_port(obj: object) -> Port:
@@ -121,14 +140,32 @@ def _arc_port(obj: object) -> Port:
         p = obj if type(obj) is Port else Port._make(obj)
     except TypeError:
         raise InvalidArgument(f"port {shown(obj)} does not have three fields") from None
-    if p.kind not in (NODE, CROSSING) or type(p.owner) is not int or type(p.slot) is not int:
+    kind, owner, slot = p
+    if kind not in (NODE, CROSSING) or type(owner) is not int or type(slot) is not int:
         raise UnmatchedPort(f"port {shown(p)} does not exist")
     return p
+
+
+def _code(p: Port, node_count: int, crossings: int) -> int:
+    """The code of a typed port, -1 when no such port exists."""
+    kind, owner, slot = p
+    if kind == NODE and 0 <= owner < node_count and 0 <= slot < 3:
+        return 3 * owner + slot
+    if kind == CROSSING and 0 <= owner < crossings and 0 <= slot < 4:
+        return 3 * node_count + 4 * owner + slot
+    return -1
 
 
 def _port_of(code: int, node_count: int) -> Port:
     base = 3 * node_count
     return Port(NODE, *divmod(code, 3)) if code < base else Port(CROSSING, *divmod(code - base, 4))
+
+
+def _table(d: Diagram) -> tuple[int, ...]:
+    """The port-code table of d, which must be a Diagram."""
+    if type(d) is not Diagram:
+        raise InvalidArgument(f"expected a Diagram, not {type(d).__name__}")
+    return d.peer
 
 
 # ---------------------------------------------------------------------------
@@ -137,18 +174,21 @@ def _port_of(code: int, node_count: int) -> Port:
 def _face_walks(d: Diagram) -> Iterator[list[int]]:
     """Face boundary walks of the rotation system as port codes, each from its
     lowest code: a walk leaves a port over its arc and turns clockwise."""
-    base, mate = 3 * d.node_count, d.mate
-    seen = bytearray(base + 4 * d.crossing_count)
-    for start in range(len(seen)):
+    peer = _table(d)
+    base = 3 * d.node_count
+    seen = bytearray(len(peer))
+    for start in range(len(peer)):
         if seen[start]:
             continue
         walk, c = [], start
         while not seen[c]:
             seen[c] = 1
             walk.append(c)
-            kind, owner, slot = mate[(NODE, c // 3, c % 3) if c < base else
-                                     (CROSSING, (c - base) // 4, (c - base) % 4)]
-            c = 3 * owner + (slot + 1) % 3 if kind == NODE else base + 4 * owner + (slot + 1) % 4
+            m = peer[c]  # then one slot clockwise
+            if m < base:
+                c = m - 2 if m % 3 == 2 else m + 1
+            else:
+                c = m - 3 if (m - base) % 4 == 3 else m + 1
         yield walk
 
 
@@ -164,15 +204,13 @@ def genus(d: Diagram) -> int:
     over C components gives 2 * genus = 2C - V + A - F. Free loops are plain
     circles and never contribute.
     """
-    n = d.node_count
-    v = n + d.crossing_count
-    neighbours: list[list[int]] = [[] for _ in range(v)]
-    for p, q in d.arcs:
-        a = p.owner if p.kind == NODE else n + p.owner
-        b = q.owner if q.kind == NODE else n + q.owner
-        neighbours[a].append(b)
-        neighbours[b].append(a)
-    return (2 * len(components(neighbours)) - v + len(d.arcs) - sum(1 for _ in _face_walks(d))) // 2
+    peer = _table(d)
+    n, base = d.node_count, 3 * d.node_count
+    vertex = [m // 3 if m < base else n + (m - base) // 4 for m in peer]  # of each port's mate
+    neighbours = [vertex[c:c + 3] for c in range(0, base, 3)]
+    neighbours += [vertex[c:c + 4] for c in range(base, len(peer), 4)]
+    faces = sum(1 for _ in _face_walks(d))
+    return (2 * len(components(neighbours)) - len(neighbours) + len(peer) // 2 - faces) // 2
 
 
 # ---------------------------------------------------------------------------
@@ -189,27 +227,25 @@ def trace_strands(d: Diagram) -> tuple[int, list[tuple[int, int, int]], list[lis
     a node back to itself is in its triple twice) and, per crossing, the
     strands on its slot 0-2 and slot 1-3 axes.
     """
-    triples = [[-1, -1, -1] for _ in range(d.node_count)]
-    axes = [[-1, -1] for _ in range(d.crossing_count)]
-    starts = [(NODE, n, s) for n in range(d.node_count) for s in range(3)]
-    starts += [(CROSSING, x, axis) for x in range(d.crossing_count) for axis in (0, 1)]
-    mate, k = d.mate, 0
-    for kind, owner, slot in starts:
-        on = triples[owner] if kind == NODE else axes[owner]
-        if on[slot] >= 0:
+    peer = _table(d)
+    base = 3 * d.node_count
+    on = [-1] * len(peer)  # the strand of each port; both ports of a crossing axis share one
+    k = 0
+    for start in range(len(peer)):  # a crossing's slots 2 and 3 are on strands by now
+        if on[start] >= 0:
             continue
-        on[slot] = k
-        while True:
-            kind, owner, slot = mate[(kind, owner, slot)]
-            if kind == NODE:
-                triples[owner][slot] = k
+        c = start
+        while on[c] < 0:  # a closed strand stops back at its start
+            on[c] = k
+            c = peer[c]
+            on[c] = k
+            if c < base:
                 break
-            if axes[owner][slot % 2] >= 0:  # a closed strand is back at its start
-                break
-            axes[owner][slot % 2] = k
-            slot = (slot + 2) % 4
+            slot = (c - base) % 4
+            c += (slot + 2) % 4 - slot  # straight through the crossing
         k += 1
-    return k, [tuple(t) for t in triples], axes
+    triples = [tuple(on[c:c + 3]) for c in range(0, base, 3)]
+    return k, triples, [on[c:c + 2] for c in range(base, len(peer), 4)]
 
 
 def underlying_graph(d: Diagram) -> CubicGraph:
@@ -265,9 +301,9 @@ def _chord_layout(g: CubicGraph, order: Sequence[int]) -> Diagram:
     """Chord e rises at x = lo[e], runs right at height level[e], the rank of its
     span, and drops at x = hi[e]. A crossing is one chord's rise or drop meeting
     another's run; there the run takes slots 0 -> 2, a drop 1 -> 3 and a rise
-    3 -> 1, so slots go clockwise."""
+    3 -> 1, so slots go clockwise. Arcs are made as pairs of port codes."""
     rank = {n: r for r, n in enumerate(order)}
-    at = {h: (3 * rank[n] + s, Port(NODE, n, s))
+    at = {h: (3 * rank[n] + s, 3 * n + s)
           for n in range(g.node_count) for s, h in enumerate(g.incidence[n])}
     edges = range(g.edge_count)
     ends = [sorted((at[2 * e], at[2 * e + 1])) for e in edges]
@@ -286,33 +322,31 @@ def _chord_layout(g: CubicGraph, order: Sequence[int]) -> Diagram:
         else:  # b's rise meets a's run
             hits[b].append((0, level[a], x, 3, 1))
             hits[a].append((1, lo[b], x, 0, 2))
-    arcs: list[tuple[Port, Port]] = []
+    base = 3 * g.node_count
+    arcs: list[tuple[int, int]] = []
     for ((_, prev), (_, last)), on_chord in zip(ends, hits):
         for _, _, x, enter, leave in sorted(on_chord):
-            arcs.append((prev, Port._make((CROSSING, x, enter))))
-            prev = Port._make((CROSSING, x, leave))
+            arcs.append((prev, base + 4 * x + enter))
+            prev = base + 4 * x + leave
         arcs.append((prev, last))
-    return build_diagram(g.node_count, (CIRCLED,) * len(pairs), arcs)
+    return _diagram(g.node_count, (CIRCLED,) * len(pairs), arcs, 0)
 
 
 # ---------------------------------------------------------------------------
 # JSON wire format
 
 def diagram_to_json_dict(d: Diagram) -> dict:
+    peer, n = _table(d), d.node_count
     out: dict = {
         "nodes": [
-            {"id": n, "cw": [list(d.mate[(NODE, n, s)]) for s in range(3)]}
-            for n in range(d.node_count)
+            {"id": i, "cw": [list(_port_of(m, n)) for m in peer[3 * i:3 * i + 3]]}
+            for i in range(n)
         ],
         "crossings": [
-            {
-                "id": x,
-                "kind": d.crossing_kinds[x],
-                "cw": [list(d.mate[(CROSSING, x, s)]) for s in range(4)],
-            }
-            for x in range(d.crossing_count)
+            {"id": x, "kind": kind, "cw": [list(_port_of(m, n)) for m in peer[c:c + 4]]}
+            for x, (kind, c) in enumerate(zip(d.crossing_kinds, range(3 * n, len(peer), 4)))
         ],
-        "arcs": [[list(p), list(q)] for p, q in d.arcs],
+        "arcs": [[list(_port_of(c, n)), list(_port_of(m, n))] for c, m in enumerate(peer) if c < m],
     }
     if d.free_loops:
         out["free_loops"] = d.free_loops
@@ -348,8 +382,9 @@ def diagram_from_json_dict(data: object) -> Diagram:
                     continue
                 if not isinstance(cw, list) or len(cw) != deg:
                     raise ParseError(f"cw list of {kind}{owner} must have {deg} ports")
+                code = 3 * owner if kind == NODE else 3 * d.node_count + 4 * owner
                 for s, mate_json in enumerate(cw):
-                    if _arc_port(mate_json) != d.mate[(kind, owner, s)]:
+                    if _code(_arc_port(mate_json), d.node_count, d.crossing_count) != d.peer[code + s]:
                         raise ParseError(f"cw entry of {kind}{owner} slot {s} disagrees with arcs")
     except (UnmatchedPort, ValueError) as exc:
         raise ParseError(str(exc)) from exc

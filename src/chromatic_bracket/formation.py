@@ -57,7 +57,7 @@ def classify_meetings(d: Diagram, c: Sequence[int]) -> dict[int, str]:
     to -1. Defined only for plane crossing-free diagrams; the classes have
     no meaning elsewhere.
     """
-    if d.crossing_count or genus(d) != 0:
+    if genus(d) != 0 or d.crossing_count:  # genus refuses a non-Diagram
         raise NotPlane("meeting classes need a plane, crossing-free diagram")
     g, nodes, _ = weight_tables(d, include_crossings=False)
     if not is_proper(g, c):

@@ -97,6 +97,12 @@ def four_touching_fixture() -> tuple[CubicGraph, frozenset[int]]:
     return truncated_tetrahedron(), frozenset(range(12, 18))
 
 
+def _rng(seed: int) -> random.Random:
+    if type(seed) is not int:  # type(): neither [1] nor True is a seed
+        raise InvalidArgument(f"seed {shown(seed)} is not an int")
+    return random.Random(seed)
+
+
 def random_cubic(n: int, seed: int) -> CubicGraph:
     """Configuration model: a uniform pairing of 3n half-edge stubs.
 
@@ -104,7 +110,7 @@ def random_cubic(n: int, seed: int) -> CubicGraph:
     """
     if type(n) is not int or n < 2 or n % 2:
         raise InvalidArgument("random_cubic needs even n >= 2")
-    rng = random.Random(seed)
+    rng = _rng(seed)
     stubs = [v for v in range(n) for _ in range(3)]
     rng.shuffle(stubs)
     edges = [(stubs[2 * i], stubs[2 * i + 1]) for i in range(3 * n // 2)]
@@ -187,7 +193,7 @@ def random_plane_cubic(n: int, seed: int) -> Diagram:
     """
     if type(n) is not int or n < 2 or n % 2:
         raise InvalidArgument("random_plane_cubic needs even n >= 2")
-    rng = random.Random(seed)
+    rng = _rng(seed)
     mate = dict(theta_diagram().mate)
     live: set[int] = {0, 1}
     next_id = 2

@@ -11,6 +11,7 @@ All arithmetic is exact: integer signs, never floats.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from typing import Sequence
 
@@ -23,6 +24,7 @@ from .diagram import (
     Diagram,
     Port,
     _strand_graph,
+    _table,
     build_diagram,
     trace_strands,
 )
@@ -286,6 +288,7 @@ def expand_circled(d: Diagram, crossing: int) -> tuple[Diagram, Diagram]:
     """
     if type(crossing) is not int:  # type(): True is not crossing 1
         raise InvalidArgument(f"crossing index {shown(crossing)} is not an int")
+    _table(d)  # refuses a non-Diagram
     if not 0 <= crossing < d.crossing_count:
         raise NotCircled(f"no crossing {shown(crossing)}")
     if d.crossing_kinds[crossing] != CIRCLED:
@@ -294,7 +297,7 @@ def expand_circled(d: Diagram, crossing: int) -> tuple[Diagram, Diagram]:
     def with_kind(kind: str) -> Diagram:
         kinds = list(d.crossing_kinds)
         kinds[crossing] = kind
-        return build_diagram(d.node_count, kinds, d.arcs, d.free_loops)
+        return dataclasses.replace(d, crossing_kinds=tuple(kinds))  # the same port-code table
 
     return with_kind(DOTTED), with_kind(PLAIN)
 
@@ -303,7 +306,7 @@ def _cut_arc(d: Diagram, arc_index: int) -> tuple[Port, Port, list]:
     """The two ports of arc arc_index and the other arcs."""
     if type(arc_index) is not int:  # type(): True is not arc 1
         raise InvalidArgument(f"arc index {shown(arc_index)} is not an int")
-    if not 0 <= arc_index < len(d.arcs):
+    if not 0 <= arc_index < len(_table(d)) // 2:
         raise IndexOutOfRange(f"no arc {shown(arc_index)}")
     p, q = d.arcs[arc_index]
     return p, q, [a for i, a in enumerate(d.arcs) if i != arc_index]

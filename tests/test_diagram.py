@@ -164,7 +164,7 @@ def test_crossing_axis_edges_on_immersion():
     k, triples, axes = cb.trace_strands(d)
     assert k == 6 and len(axes) == d.crossing_count
     walked = set()
-    strand = reference_strands(d)[3]
+    strand = reference_strands(d, port_mate(d.arcs))[3]
     for n, triple in enumerate(triples):
         for slot, e in enumerate(triple):
             _, walk = strand(N(n, slot))
@@ -359,22 +359,31 @@ def test_chord_immersion_refuses_a_layout_of_positive_genus(monkeypatch):
 # the walks on port codes against the walks on Ports they replaced
 
 
-def reference_faces(d: cb.Diagram) -> list[list[Port]]:
+def port_mate(arcs) -> dict[Port, Port]:
+    """The pairing of Ports that arcs make, built here rather than read from
+    d.mate, so that the reference walks do not depend on the port-code table."""
+    mate = {}
+    for p, q in arcs:
+        mate[p], mate[q] = q, p
+    return mate
+
+
+def reference_faces(mate: dict[Port, Port]) -> list[list[Port]]:
     """Face walks stepping Port by Port: over the arc, then one slot clockwise."""
     faces, seen = [], set()
-    for start in sorted(d.mate):
+    for start in sorted(mate):
         walk, p = [], start
         while p not in seen:
             seen.add(p)
             walk.append(p)
-            q = d.mate[p]
+            q = mate[p]
             p = Port(q.kind, q.owner, (q.slot + 1) % (3 if q.kind == "n" else 4))
         if walk:
             faces.append(walk)
     return faces
 
 
-def reference_genus(d: cb.Diagram) -> int:
+def reference_genus(d: cb.Diagram, mate: dict[Port, Port]) -> int:
     vertex = lambda p: p.owner if p.kind == "n" else d.node_count + p.owner
     root = list(range(d.node_count + d.crossing_count))
 
@@ -383,19 +392,19 @@ def reference_genus(d: cb.Diagram) -> int:
             v = root[v]
         return v
 
-    for p, q in d.arcs:
+    for p, q in mate.items():
         root[find(vertex(p))] = find(vertex(q))
     c = sum(1 for v in range(len(root)) if find(v) == v)
-    return (2 * c - len(root) + len(d.arcs) - len(reference_faces(d))) // 2
+    return (2 * c - len(root) + len(mate) // 2 - len(reference_faces(mate))) // 2
 
 
-def reference_strands(d: cb.Diagram):
-    """trace_strands through d.mate on Ports: a strand leaves crossing slot s at s + 2."""
+def reference_strands(d: cb.Diagram, mate: dict[Port, Port]):
+    """trace_strands through mate on Ports: a strand leaves crossing slot s at s + 2."""
     def strand(start):
-        walk, cur = [], d.mate[start]
+        walk, cur = [], mate[start]
         while cur.kind == "x":
             walk.append((cur.owner, cur.slot))
-            cur = d.mate[X(cur.owner, (cur.slot + 2) % 4)]
+            cur = mate[X(cur.owner, (cur.slot + 2) % 4)]
         return cur, walk
 
     triples = [[-1, -1, -1] for _ in range(d.node_count)]
@@ -415,17 +424,18 @@ def reference_strands(d: cb.Diagram):
                 cur = X(x, axis)
                 while axes[cur.owner][cur.slot % 2] < 0:
                     axes[cur.owner][cur.slot % 2] = k
-                    cur = d.mate[X(cur.owner, (cur.slot + 2) % 4)]
+                    cur = mate[X(cur.owner, (cur.slot + 2) % 4)]
                 k += 1
     return k, [tuple(t) for t in triples], axes, strand
 
 
 @st.composite
-def walk_diagrams(draw) -> cb.Diagram:
+def walk_diagrams(draw) -> tuple[cb.Diagram, list[tuple[Port, Port]]]:
     """A plane diagram, a chord immersion in input or reversed node order, a
     nodeless ring of crossings, or any pairing of the ports of a few nodes and
     crossings (of any genus); maybe with arcs encircled or twisted, crossings
-    of mixed kinds and free loops."""
+    of mixed kinds and free loops. Returned with the arcs build_diagram was
+    given, in a drawn order, each maybe reversed."""
     source = draw(st.sampled_from(("plane", "chord", "reversed chord", "ring", "pairing")))
     if source == "plane":
         d = gen.random_plane_cubic(draw(st.integers(1, 20)) * 2, draw(st.integers(0, 99)))
@@ -449,19 +459,64 @@ def walk_diagrams(draw) -> cb.Diagram:
         d = surgery(d, draw(st.integers(0, len(d.arcs) - 1)))
     kinds = draw(st.lists(st.sampled_from((PLAIN, CIRCLED, DOTTED)),
                           min_size=d.crossing_count, max_size=d.crossing_count))
-    return cb.build_diagram(d.node_count, kinds, d.arcs, free_loops=draw(st.integers(0, 2)))
+    flips = draw(st.lists(st.booleans(), min_size=len(d.arcs), max_size=len(d.arcs)))
+    arcs = draw(st.permutations([(q, p) if flip else (p, q) for (p, q), flip in zip(d.arcs, flips)]))
+    return cb.build_diagram(d.node_count, kinds, arcs, free_loops=draw(st.integers(0, 2))), arcs
 
 
 @settings(max_examples=150, deadline=None)
 @given(walk_diagrams())
-def test_code_walks_match_the_port_walks(d):
+def test_code_walks_match_the_port_walks(drawn):
+    d, arcs = drawn
+    mate = port_mate(arcs)
     faces = cb.trace_faces(d)
-    assert faces == reference_faces(d)
+    assert faces == reference_faces(mate)
     assert all(type(p) is Port for walk in faces for p in walk)
-    assert cb.genus(d) == reference_genus(d)
-    k, triples, axes, _ = reference_strands(d)
+    assert cb.genus(d) == reference_genus(d, mate)
+    k, triples, axes, _ = reference_strands(d, mate)
     assert cb.trace_strands(d) == (k, triples, axes)
     text = json.dumps(cb.diagram_to_json_dict(d))
     again = cb.diagram_from_json_dict(json.loads(text))
     assert again == d
     assert json.dumps(cb.diagram_to_json_dict(again)) == text
+
+
+@settings(max_examples=100, deadline=None)
+@given(walk_diagrams())
+def test_port_views_are_the_arcs_given(drawn):
+    d, arcs = drawn
+    assert d.arcs == tuple(sorted((p, q) if p < q else (q, p) for p, q in arcs))
+    assert all(type(p) is Port for arc in d.arcs for p in arc)
+    assert len(d.mate) == 2 * len(arcs)
+    assert all(d.mate[p] == q and d.mate[q] == p for p, q in arcs)
+    assert cb.build_diagram(d.node_count, d.crossing_kinds, d.arcs, d.free_loops) == d
+
+
+def test_the_walks_build_no_port_view():
+    # chord immersion, faces, strands and both brackets read the port-code
+    # table; the Port views are built only when asked for, and then kept
+    d = cb.chord_immersion(gen.random_cubic(14, 837814450))
+    assert cb.genus(d) == 0
+    cb.trace_strands(d)
+    assert cb.contract_extended(d) == cb.skein_evaluate(d) == cb.count_colorings(gen.random_cubic(14, 837814450))
+    assert "arcs" not in vars(d) and "mate" not in vars(d)
+    assert d.arcs is d.arcs and d.mate is d.mate
+    assert "arcs" in vars(d) and "mate" in vars(d)
+
+
+def test_cw_lists_must_agree_with_the_arcs():
+    data = cb.diagram_to_json_dict(gen.k33_diagram())
+    assert data["nodes"][0]["cw"][0] == ["n", 3, 0]
+    assert cb.diagram_from_json_dict(data) == gen.k33_diagram()
+    for key, owner, slot, port, message in (
+        ("nodes", 0, 0, ["n", 3, 1], "cw entry of n0 slot 0 disagrees with arcs"),
+        ("crossings", 0, 2, ["x", 0, 0], "cw entry of x0 slot 2 disagrees with arcs"),
+        ("nodes", 5, 1, ["x", 1, 3], "cw entry of n5 slot 1 disagrees with arcs"),  # no crossing 1
+        # equal to the right port by value, but a float owner is no port
+        ("nodes", 0, 0, ["n", 3.0, 0], "port Port(kind='n', owner=3.0, slot=0) does not exist"),
+    ):
+        bad = copy.deepcopy(data)
+        bad[key][owner]["cw"][slot] = port
+        with pytest.raises(ParseError) as info:
+            cb.diagram_from_json_dict(bad)
+        assert str(info.value) == message

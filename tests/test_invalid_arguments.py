@@ -71,6 +71,16 @@ BAD_CALLS = {
     "random_plane_cubic size a float": lambda: gen.random_plane_cubic(4.0, 0),
     "isaacs_j size a str": lambda: gen.isaacs_j("5"),
     "isaacs_j size a float": lambda: gen.isaacs_j(5.0),
+    "random_cubic seed a list": lambda: gen.random_cubic(4, [1]),
+    "random_plane_cubic seed a list": lambda: gen.random_plane_cubic(4, [1]),
+    # a graph or None where a diagram is expected
+    **{f"{f.__name__} of {name}": (lambda f=f, value=value: f(value))
+       for f in (cb.genus, cb.trace_faces, cb.trace_strands, cb.underlying_graph, cb.diagram_to_json_dict,
+                 cb.contract_plain, cb.contract_extended, cb.skein_evaluate)
+       for name, value in (("a graph", gen.theta()), ("None", None))},
+    **{f"{f.__name__} of a graph": (lambda f=f, arg=arg: f(gen.theta(), arg))
+       for f, arg in ((cb.expand_circled, 0), (cb.encircle_arc, 0), (cb.insert_twist, 0),
+                      (cb.classify_meetings, (0, 1, 2)), (cb.crossing_parity, (0, 1, 2)))},
 }
 
 
