@@ -7,16 +7,21 @@ edges, always the edge with the most colored edges at its two ends, so a
 clash shows at the edge that causes it. The two edges at the first node are
 fixed to R and B and the result multiplied by 6: those edges differ in every
 proper coloring, and each color permutation maps the colorings with (R, B)
-there one-to-one onto those with another of the 6 ordered pairs. Listing
-keeps plain BFS order from each component's lowest node, because
+there one-to-one onto those with another of the 6 ordered pairs. The count
+is one loop over an explicit stack: each color is a bitmask of the nodes
+that hold it, passed by value, so nothing is undone and no Python call is
+made per edge, and its time does not depend on the caller's stack depth.
+Listing keeps plain BFS order from each component's lowest node, because
 `formation --coloring-index k` names a coloring by its place in that order.
 """
 
 from __future__ import annotations
 
+import sys
+from itertools import chain
 from typing import Iterator, Sequence
 
-from .errors import PartialColoring, refuse_deep_recursion, shown
+from .errors import PartialColoring, RecursionBudgetExceeded, refuse_deep_recursion, shown
 from .graph_core import CubicGraph, connected_components, has_loop, tightest_first
 
 RED, BLUE, PURPLE = 0, 1, 2
@@ -58,43 +63,56 @@ def _bfs_components(g: CubicGraph) -> list[list[int]]:
 
 def count_colorings(g: CubicGraph) -> int:
     """Exact number of proper 3-edge-colorings (one class per component, times 6),
-    searched tightest edge first; iter_colorings keeps BFS order."""
+    searched tightest edge first; iter_colorings keeps BFS order. Raises
+    RecursionBudgetExceeded when a search reaches edge sys.getrecursionlimit()
+    of a component with more edges."""
     if has_loop(g):
         return 0
-    used = [0] * g.node_count
-    ends: list[tuple[int, int]] = []  # rebound per component; rec reads the current one
-
-    def rec(i: int) -> int:
-        if i == len(ends):
-            return 1
-        u, v = ends[i]
-        avail = ~(used[u] | used[v]) & 0b111
-        total = 0
-        while avail:
-            bit = avail & -avail
-            avail ^= bit
-            used[u] |= bit
-            used[v] |= bit
-            total += rec(i + 1)
-            used[u] ^= bit
-            used[v] ^= bit
-        return total
-
+    limit = sys.getrecursionlimit()
     count = 1
-    try:
-        with refuse_deep_recursion("brute-force search"):
-            for nodes in connected_components(g):
-                groups = [[h // 2 for h in g.incidence[n]] for n in nodes]
-                [order] = tightest_first(groups, [list(dict.fromkeys(e for es in groups for e in es))])
-                ends = [g.edges[e] for e in order]
-                for (u, v), bit in zip(ends, (1 << RED, 1 << BLUE)):
-                    used[u] |= bit
-                    used[v] |= bit
-                count *= 6 * rec(2)
-                if not count:
+    for nodes in connected_components(g):
+        groups = [(x >> 1, y >> 1, z >> 1) for x, y, z in map(g.incidence.__getitem__, nodes)]
+        [order] = tightest_first(groups, [list(dict.fromkeys(chain.from_iterable(groups)))])
+        last = len(order) - 1
+        stop = min(last, limit)
+        bit: dict[int, int] = {}  # node -> its bit, in the order the search meets the nodes
+        ends = []  # edge i -> the bits of its two ends
+        for e in order[:stop + 1]:
+            u, v = g.edges[e]
+            ends.append(bit.setdefault(u, 1 << len(bit)) | bit.setdefault(v, 1 << len(bit)))
+        leaves = 0
+        # (edge i, then the nodes holding R, B and P): edge i is next to color,
+        # and edges 0 and 1 are R and B
+        stack = [(2, ends[0], ends[1], 0)]
+        push, pop = stack.append, stack.pop
+        while stack:
+            i, r, b, p = pop()
+            m = ends[i]
+            while i < stop:  # carry on with the first free color, push the others
+                if not r & m:
+                    if not b & m:
+                        push((i + 1, r, b | m, p))
+                    if not p & m:
+                        push((i + 1, r, b, p | m))
+                    r |= m
+                elif not b & m:
+                    if not p & m:
+                        push((i + 1, r, b, p | m))
+                    b |= m
+                elif not p & m:
+                    p |= m
+                else:
                     break
-    finally:
-        del rec  # rec holds itself; let go so refcounting frees it
+                i += 1
+                m = ends[i]
+            else:  # at edge stop: the last edge, or the recursion limit
+                if i < last:
+                    raise RecursionBudgetExceeded(f"brute-force search of a {last + 1}-edge "
+                                                  f"component reached the recursion limit, {limit}")
+                leaves += (not r & m) + (not b & m) + (not p & m)
+        count *= 6 * leaves
+        if not count:
+            break
     return count
 
 

@@ -27,7 +27,7 @@ from .errors import (
     UnmatchedPort,
     shown,
 )
-from .graph_core import CubicGraph, build_graph, components
+from .graph_core import CubicGraph, _edges, build_graph, components
 
 NODE = "n"
 CROSSING = "x"
@@ -285,6 +285,7 @@ def chord_immersion(g: CubicGraph, node_order: Sequence[int] | None = None) -> D
     port, a nested chord running lower. Two chords meet, in one circled
     crossing, exactly when their ports interleave, and no three chords meet.
     """
+    _edges(g)  # refuses a non-CubicGraph
     if node_order is None:
         node_order = range(g.node_count)
     order = list(node_order) if isinstance(node_order, Iterable) else []  # [] is no permutation

@@ -96,7 +96,8 @@ class NotCircled(ChromaticBracketError):
 class RecursionBudgetExceeded(ChromaticBracketError):
     """A search hit a bound: the skein step budget, a strand-coloring sum
     (contraction or a skein leaf) keeping more than 14 closed strands (on no
-    node), or the Python stack: brute force, coloring enumeration
+    node), the recursion limit as a depth in edges for brute force, which
+    searches on an explicit stack, or the Python stack: coloring enumeration
     (iter_colorings), contraction, skein, the perfect-matching search, the
     state expansion and the loop-coloring count recurse as deep as the input."""
 

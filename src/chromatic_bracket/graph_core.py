@@ -77,8 +77,15 @@ def build_graph(node_count: int, edges: Iterable[Sequence[int]]) -> CubicGraph:
     return CubicGraph(node_count, tuple(map(tuple, edge_tuple)))
 
 
+def _edges(g: CubicGraph) -> tuple[tuple[NodeId, NodeId], ...]:
+    """The edge list of g, which must be a CubicGraph."""
+    if type(g) is not CubicGraph:
+        raise InvalidArgument(f"expected a CubicGraph, not {type(g).__name__}")
+    return g.edges
+
+
 def has_loop(g: CubicGraph) -> bool:
-    return any(u == v for u, v in g.edges)
+    return any(u == v for u, v in _edges(g))
 
 
 def is_connected(g: CubicGraph) -> bool:
@@ -178,8 +185,9 @@ def tightest_first(groups: Iterable[Sequence[int]],
 
 def connected_components(g: CubicGraph) -> list[list[NodeId]]:
     """The nodes of each component, in BFS order from its lowest node."""
+    edges = _edges(g)
     neighbours: list[list[NodeId]] = [[] for _ in range(g.node_count)]
-    for u, v in g.edges:  # in edge order, as the half-edges of g.incidence
+    for u, v in edges:  # in edge order, as the half-edges of g.incidence
         neighbours[u].append(v)
         neighbours[v].append(u)
     return components(neighbours)
@@ -202,10 +210,11 @@ def bridges_per_component(g: CubicGraph) -> frozenset[EdgeId]:
     no other edge closes a cycle over. A parallel twin closes one over its
     partner, a loop closes none. Each other edge climbs its tree path, and a
     union-find jump table skips edges already covered, so each is climbed once."""
+    blocks = connected_components(g)
     parent = list(range(g.node_count))
     via = [-1] * g.node_count  # the tree edge to the parent
     depth = [-1] * g.node_count
-    for block in connected_components(g):
+    for block in blocks:
         depth[block[0]] = 0
         for v in block:
             for h in g.incidence[v]:
@@ -233,7 +242,8 @@ def bridges_per_component(g: CubicGraph) -> frozenset[EdgeId]:
 
 
 def graph_to_json_dict(g: CubicGraph) -> dict:
-    return {"nodes": g.node_count, "edges": [[u, v] for u, v in g.edges]}
+    edges = [[u, v] for u, v in _edges(g)]
+    return {"nodes": g.node_count, "edges": edges}
 
 
 def graph_from_json_dict(data: object) -> CubicGraph:

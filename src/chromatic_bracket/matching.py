@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .coloring import BLUE, PURPLE, RED, EdgeColoring, is_proper
 from .errors import ImproperColoring, NotAMatching, OddCycle, refuse_deep_recursion, shown
-from .graph_core import CubicGraph
+from .graph_core import CubicGraph, _edges
 
 PerfectMatching = frozenset[int]
 
@@ -48,7 +48,7 @@ def iter_perfect_matchings(g: CubicGraph) -> Iterator[PerfectMatching]:
     when an uncovered node has none left."""
     # each non-loop edge: its id, its ends, and the far ends of the later edges there
     edges = [(e, u, v, [g.half_edge_node(h ^ 1) for x in (u, v) for h in g.incidence[x]
-                        if h // 2 > e]) for e, (u, v) in enumerate(g.edges) if u != v]
+                        if h // 2 > e]) for e, (u, v) in enumerate(_edges(g)) if u != v]
     free = [sum(u != v for u, v in (g.edges[h // 2] for h in hs)) for hs in g.incidence]
     covered = [False] * g.node_count
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -170,7 +171,7 @@ def prism_ladder(k: int) -> cb.CubicGraph:
 
 
 def test_deep_search_fails_typed_and_is_skipped_after_a_zero_component():
-    deep = prism_ladder(400)  # 1200 edges: deeper than the Python stack allows
+    deep = prism_ladder(400)  # 1200 edges: past the default recursion limit of 1000
     with pytest.raises(RecursionBudgetExceeded):
         cb.count_colorings(disjoint_union(gen.k33(), deep))
     with pytest.raises(RecursionBudgetExceeded):
@@ -189,11 +190,48 @@ def test_only_a_search_that_overflows_is_refused():
     bridged = cb.build_graph(1006, k4 + ladder + [(5, 1005), (1005, 505), (4, 1005)])
     assert bridged.edge_count == 1509
     assert cb.count_colorings(bridged) == 0
-    # one frame per edge: 1200 and 15000 edges that the search does walk
+    # 1200 and 15000 edges, where the search does reach edge 1000
     g = next(g for g in map(gen.random_cubic, [10000] * 10, range(10)) if not has_loop(g))
     for deep in (prism_ladder(400), g):
         with pytest.raises(RecursionBudgetExceeded):
             cb.count_colorings(deep)
+
+
+def test_the_search_makes_no_python_call_per_edge():
+    g = gen.isaacs_j(9)  # 54 edges; the recursive search made 9 920 calls of itself here
+    cb.count_colorings(g)  # the first count imports heapq
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(profile)
+    try:
+        count = cb.count_colorings(g)
+    finally:
+        sys.setprofile(None)
+    assert count == 0
+    # 101 on Python 3.11, none from the search: has_loop's generator steps
+    # once per edge and tightest_first runs a comprehension per node
+    assert calls < 200
+
+
+def test_the_depth_bound_is_the_recursion_limit_not_the_callers_stack():
+    depth, frame = 0, sys._getframe()
+    while frame:
+        depth, frame = depth + 1, frame.f_back
+    # room for this test's frames, but not for one more per edge of isaacs_j(13) (78)
+    limit = max(depth + 20, 80)
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit)
+    try:
+        with pytest.raises(RecursionBudgetExceeded):
+            cb.count_colorings(prism_ladder(limit))  # 3 * limit edges, all colorable
+        # a recursion of one frame per edge would overflow here
+        assert cb.count_colorings(gen.isaacs_j(13)) == 0
+    finally:
+        sys.setrecursionlimit(old)
 
 
 # the lists iter_colorings gave before the count used the color symmetry

@@ -27,6 +27,8 @@ def theta_with_first_port(port: object):
     """Build theta with port in place of its first arc's node-0 port."""
     return cb.build_diagram(2, (), [(port, THETA_ARCS[0][1])] + THETA_ARCS[1:])
 
+NOT_GRAPHS = (("a diagram", gen.theta_diagram()), ("None", None))
+
 BAD_CALLS = {
     "unknown crossing kind": lambda: cb.build_diagram(0, ("wavy",), []),
     "negative node count": lambda: cb.build_diagram(-1, (), []),
@@ -81,6 +83,14 @@ BAD_CALLS = {
     **{f"{f.__name__} of a graph": (lambda f=f, arg=arg: f(gen.theta(), arg))
        for f, arg in ((cb.expand_circled, 0), (cb.encircle_arc, 0), (cb.insert_twist, 0),
                       (cb.classify_meetings, (0, 1, 2)), (cb.crossing_parity, (0, 1, 2)))},
+    # a diagram or None where a graph is expected; iter_colorings reads it on its first next()
+    **{f"{f.__name__} of {name}": (lambda f=f, value=value: f(value))
+       for f in (cb.count_colorings, cb.enumerate_perfect_matchings, cb.chord_immersion,
+                 cb.graph_to_json_dict, cb.bridges, cb.bridges_per_component,
+                 cb.connected_components, cb.is_connected)
+       for name, value in NOT_GRAPHS},
+    **{f"iter_colorings of {name}": (lambda value=value: next(cb.iter_colorings(value)))
+       for name, value in NOT_GRAPHS},
 }
 
 
