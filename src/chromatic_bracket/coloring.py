@@ -22,7 +22,7 @@ from itertools import chain
 from typing import Iterator, Sequence
 
 from .errors import PartialColoring, RecursionBudgetExceeded, refuse_deep_recursion, shown
-from .graph_core import CubicGraph, connected_components, has_loop, tightest_first
+from .graph_core import CubicGraph, _edges, connected_components, has_loop, tightest_first
 
 RED, BLUE, PURPLE = 0, 1, 2
 COLORS = (RED, BLUE, PURPLE)
@@ -42,6 +42,7 @@ def is_proper(g: CubicGraph, coloring: Sequence[int]) -> bool:
     A loop contributes the same color twice at its node, so a graph with a
     loop never has a proper coloring.
     """
+    _edges(g)  # refuses a non-CubicGraph
     if not isinstance(coloring, Sequence):
         raise PartialColoring(f"coloring {shown(coloring)} is not a sequence")
     if len(coloring) != g.edge_count:

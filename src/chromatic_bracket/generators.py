@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 from typing import Callable
 
-from .diagram import CIRCLED, Diagram, Port, build_diagram, chord_immersion, genus, underlying_graph
+from .diagram import CIRCLED, Diagram, Port, _diagram, build_diagram, chord_immersion, genus, underlying_graph
 from .errors import InvalidArgument, NotPlane, shown
 from .graph_core import CubicGraph, build_graph
 
@@ -189,52 +189,38 @@ def random_plane_cubic(n: int, seed: int) -> Diagram:
 
     Each step replaces a random node by a triangle or a random edge by a
     digon between two new nodes; both moves preserve planarity, cubicity,
-    bridgelessness, and the absence of loops, and add two nodes.
+    bridgelessness, and the absence of loops, and add two nodes. It grows
+    the port-code table as a dict from the code 3v + s of slot s of growth
+    id v to its mate's code; new ids follow the highest, and the ids are
+    renumbered densely at the end.
     """
     if type(n) is not int or n < 2 or n % 2:
         raise InvalidArgument("random_plane_cubic needs even n >= 2")
     rng = _rng(seed)
-    mate = dict(theta_diagram().mate)
-    live: set[int] = {0, 1}
-    next_id = 2
+    mate = dict(enumerate((3, 5, 4, 0, 2, 1)))  # theta_diagram().peer
 
-    def link(p: Port, q: Port) -> None:
-        mate[p] = q
-        mate[q] = p
+    def link(p: int, q: int) -> None:
+        mate[p], mate[q] = q, p
 
     for _ in range(n // 2 - 1):
+        new = max(mate) + 1  # slot 0 of the next id
         if rng.random() < 0.5:
             # node -> triangle
-            v = rng.choice(sorted(live))
-            ts = [next_id, next_id + 1, next_id + 2]
-            next_id += 3
-            old = [mate.pop(Port("n", v, s)) for s in range(3)]
-            remap = {Port("n", v, s): Port("n", ts[s], 0) for s in range(3)}
+            v = rng.choice(sorted({c // 3 for c in mate}))
             for i in range(3):
-                target = remap.get(old[i], old[i])
-                link(Port("n", ts[i], 0), target)
-                link(Port("n", ts[i], 1), Port("n", ts[(i + 1) % 3], 2))
-            live.discard(v)
-            live.update(ts)
+                link(new + 3 * i, mate.pop(3 * v + i))
+                link(new + 3 * i + 1, new + 3 * ((i + 1) % 3) + 2)
         else:
             # edge -> digon
-            arcs_now = sorted({tuple(sorted((p, q))) for p, q in mate.items()})
-            p, q = rng.choice(arcs_now)
-            a, b = next_id, next_id + 1
-            next_id += 2
-            link(p, Port("n", a, 0))
-            link(Port("n", b, 0), q)
-            link(Port("n", a, 1), Port("n", b, 2))
-            link(Port("n", a, 2), Port("n", b, 1))
-            live.update((a, b))
+            p, q = rng.choice(sorted((c, m) for c, m in mate.items() if c < m))
+            link(p, new)
+            link(new + 3, q)
+            link(new + 1, new + 5)
+            link(new + 2, new + 4)
 
-    dense = {old: new for new, old in enumerate(sorted(live))}
-    arcs = [
-        (Port("n", dense[p.owner], p.slot), Port("n", dense[q.owner], q.slot))
-        for p, q in mate.items()
-        if p < q
-    ]
-    d = build_diagram(len(live), (), arcs)
+    dense = {old: new for new, old in enumerate(sorted({c // 3 for c in mate}))}
+    code = {c: 3 * dense[c // 3] + c % 3 for c in mate}
+    d = _diagram(len(dense), (), [(code[c], code[m]) for c, m in mate.items() if c < m], 0)
     if genus(d) != 0:
         raise NotPlane("plane growth came out with positive genus")
     return d

@@ -21,6 +21,7 @@ PerfectMatching = frozenset[int]
 
 
 def validate_matching(g: CubicGraph, edge_ids: Iterable[int]) -> PerfectMatching:
+    _edges(g)  # refuses a non-CubicGraph
     ids = list(edge_ids) if isinstance(edge_ids, Iterable) else [edge_ids]
     for e in ids:
         if type(e) is not int:  # type(): True is not edge 1

@@ -18,14 +18,12 @@ from typing import Sequence
 from .coloring import BLUE, PURPLE, RED, is_proper
 from .diagram import (
     CIRCLED,
-    CROSSING,
     DOTTED,
     PLAIN,
     Diagram,
-    Port,
+    _diagram,
     _strand_graph,
     _table,
-    build_diagram,
     trace_strands,
 )
 from .errors import (
@@ -140,14 +138,18 @@ def _strand_sum(nodes: Sequence[tuple[int, ...]], adj: list[dict[int, tuple[int,
     are summed out first. The rest fall into components, strands joined by a
     node or a pair factor, and the total is the product of their sums. Each
     is backtracked in tightest_first order over the node triples, closed
-    strands last, refusing a color a node already holds and multiplying in
-    each node's epsilon sign once its strands are colored. The i^n = (-1)^(n/2)
-    of the n node weights is applied once; every component's n is even.
+    strands last, refusing a color that an earlier strand on one of its nodes
+    holds and multiplying in each node's epsilon sign once its strands are
+    colored. The i^n = (-1)^(n/2) of the n node weights is applied once;
+    every component's n is even.
 
-    A circled factor (-1, 2) is the sign (-1)^[colors differ]: each position
-    keeps a bitmask of its earlier circled partners, each color a bitmask of
-    the positions holding it, and the sign is the parity of the partners
-    outside that color. Other factors are multiplied in one by one. In a
+    Each color keeps a bitmask of the positions holding it, and each position
+    a bitmask near of the earlier positions whose strands share a node with
+    it (none for a closed strand): a color is refused when the two meet. A
+    circled factor (-1, 2) is the sign (-1)^[colors differ]: each position
+    keeps a bitmask of its earlier circled partners, and the sign is the
+    parity of the partners outside the color. Other factors are multiplied
+    in one by one. In a
     component with a node, the first node's first two strands are fixed to
     (R, B) and its sum taken 6 times: pair factors read only agreement, and
     an odd color permutation flips every epsilon, which an even node count
@@ -191,9 +193,9 @@ def _strand_sum(nodes: Sequence[tuple[int, ...]], adj: list[dict[int, tuple[int,
     order = [s for part in parts for s in part]
     starts = list(itertools.accumulate(map(len, parts), initial=0))
     fixed = {lo for lo in starts[:-1] if at[order[lo]]}  # the component holds a node
-    for j, s in enumerate(core):  # two private nodes each, so no color is refused
-        at[s] = [len(nodes) + 2 * j, len(nodes) + 2 * j + 1]
     pos = {s: d for d, s in enumerate(order)}
+    near = [sum(1 << p for p in {pos[w] for n in at[s] for w in nodes[n]} if p < d)
+            for d, s in enumerate(order)]
     done: list[list[list[int]]] = [[] for _ in order]
     for t in nodes:
         p = [pos[s] for s in t]
@@ -201,25 +203,20 @@ def _strand_sum(nodes: Sequence[tuple[int, ...]], adj: list[dict[int, tuple[int,
     links = [[(pos[w], f) for w, f in adj[s].items() if pos[w] < d] for d, s in enumerate(order)]
     signs = [sum(1 << p for p, f in ls if f == _PAIR_FACTOR[CIRCLED]) for ls in links]
     links = [[(p, *f) for p, f in ls if f != _PAIR_FACTOR[CIRCLED]] for ls in links]
-    ends = [at[s] for s in order]
     tries = [(RED, BLUE, PURPLE)] * len(order)
     for lo in fixed:
         tries[lo], tries[lo + 1] = (RED,), (BLUE,)
     colors = [0] * len(order)
     by_color = [0, 0, 0]
-    held = [0] * (len(nodes) + 2 * len(core))
 
     def rec(d: int, term: int) -> None:
         nonlocal total
         if d == stop:
             total += term
             return
-        u, v = ends[d]
-        taken = held[u] | held[v]
         me = 1 << d
         for c in tries[d]:
-            bit = 1 << c
-            if taken & bit:
+            if by_color[c] & near[d]:
                 continue
             colors[d] = c
             t = term
@@ -231,12 +228,8 @@ def _strand_sum(nodes: Sequence[tuple[int, ...]], adj: list[dict[int, tuple[int,
                 t = -t
             for x, y, z in done[d]:
                 t *= _EPSILON[colors[x], colors[y], colors[z]]
-            held[u] |= bit
-            held[v] |= bit
             by_color[c] |= me
             rec(d + 1, t)
-            held[u] ^= bit
-            held[v] ^= bit
             by_color[c] ^= me
 
     try:
@@ -302,14 +295,16 @@ def expand_circled(d: Diagram, crossing: int) -> tuple[Diagram, Diagram]:
     return with_kind(DOTTED), with_kind(PLAIN)
 
 
-def _cut_arc(d: Diagram, arc_index: int) -> tuple[Port, Port, list]:
-    """The two ports of arc arc_index and the other arcs."""
+def _cut_arc(d: Diagram, arc_index: int) -> tuple[int, int, list[tuple[int, int]]]:
+    """The two port codes of arc arc_index and the other arcs, as code pairs
+    (c, peer[c]) with c < peer[c], numbered in the order d.arcs lists them."""
     if type(arc_index) is not int:  # type(): True is not arc 1
         raise InvalidArgument(f"arc index {shown(arc_index)} is not an int")
     if not 0 <= arc_index < len(_table(d)) // 2:
         raise IndexOutOfRange(f"no arc {shown(arc_index)}")
-    p, q = d.arcs[arc_index]
-    return p, q, [a for i, a in enumerate(d.arcs) if i != arc_index]
+    arcs = [(c, m) for c, m in enumerate(d.peer) if c < m]
+    p, q = arcs.pop(arc_index)
+    return p, q, arcs
 
 
 def insert_twist(d: Diagram, arc_index: int) -> Diagram:
@@ -319,13 +314,9 @@ def insert_twist(d: Diagram, arc_index: int) -> Diagram:
     every coloring and the bracket value is unchanged.
     """
     p, q, arcs = _cut_arc(d, arc_index)
-    x = d.crossing_count
-    arcs += [
-        (p, Port(CROSSING, x, 0)),
-        (Port(CROSSING, x, 2), Port(CROSSING, x, 1)),
-        (Port(CROSSING, x, 3), q),
-    ]
-    return build_diagram(d.node_count, d.crossing_kinds + (CIRCLED,), arcs, d.free_loops)
+    x = len(d.peer)  # slot s of the new crossing is code x + s
+    arcs += [(p, x), (x + 2, x + 1), (x + 3, q)]
+    return _diagram(d.node_count, d.crossing_kinds + (CIRCLED,), arcs, d.free_loops)
 
 
 def encircle_arc(d: Diagram, arc_index: int) -> Diagram:
@@ -335,13 +326,9 @@ def encircle_arc(d: Diagram, arc_index: int) -> Diagram:
     +1 - 1 - 1, so the value flips sign.
     """
     p, q, arcs = _cut_arc(d, arc_index)
-    x = d.crossing_count
-    arcs += [
-        (p, Port(CROSSING, x, 0)),
-        (Port(CROSSING, x, 2), q),
-        (Port(CROSSING, x, 1), Port(CROSSING, x, 3)),
-    ]
-    return build_diagram(d.node_count, d.crossing_kinds + (CIRCLED,), arcs, d.free_loops)
+    x = len(d.peer)  # slot s of the new crossing is code x + s
+    arcs += [(p, x), (x + 2, q), (x + 1, x + 3)]
+    return _diagram(d.node_count, d.crossing_kinds + (CIRCLED,), arcs, d.free_loops)
 
 
 # ---------------------------------------------------------------------------

@@ -504,6 +504,31 @@ def test_the_walks_build_no_port_view():
     assert "arcs" in vars(d) and "mate" in vars(d)
 
 
+def test_the_package_types_no_port_of_a_diagram_it_builds(monkeypatch):
+    # growth, surgery, expansion and chord immersion make port codes, never
+    # Ports: only a caller's ports go through build_diagram's typing
+    theta, immersed = gen.theta_diagram(), cb.chord_immersion(gen.k33())
+
+    def refuse(obj):
+        raise AssertionError(f"typed port {obj!r}")
+
+    monkeypatch.setattr(diagram_module, "_arc_port", refuse)
+    assert gen.random_plane_cubic(2, 0) == theta
+    assert gen.random_plane_cubic(12, 3).node_count == 12
+    for d in (theta, immersed):
+        for surgery in (cb.encircle_arc, cb.insert_twist):
+            assert surgery(d, 0).crossing_count == d.crossing_count + 1
+    assert len(cb.expand_circled(immersed, 0)) == 2
+    assert cb.chord_immersion(gen.petersen()).node_count == 10
+
+
+def test_surgery_builds_no_port_view():
+    # the surgeries cut an arc out of the port-code table, not out of d.arcs
+    for d in (gen.theta_diagram(), cb.chord_immersion(gen.k33())):
+        assert cb.encircle_arc(d, 0) != cb.insert_twist(d, 0)
+        assert "arcs" not in vars(d) and "mate" not in vars(d)
+
+
 def test_cw_lists_must_agree_with_the_arcs():
     data = cb.diagram_to_json_dict(gen.k33_diagram())
     assert data["nodes"][0]["cw"][0] == ["n", 3, 0]

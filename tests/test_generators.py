@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -168,6 +170,16 @@ def test_sized_generators_need_n(name):
     for make in (gen.named_graph, gen.named_diagram):
         with pytest.raises(ValueError, match=f"{name} needs --n"):
             make(name)
+
+
+def test_random_plane_cubic_growth_is_pinned():
+    # the seeded growth is bit-reproducible across code changes, not only
+    # within one run: this digest was taken from the Port-based generator
+    digest = hashlib.sha256()
+    for n in range(2, 42, 2):
+        for seed in range(5):
+            digest.update(repr(gen.random_plane_cubic(n, seed).peer).encode())
+    assert digest.hexdigest() == "0e36e04303f8cc1f01e838e5a83e28364061c5c9a7e5763cecac839a24e1e822"
 
 
 def test_random_plane_cubic_refuses_positive_genus(monkeypatch):

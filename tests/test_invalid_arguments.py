@@ -19,6 +19,7 @@ from chromatic_bracket.errors import (
 
 K33 = gen.k33()
 K33_MATCHING = cb.enumerate_perfect_matchings(K33)[0]
+K33_COLORING = next(cb.iter_colorings(K33))
 THETA_ARCS = list(gen.theta_diagram().arcs)  # the first arc is (n0.0, n1.0)
 HUGE = 10**5000  # past the default int-to-str limit of 4300 digits
 
@@ -90,6 +91,17 @@ BAD_CALLS = {
                  cb.connected_components, cb.is_connected)
        for name, value in NOT_GRAPHS},
     **{f"iter_colorings of {name}": (lambda value=value: next(cb.iter_colorings(value)))
+       for name, value in NOT_GRAPHS},
+    # the same with valid further arguments, so the graph is the only thing wrong
+    **{f"{f.__name__} of {name}": (lambda f=f, value=value, args=args: f(value, *args))
+       for f, args in ((cb.validate_matching, (K33_MATCHING,)), (cb.complement_cycles, (K33_MATCHING,)),
+                       (cb.is_even_matching, (K33_MATCHING,)),
+                       (cb.colorings_from_even_matching, (K33_MATCHING,)),
+                       (cb.make_state, (K33_MATCHING, [cb.PARALLEL] * 3)),
+                       (cb.logical_expansion_count, (K33_MATCHING,)),
+                       (cb.is_proper, (K33_COLORING,)), (cb.formation_from_coloring, (K33_COLORING,)),
+                       (cb.matching_from_coloring, (K33_COLORING, cb.PURPLE)),
+                       (cb.coloring_from_formation, (cb.formation_from_coloring(K33, K33_COLORING),)))
        for name, value in NOT_GRAPHS},
 }
 
