@@ -47,7 +47,6 @@ from .formation import (
 )
 from .graph_core import (
     CubicGraph,
-    bridges,
     bridges_per_component,
     build_graph,
     connected_components,
@@ -100,7 +99,7 @@ __all__ = [
     "count_colorings", "enumerate_colorings", "iter_colorings",
     # graphs
     "CubicGraph", "build_graph", "has_loop", "is_connected",
-    "connected_components", "bridges", "bridges_per_component",
+    "connected_components", "bridges_per_component",
     "graph_to_json_dict", "graph_from_json_dict",
     # matchings
     "validate_matching", "enumerate_perfect_matchings", "iter_perfect_matchings",

@@ -28,7 +28,6 @@ from .diagram import (
 from .errors import (
     ChromaticBracketError,
     IndexOutOfRange,
-    NoPerfectMatching,
     NotPlane,
     ParseError,
     StrandClosesWithoutNode,
@@ -155,14 +154,14 @@ def cmd_count(args: argparse.Namespace, obj: CubicGraph | Diagram) -> int:
                 {"coloring": coloring_names(c), "weight": coloring_weight(c, nodes, crossings)}
                 for c in iter_colorings(g)
             ]
-    else:  # states
+    else:  # states; with no perfect matching there is no coloring, and index 0 counts 0
         g = _input_graph(obj)
         k = args.matching_index or 0
-        m = _item(iter_perfect_matchings(g), k, lambda total: (
-            IndexOutOfRange(f"matching index {k} out of range: {total} perfect matchings") if total
-            else NoPerfectMatching("the states method needs a perfect matching")))
-        extras["matching"] = sorted(m)
-        value = logical_expansion_count(g, m)
+        ms = iter_perfect_matchings(g)
+        m = next(ms, None) if k == 0 else _item(ms, k, lambda total: IndexOutOfRange(
+            f"matching index {k} out of range: {total} perfect matchings"))
+        extras["matching"] = None if m is None else sorted(m)
+        value = 0 if m is None else logical_expansion_count(g, m)
     payload = {
         "input": args.input,
         "method": args.method,

@@ -47,8 +47,8 @@ class Port(NamedTuple):
 @dataclass(frozen=True)
 class Diagram:
     """A diagram as its port-code table. Equal tables are equal sorted code
-    arcs, which sort as their Ports do; arcs and mate are Port views of the
-    table, built on first use and kept."""
+    arcs, which sort as their Ports do; arcs is the Port view of the table,
+    built on first use and kept."""
 
     node_count: int
     crossing_kinds: tuple[str, ...]
@@ -63,11 +63,6 @@ class Diagram:
     def arcs(self) -> tuple[tuple[Port, Port], ...]:
         return tuple((_port_of(c, self.node_count), _port_of(m, self.node_count))
                      for c, m in enumerate(self.peer) if c < m)
-
-    @cached_property
-    def mate(self) -> dict[Port, Port]:
-        port = [_port_of(c, self.node_count) for c in range(len(self.peer))]
-        return {port[c]: port[m] for c, m in enumerate(self.peer)}
 
 
 def build_diagram(

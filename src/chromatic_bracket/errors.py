@@ -47,10 +47,6 @@ class DegreeViolation(ChromaticBracketError):
         self.degree = degree
 
 
-class Disconnected(ChromaticBracketError):
-    """The operation requires a connected graph."""
-
-
 class UnmatchedPort(ChromaticBracketError):
     """A diagram port is not covered by exactly one arc, or does not exist: a
     port needs kind "n" or "x" and an int owner and slot (True is not 1)."""
@@ -74,10 +70,6 @@ class NotAMatching(ChromaticBracketError):
 
 class IncompleteState(ChromaticBracketError):
     """A state's loops and sites do not cover every edge of its graph."""
-
-
-class OddCycle(ChromaticBracketError):
-    """A complement cycle of odd length blocks the requested construction."""
 
 
 class NotPlane(ChromaticBracketError):
@@ -110,10 +102,6 @@ def refuse_deep_recursion(search: str) -> Iterator[None]:
         yield
     except RecursionError as exc:
         raise RecursionBudgetExceeded(f"{search} is too deep for the Python stack") from exc
-
-
-class NoPerfectMatching(ChromaticBracketError):
-    """The graph has no perfect matching."""
 
 
 class InvalidArgument(ChromaticBracketError, ValueError):

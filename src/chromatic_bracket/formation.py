@@ -14,7 +14,7 @@ from typing import Sequence
 
 from .coloring import BLUE, PURPLE, RED, is_proper
 from .diagram import Diagram, genus
-from .errors import ImproperColoring, NotPlane
+from .errors import ImproperColoring, InvalidArgument, NotPlane
 from .graph_core import CubicGraph, _edges
 from .matching import complement_cycles
 from .penrose import coloring_weight, weight_tables
@@ -42,6 +42,8 @@ def formation_from_coloring(g: CubicGraph, c: Sequence[int]) -> Formation:
 def coloring_from_formation(g: CubicGraph, f: Formation) -> tuple[int, ...]:
     """Inverse of formation_from_coloring; the bijection's other half."""
     colors = [BLUE] * len(_edges(g))  # refuses a non-CubicGraph
+    if type(f) is not Formation:
+        raise InvalidArgument(f"expected a Formation, not {type(f).__name__}")
     for curve in f.red_curves:
         for e in curve:
             colors[e] = RED

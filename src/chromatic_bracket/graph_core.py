@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .errors import DegreeViolation, Disconnected, EmptyGraph, InvalidArgument, ParseError, shown
+from .errors import DegreeViolation, EmptyGraph, InvalidArgument, ParseError, shown
 
 NodeId = int
 EdgeId = int
@@ -191,17 +191,6 @@ def connected_components(g: CubicGraph) -> list[list[NodeId]]:
         neighbours[u].append(v)
         neighbours[v].append(u)
     return components(neighbours)
-
-
-def bridges(g: CubicGraph) -> frozenset[EdgeId]:
-    """Edge ids whose removal disconnects the graph.
-
-    Raises Disconnected when the graph has more than one component; callers
-    holding a disconnected graph should use bridges_per_component.
-    """
-    if not is_connected(g):
-        raise Disconnected("bridge finding requires a connected graph")
-    return bridges_per_component(g)
 
 
 def bridges_per_component(g: CubicGraph) -> frozenset[EdgeId]:

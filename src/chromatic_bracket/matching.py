@@ -14,7 +14,7 @@ import itertools
 from typing import Iterable, Iterator, Sequence
 
 from .coloring import BLUE, PURPLE, RED, EdgeColoring, is_proper
-from .errors import ImproperColoring, NotAMatching, OddCycle, refuse_deep_recursion, shown
+from .errors import ImproperColoring, NotAMatching, refuse_deep_recursion, shown
 from .graph_core import CubicGraph, _edges
 
 PerfectMatching = frozenset[int]
@@ -139,15 +139,15 @@ def is_even_matching(g: CubicGraph, matching: Iterable[int]) -> bool:
 
 
 def colorings_from_even_matching(g: CubicGraph, matching: Iterable[int]) -> list[EdgeColoring]:
-    """All proper colorings whose purple class is the given even matching.
+    """All proper colorings whose purple class is the given perfect matching.
 
     Matched edges get purple; each complement cycle alternates red/blue and
-    contributes an independent factor of 2, so 2^(#cycles) colorings come back.
+    contributes an independent factor of 2, so an even matching gives
+    2^(#cycles) colorings and a matching with an odd cycle gives none: [].
     """
     cycles = complement_cycles(g, matching)
-    for cyc in cycles:
-        if len(cyc) % 2:
-            raise OddCycle(f"complement cycle of length {len(cyc)}")
+    if any(len(cyc) % 2 for cyc in cycles):
+        return []
     template = [PURPLE] * g.edge_count
     out: list[EdgeColoring] = []
     for firsts in itertools.product((RED, BLUE), repeat=len(cycles)):

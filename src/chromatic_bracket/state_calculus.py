@@ -107,8 +107,8 @@ def make_state(g: CubicGraph, matching: Iterable[int], switches: Sequence[str]) 
     site ends oriented along the complement cycles and its loops traced."""
     m = validate_matching(g, matching)
     ordered = sorted(m)
-    if len(switches) != len(ordered):
-        raise InvalidArgument(f"need {len(ordered)} switch settings, got {len(switches)}")
+    if not isinstance(switches, Sequence) or len(switches) != len(ordered):
+        raise InvalidArgument(f"need a sequence of {len(ordered)} switch settings")
     for s in switches:
         if s not in SWITCH_SETTINGS:
             raise InvalidArgument(f"unknown switch setting {shown(s)}")
@@ -125,6 +125,13 @@ def make_state(g: CubicGraph, matching: Iterable[int], switches: Sequence[str]) 
                  tuple((loop_of[p[0]], loop_of[q[0]]) for p, q in site_links))
 
 
+def _state(s: State) -> State:
+    """s, which must be a State."""
+    if type(s) is not State:
+        raise InvalidArgument(f"expected a State, not {type(s).__name__}")
+    return s
+
+
 def count_state_colorings(s: State) -> int:
     """Maps loops -> {R,B,P} with the two loops at every site distinct.
 
@@ -132,7 +139,7 @@ def count_state_colorings(s: State) -> int:
     whose strands lie on one loop makes it zero.
     """
     with refuse_deep_recursion("loop-coloring count"):
-        return _count_loop_colorings(s.loop_count, s.site_graph)
+        return _count_loop_colorings(_state(s).loop_count, s.site_graph)
 
 
 def logical_expansion_count(g: CubicGraph, matching: Iterable[int]) -> int:
@@ -216,7 +223,7 @@ def squeeze(s: State) -> CubicGraph:
     not by returning the stored source; the switch settings do not enter,
     which is why every state of (g, m) squeezes to g.
     """
-    g = s.graph
+    g = _state(s).graph
     edge_list: list[tuple[int, int] | None] = [None] * g.edge_count
     for loop in s.loops:
         for e in loop:
@@ -233,5 +240,5 @@ def squeeze(s: State) -> CubicGraph:
 
 def state_has_isthmus(s: State) -> bool:
     """True when some site sits on a bridge of the squeezed graph."""
-    site_edges = {site.edge for site in s.sites}
-    return bool(bridges_per_component(squeeze(s)) & site_edges)
+    g = squeeze(s)  # refuses a non-State
+    return bool(bridges_per_component(g) & {site.edge for site in s.sites})

@@ -48,10 +48,14 @@ def test_count_states_method(capsys):
     assert (code, payload["count"]) == (0, 12)
 
 
-def test_count_states_needs_a_matching(capsys):
-    code, payload, err = run(capsys, "count", "double_dumbbell", "--method", "states")
-    assert code == 1
-    assert "error" in err
+def test_count_states_is_zero_without_a_perfect_matching(capsys):
+    # each color class of a coloring is a perfect matching, so there is none
+    code, payload, _ = run(capsys, "count", "double_dumbbell", "--method", "states")
+    assert code == 0
+    assert payload["count"] == 0 and payload["matching"] is None
+    code, payload, err = run(capsys, "count", "double_dumbbell", "--method", "states", "--matching-index", "1")
+    assert (code, payload) == (1, None)
+    assert "out of range: 0 perfect matchings" in err
 
 
 def test_count_matching_index_out_of_range(capsys):

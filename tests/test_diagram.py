@@ -90,12 +90,6 @@ def test_build_diagram_validates_kinds_and_slots():
         cb.build_diagram(2, (), [(N(0, 0), N(1, 0)), (N(0, 1), N(1, 1)), (N(0, 2), N(1, 3))])
 
 
-def test_mate_is_an_involution():
-    d = gen.k33_diagram()
-    for p, q in d.mate.items():
-        assert d.mate[q] == p
-
-
 def test_trace_strand_without_crossings():
     # each strand is one arc, and arcs are sorted by their lower port, by
     # which strands are numbered: strand e is arc e
@@ -360,8 +354,8 @@ def test_chord_immersion_refuses_a_layout_of_positive_genus(monkeypatch):
 
 
 def port_mate(arcs) -> dict[Port, Port]:
-    """The pairing of Ports that arcs make, built here rather than read from
-    d.mate, so that the reference walks do not depend on the port-code table."""
+    """The pairing of Ports that arcs make, built here so that the reference
+    walks do not depend on the port-code table."""
     mate = {}
     for p, q in arcs:
         mate[p], mate[q] = q, p
@@ -487,21 +481,19 @@ def test_port_views_are_the_arcs_given(drawn):
     d, arcs = drawn
     assert d.arcs == tuple(sorted((p, q) if p < q else (q, p) for p, q in arcs))
     assert all(type(p) is Port for arc in d.arcs for p in arc)
-    assert len(d.mate) == 2 * len(arcs)
-    assert all(d.mate[p] == q and d.mate[q] == p for p, q in arcs)
     assert cb.build_diagram(d.node_count, d.crossing_kinds, d.arcs, d.free_loops) == d
 
 
 def test_the_walks_build_no_port_view():
     # chord immersion, faces, strands and both brackets read the port-code
-    # table; the Port views are built only when asked for, and then kept
+    # table; the Port view is built only when asked for, and then kept
     d = cb.chord_immersion(gen.random_cubic(14, 837814450))
     assert cb.genus(d) == 0
     cb.trace_strands(d)
     assert cb.contract_extended(d) == cb.skein_evaluate(d) == cb.count_colorings(gen.random_cubic(14, 837814450))
-    assert "arcs" not in vars(d) and "mate" not in vars(d)
-    assert d.arcs is d.arcs and d.mate is d.mate
-    assert "arcs" in vars(d) and "mate" in vars(d)
+    assert "arcs" not in vars(d)
+    assert d.arcs is d.arcs
+    assert "arcs" in vars(d)
 
 
 def test_the_package_types_no_port_of_a_diagram_it_builds(monkeypatch):
@@ -526,7 +518,7 @@ def test_surgery_builds_no_port_view():
     # the surgeries cut an arc out of the port-code table, not out of d.arcs
     for d in (gen.theta_diagram(), cb.chord_immersion(gen.k33())):
         assert cb.encircle_arc(d, 0) != cb.insert_twist(d, 0)
-        assert "arcs" not in vars(d) and "mate" not in vars(d)
+        assert "arcs" not in vars(d)
 
 
 def test_cw_lists_must_agree_with_the_arcs():

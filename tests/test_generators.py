@@ -56,7 +56,7 @@ def test_flower_snark_counts_alternate_with_parity():
 
 def test_petersen_is_bridgeless_snark():
     g = gen.petersen()
-    assert cb.bridges(g) == frozenset()
+    assert cb.bridges_per_component(g) == frozenset()
     assert cb.count_colorings(g) == 0
 
 

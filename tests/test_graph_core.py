@@ -12,7 +12,7 @@ import chromatic_bracket as cb
 from chromatic_bracket import generators as gen
 from chromatic_bracket.cli import _load_file
 from chromatic_bracket.coloring import _bfs_components
-from chromatic_bracket.errors import DegreeViolation, Disconnected, EmptyGraph, ParseError, UnmatchedPort
+from chromatic_bracket.errors import DegreeViolation, EmptyGraph, ParseError, UnmatchedPort
 from chromatic_bracket.graph_core import components, min_fill_order, tightest_first
 
 
@@ -69,12 +69,12 @@ def test_connectivity_helpers():
 
 
 def test_bridges_on_fixtures():
-    assert cb.bridges(gen.theta()) == frozenset()
-    assert cb.bridges(gen.k4()) == frozenset()
-    assert cb.bridges(gen.petersen()) == frozenset()
+    assert cb.bridges_per_component(gen.theta()) == frozenset()
+    assert cb.bridges_per_component(gen.k4()) == frozenset()
+    assert cb.bridges_per_component(gen.petersen()) == frozenset()
     # dumbbell's middle edge is its only bridge
     g = gen.dumbbell()
-    assert cb.bridges(g) == frozenset({1})
+    assert cb.bridges_per_component(g) == frozenset({1})
     assert g.edges[1] == (0, 1)
 
 
@@ -86,7 +86,7 @@ def test_bridges_per_component_handles_disconnection():
 def test_double_dumbbell_bridges_are_all_non_loop_edges():
     g = gen.double_dumbbell()
     non_loops = frozenset(e for e, (u, v) in enumerate(g.edges) if u != v)
-    assert cb.bridges(g) == non_loops
+    assert cb.bridges_per_component(g) == non_loops
     assert len(non_loops) == 5
 
 
@@ -123,11 +123,6 @@ def test_bridges_are_the_edges_whose_removal_splits_a_component(g):
     # random_cubic keeps its loops and parallel twins
     want = bridges_by_definition(g)
     assert cb.bridges_per_component(g) == want
-    if cb.is_connected(g):
-        assert cb.bridges(g) == want
-    else:
-        with pytest.raises(Disconnected):
-            cb.bridges(g)
 
 
 @settings(deadline=None)
@@ -136,14 +131,12 @@ def test_bridges_per_component_on_disjoint_unions(a, b):
     shifted = [(u + a.node_count, v + a.node_count) for u, v in b.edges]
     g = cb.build_graph(a.node_count + b.node_count, list(a.edges) + shifted)
     assert cb.bridges_per_component(g) == bridges_by_definition(g)
-    with pytest.raises(Disconnected):
-        cb.bridges(g)
 
 
 def test_an_open_ladder_has_no_bridges():
     assert bridges_by_definition(open_ladder(6)) == frozenset()
     g = open_ladder(8000)
-    assert cb.bridges_per_component(g) == cb.bridges(g) == frozenset()
+    assert cb.bridges_per_component(g) == frozenset()
 
 
 def test_graph_json_round_trip_bit_exact():

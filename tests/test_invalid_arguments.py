@@ -44,6 +44,11 @@ BAD_CALLS = {
     "unknown crossing weight kind": lambda: cb.crossing_weight("wavy", 0, 0),
     "too few switches": lambda: cb.make_state(K33, K33_MATCHING, []),
     "unknown switch": lambda: cb.make_state(K33, K33_MATCHING, ["sideways"] * 3),
+    "switches None": lambda: cb.make_state(K33, K33_MATCHING, None),
+    # None where a state or a formation is expected
+    **{f"{f.__name__} of None": (lambda f=f: f(None))
+       for f in (cb.squeeze, cb.state_has_isthmus, cb.count_state_colorings)},
+    "formation None": lambda: cb.coloring_from_formation(K33, None),
     "port with two fields": lambda: theta_with_first_port((NODE, 0)),
     "port with four fields": lambda: theta_with_first_port((NODE, 0, 0, 0)),
     "port that is a number": lambda: theta_with_first_port(0),
@@ -87,7 +92,7 @@ BAD_CALLS = {
     # a diagram or None where a graph is expected; iter_colorings reads it on its first next()
     **{f"{f.__name__} of {name}": (lambda f=f, value=value: f(value))
        for f in (cb.count_colorings, cb.enumerate_perfect_matchings, cb.chord_immersion,
-                 cb.graph_to_json_dict, cb.bridges, cb.bridges_per_component,
+                 cb.graph_to_json_dict, cb.bridges_per_component,
                  cb.connected_components, cb.is_connected)
        for name, value in NOT_GRAPHS},
     **{f"iter_colorings of {name}": (lambda value=value: next(cb.iter_colorings(value)))

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import chromatic_bracket as cb
 from chromatic_bracket import generators as gen
 from chromatic_bracket import matching, state_calculus
-from chromatic_bracket.errors import NotAMatching, OddCycle
+from chromatic_bracket.errors import NotAMatching
 
 # frozen reference: (perfect matchings, even matchings, sum of 2**cycles)
 MATCHING_TABLE = {
@@ -180,24 +180,28 @@ def test_even_matching_expands_to_proper_colorings():
                 assert all(c[e] == cb.PURPLE for e in m)
 
 
-def test_odd_matching_refuses_to_expand():
-    g = gen.dumbbell()
-    with pytest.raises(OddCycle):
-        cb.colorings_from_even_matching(g, {1})
-    g = gen.petersen()
-    m = cb.enumerate_perfect_matchings(g)[0]
-    with pytest.raises(OddCycle):
-        cb.colorings_from_even_matching(g, m)
+def test_expansion_is_empty_exactly_on_odd_matchings():
+    # a matching with an odd complement cycle is the purple class of no coloring
+    graphs = [getattr(gen, name)() for name in MATCHING_TABLE]
+    graphs += [gen.isaacs_j(j) for j in (3, 4, 5)]
+    draws = (gen.random_cubic(n, seed) for n in (8, 10, 12) for seed in range(10))
+    graphs += [g for g in draws if not cb.has_loop(g)][:6]
+    for g in graphs:
+        for m in cb.enumerate_perfect_matchings(g):
+            cs = cb.colorings_from_even_matching(g, m)
+            even = cb.is_even_matching(g, m)
+            assert len(cs) == (2 ** len(cb.complement_cycles(g, m)) if even else 0), g
+            assert all(cb.is_proper(g, c) for c in cs)
 
 
 def test_expansions_partition_all_colorings():
-    # each proper coloring appears under exactly one even matching
-    for name in ("theta", "k4", "prism", "k33", "truncated_tetrahedron"):
+    # each proper coloring appears under exactly one perfect matching, and an
+    # odd one expands to none
+    for name in ("theta", "k4", "prism", "k33", "truncated_tetrahedron", "petersen", "dumbbell"):
         g = getattr(gen, name)()
         collected: list[tuple[int, ...]] = []
         for m in cb.enumerate_perfect_matchings(g):
-            if cb.is_even_matching(g, m):
-                collected.extend(cb.colorings_from_even_matching(g, m))
+            collected.extend(cb.colorings_from_even_matching(g, m))
         assert sorted(collected) == sorted(cb.enumerate_colorings(g)), name
 
 

@@ -43,6 +43,7 @@ COMMANDS = {
     "count states": ["count", "k33", "--method", "states", "--matching-index", "3"],
     "count states, index out of range": ["count", "k33", "--method", "states",
                                          "--matching-index", "99"],
+    "count states, no perfect matching": ["count", "double_dumbbell", "--method", "states"],
     "count penrose plain": ["count", "theta", "--as", "diagram", "--method", "penrose", "--plain"],
     "count penrose extended": ["count", "k33", "--as", "diagram", "--method", "penrose"],
     "count penrose per coloring": ["count", "k33", "--as", "diagram", "--method", "penrose",
