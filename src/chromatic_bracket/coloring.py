@@ -21,7 +21,7 @@ import sys
 from itertools import chain
 from typing import Iterator, Sequence
 
-from .errors import PartialColoring, RecursionBudgetExceeded, refuse_deep_recursion, shown
+from .errors import InvalidArgument, PartialColoring, RecursionBudgetExceeded, refuse_deep_recursion, shown
 from .graph_core import CubicGraph, _edges, connected_components, has_loop, tightest_first
 
 RED, BLUE, PURPLE = 0, 1, 2
@@ -32,8 +32,19 @@ COLOR_NAMES = ("R", "B", "P")
 EdgeColoring = tuple[int, ...]
 
 
+def _colors(colors: object) -> tuple[int, ...]:
+    """colors as a tuple; InvalidArgument unless they are a sequence of ints
+    0-2 by type(), as is_proper checks them, so True is not BLUE."""
+    if not isinstance(colors, Sequence):
+        raise InvalidArgument(f"colors {shown(colors)} are not a sequence")
+    for c in colors:
+        if type(c) is not int or c not in COLORS:
+            raise InvalidArgument(f"not a color: {shown(c)}")
+    return tuple(colors)
+
+
 def coloring_names(coloring: Sequence[int]) -> list[str]:
-    return [COLOR_NAMES[c] for c in coloring]
+    return [COLOR_NAMES[c] for c in _colors(coloring)]
 
 
 def is_proper(g: CubicGraph, coloring: Sequence[int]) -> bool:

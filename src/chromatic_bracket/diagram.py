@@ -74,11 +74,13 @@ def build_diagram(
     """Check and canonicalize a diagram: the one place a caller's diagram is checked.
 
     Equal diagrams compare and serialize identically whatever the order of
-    their arcs and ports. Raises InvalidArgument for a node_count or
-    free_loops that is not a nonnegative int, an unknown crossing kind or an
-    arc that is not a list or tuple of two ports, and _arc_port's errors for
-    each port; UnmatchedPort for a port that does not exist (the first in
-    sorted arc order) or is not covered exactly once.
+    their arcs and ports. A list or tuple port is read straight to its code;
+    a Port is built only to word a refusal or to type another object. Raises
+    InvalidArgument for a node_count or free_loops that is not a nonnegative
+    int, an unknown crossing kind, an arc that is not a list or tuple of two
+    ports or a port without three fields; UnmatchedPort for a port that does
+    not exist (the first in sorted arc order when only its range is wrong) or
+    is not covered exactly once.
     """
     if not (type(node_count) is int and node_count >= 0 and type(free_loops) is int and free_loops >= 0
             and isinstance(crossing_kinds, Iterable) and isinstance(arcs, Iterable)):
@@ -88,19 +90,20 @@ def build_diagram(
     for k in kinds:
         if k not in CROSSING_KINDS:
             raise InvalidArgument(f"unknown crossing kind {shown(k)}")
-    ports: list[tuple[Port, Port]] = []
+    crossings = len(kinds)
+    codes, missing = [], []  # missing: each arc with a port that does not exist, as sorted Ports
     for pair in arcs:
         if type(pair) not in (list, tuple) or len(pair) != 2:
             raise InvalidArgument(f"arc {shown(pair)} is not a pair of ports")
-        p, q = _arc_port(pair[0]), _arc_port(pair[1])
-        if p == q:
-            raise UnmatchedPort(f"arc joins port {shown(p)} to itself")
-        ports.append((p, q))
-    crossings = len(kinds)
-    codes = [(_code(p, node_count, crossings), _code(q, node_count, crossings)) for p, q in ports]
-    if any(a < 0 or b < 0 for a, b in codes):
-        norm = sorted((p, q) if p < q else (q, p) for p, q in ports)
-        port = next(port for arc in norm for port in arc if _code(port, node_count, crossings) < 0)
+        a, b = _port_code(pair[0], node_count, crossings), _port_code(pair[1], node_count, crossings)
+        if a < 0 or b < 0 or a == b:  # a refusal: only now are its Ports built
+            p, q = sorted(map(_arc_port, pair))
+            if p == q:
+                raise UnmatchedPort(f"arc joins port {shown(p)} to itself")
+            missing.append((p, q))
+        codes.append((a, b))
+    if missing:  # the first in sorted arc order
+        port = next(port for arc in sorted(missing) for port in arc if _port_code(port, node_count, crossings) < 0)
         raise UnmatchedPort(f"port {shown(port)} does not exist")
     return _diagram(node_count, kinds, codes, free_loops)
 
@@ -129,26 +132,25 @@ def _diagram(node_count: int, kinds: tuple[str, ...], codes: Sequence[tuple[int,
     raise UnmatchedPort(f"port {port} is covered {covered[code]} times, expected 1")
 
 
-def _arc_port(obj: object) -> Port:
+def _port_code(obj: object, node_count: int, crossings: int) -> int:
+    """The code of a port, -1 when no such port exists: a list or tuple of a
+    kind and two ints is read in place, any other object typed by _arc_port."""
     # type() rather than isinstance(): True must not pass as owner or slot 1
+    kind, owner, slot = obj if (type(obj) in (list, tuple) and len(obj) == 3 and type(obj[1]) is int
+                                and type(obj[2]) is int and obj[0] in (NODE, CROSSING)) else _arc_port(obj)
+    if kind == NODE:
+        return 3 * owner + slot if 0 <= owner < node_count and 0 <= slot < 3 else -1
+    return 3 * node_count + 4 * owner + slot if 0 <= owner < crossings and 0 <= slot < 4 else -1
+
+
+def _arc_port(obj: object) -> Port:
     try:
-        p = obj if type(obj) is Port else Port._make(obj)
+        kind, owner, slot = p = obj if type(obj) is Port else Port._make(obj)
     except TypeError:
         raise InvalidArgument(f"port {shown(obj)} does not have three fields") from None
-    kind, owner, slot = p
     if kind not in (NODE, CROSSING) or type(owner) is not int or type(slot) is not int:
         raise UnmatchedPort(f"port {shown(p)} does not exist")
     return p
-
-
-def _code(p: Port, node_count: int, crossings: int) -> int:
-    """The code of a typed port, -1 when no such port exists."""
-    kind, owner, slot = p
-    if kind == NODE and 0 <= owner < node_count and 0 <= slot < 3:
-        return 3 * owner + slot
-    if kind == CROSSING and 0 <= owner < crossings and 0 <= slot < 4:
-        return 3 * node_count + 4 * owner + slot
-    return -1
 
 
 def _port_of(code: int, node_count: int) -> Port:
@@ -380,7 +382,7 @@ def diagram_from_json_dict(data: object) -> Diagram:
                     raise ParseError(f"cw list of {kind}{owner} must have {deg} ports")
                 code = 3 * owner if kind == NODE else 3 * d.node_count + 4 * owner
                 for s, mate_json in enumerate(cw):
-                    if _code(_arc_port(mate_json), d.node_count, d.crossing_count) != d.peer[code + s]:
+                    if _port_code(mate_json, d.node_count, d.crossing_count) != d.peer[code + s]:
                         raise ParseError(f"cw entry of {kind}{owner} slot {s} disagrees with arcs")
     except (UnmatchedPort, ValueError) as exc:
         raise ParseError(str(exc)) from exc

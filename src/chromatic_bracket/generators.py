@@ -7,6 +7,7 @@ test suite (genus 0). Everything seeded is bit-reproducible.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, insort
 from typing import Callable
 
 from .diagram import CIRCLED, Diagram, Port, _diagram, build_diagram, chord_immersion, genus, underlying_graph
@@ -192,35 +193,49 @@ def random_plane_cubic(n: int, seed: int) -> Diagram:
     bridgelessness, and the absence of loops, and add two nodes. It grows
     the port-code table as a dict from the code 3v + s of slot s of growth
     id v to its mate's code; new ids follow the highest, and the ids are
-    renumbered densely at the end.
+    renumbered densely at the end. The draws read the ids and the arcs in
+    sorted order, which each step keeps by bisection rather than a sort.
     """
     if type(n) is not int or n < 2 or n % 2:
         raise InvalidArgument("random_plane_cubic needs even n >= 2")
     rng = _rng(seed)
     mate = dict(enumerate((3, 5, 4, 0, 2, 1)))  # theta_diagram().peer
+    nodes, arcs = [0, 1], [(0, 3), (1, 5), (2, 4)]  # the growth ids, and the arcs as sorted code pairs
+    new = 6  # slot 0 of the next id
 
     def link(p: int, q: int) -> None:
         mate[p], mate[q] = q, p
+        insort(arcs, (p, q) if p < q else (q, p))
+
+    def unlink(p: int) -> int:  # the caller links p's old mate again
+        q = mate.pop(p)
+        del arcs[bisect_left(arcs, (p, q) if p < q else (q, p))]
+        return q
 
     for _ in range(n // 2 - 1):
-        new = max(mate) + 1  # slot 0 of the next id
         if rng.random() < 0.5:
             # node -> triangle
-            v = rng.choice(sorted({c // 3 for c in mate}))
+            v = rng.choice(nodes)
+            del nodes[bisect_left(nodes, v)]
             for i in range(3):
-                link(new + 3 * i, mate.pop(3 * v + i))
+                link(new + 3 * i, unlink(3 * v + i))
                 link(new + 3 * i + 1, new + 3 * ((i + 1) % 3) + 2)
+            nodes += (new // 3, new // 3 + 1, new // 3 + 2)
+            new += 9
         else:
             # edge -> digon
-            p, q = rng.choice(sorted((c, m) for c, m in mate.items() if c < m))
+            p, q = rng.choice(arcs)
+            unlink(p)
             link(p, new)
             link(new + 3, q)
             link(new + 1, new + 5)
             link(new + 2, new + 4)
+            nodes += (new // 3, new // 3 + 1)
+            new += 6
 
-    dense = {old: new for new, old in enumerate(sorted({c // 3 for c in mate}))}
+    dense = {old: new for new, old in enumerate(nodes)}
     code = {c: 3 * dense[c // 3] + c % 3 for c in mate}
-    d = _diagram(len(dense), (), [(code[c], code[m]) for c, m in mate.items() if c < m], 0)
+    d = _diagram(len(dense), (), [(code[c], code[m]) for c, m in arcs], 0)
     if genus(d) != 0:
         raise NotPlane("plane growth came out with positive genus")
     return d

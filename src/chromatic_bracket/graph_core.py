@@ -31,10 +31,13 @@ class CubicGraph:
     incidence: tuple[tuple[HalfEdge, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        stubs: list[list[HalfEdge]] = [[] for _ in range(self.node_count)]
-        for e, (u, v) in enumerate(self.edges):
-            stubs[u].append(2 * e)
-            stubs[v].append(2 * e + 1)
+        try:  # build_graph checks a graph; a direct call is at least refused typed
+            stubs: list[list[HalfEdge]] = [[] for _ in range(self.node_count)]
+            for e, (u, v) in enumerate(self.edges):
+                stubs[u].append(2 * e)
+                stubs[v].append(2 * e + 1)
+        except (TypeError, ValueError, IndexError):
+            raise InvalidArgument("a CubicGraph needs an int node count and pairs of node ids") from None
         object.__setattr__(self, "incidence", tuple(tuple(s) for s in stubs))
 
     @property

@@ -15,7 +15,7 @@ import dataclasses
 import itertools
 from typing import Sequence
 
-from .coloring import BLUE, PURPLE, RED, is_proper
+from .coloring import BLUE, PURPLE, RED, _colors, is_proper
 from .diagram import (
     CIRCLED,
     DOTTED,
@@ -47,7 +47,7 @@ _EPSILON = {t: 1 if t in ((RED, BLUE, PURPLE), (BLUE, PURPLE, RED), (PURPLE, RED
 def node_weight(cw_colors: Sequence[int]) -> int:
     """The epsilon sign of a node's clockwise colors, 0 when a color repeats;
     the node weighs i times this sign."""
-    return _EPSILON.get(tuple(cw_colors), 0)
+    return _EPSILON.get(_colors(cw_colors), 0)
 
 
 # Each crossing weighs a + b*[its two strand colors agree].

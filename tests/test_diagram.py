@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import copy
+import hashlib
 import json
+import random
 from collections import Counter
 
 import pytest
@@ -13,7 +15,7 @@ import chromatic_bracket as cb
 from chromatic_bracket import CIRCLED, DOTTED, PLAIN, Port
 from chromatic_bracket import diagram as diagram_module
 from chromatic_bracket import generators as gen
-from chromatic_bracket.errors import NotPlane, ParseError, StrandClosesWithoutNode, UnmatchedPort
+from chromatic_bracket.errors import ChromaticBracketError, NotPlane, ParseError, StrandClosesWithoutNode, UnmatchedPort
 
 N = lambda o, s: Port("n", o, s)
 X = lambda o, s: Port("x", o, s)
@@ -512,6 +514,72 @@ def test_the_package_types_no_port_of_a_diagram_it_builds(monkeypatch):
             assert surgery(d, 0).crossing_count == d.crossing_count + 1
     assert len(cb.expand_circled(immersed, 0)) == 2
     assert cb.chord_immersion(gen.petersen()).node_count == 10
+
+
+def valid_diagrams() -> list[cb.Diagram]:
+    """Every named diagram, plane growths, chord immersions with circled,
+    plain and dotted crossings, free loops and a surgery's output."""
+    immersed = [cb.chord_immersion(g) for g in (gen.k33(), gen.petersen(), gen.random_cubic(10, 4))]
+    return ([gen.named_diagram(name) for name in ("theta", "dumbbell", "k4", "prism", "k33")]
+            + [gen.random_plane_cubic(n, seed) for n, seed in ((2, 0), (12, 3), (24, 523522211))]
+            + immersed
+            + [cb.build_diagram(d.node_count, [diagram_module.CROSSING_KINDS[x % 3] for x in range(d.crossing_count)],
+                                d.arcs) for d in immersed]
+            + [cb.build_diagram(2, (), gen.theta_diagram().arcs, free_loops=2),
+               cb.encircle_arc(gen.k4_diagram(), 3)])
+
+
+def test_the_json_reader_types_no_port_of_a_valid_file(monkeypatch):
+    # the reader reads each port of a valid file straight to its code: a Port
+    # is built only to word a refusal
+    diagrams = valid_diagrams()
+    files = [json.loads(json.dumps(cb.diagram_to_json_dict(d))) for d in diagrams]
+    assert {PLAIN, CIRCLED, DOTTED} <= {k for d in diagrams for k in d.crossing_kinds}
+
+    def refuse(obj):
+        raise AssertionError(f"typed port {obj!r}")
+
+    monkeypatch.setattr(diagram_module, "_arc_port", refuse)
+    for d, data in zip(diagrams, files):
+        assert cb.diagram_from_json_dict(data) == d
+
+
+def mutated_diagram_json(rng: random.Random, data: dict) -> dict:
+    """A copy of diagram JSON with one or two of its ports, in "arcs" or in
+    "cw", given a look-alike or out-of-range field, cut short or swapped."""
+    data = copy.deepcopy(data)
+    for _ in range(rng.randint(1, 2)):
+        spots = {"arcs": [(arc, j) for arc in data["arcs"] for j in (0, 1)],
+                 "cw": [(e["cw"], s) for key in ("nodes", "crossings") for e in data[key] for s in range(len(e["cw"]))]}
+        holder, i = rng.choice(spots[rng.choice(("arcs", "cw"))])
+        how = rng.choice(("field", "field", "cut", "swap"))
+        if how == "swap":
+            other, j = rng.choice(spots["arcs"] + spots["cw"])
+            holder[i], other[j] = other[j], holder[i]
+        elif how == "cut" or len(holder[i]) != 3:
+            holder[i] = holder[i][:rng.randrange(3)]
+        else:
+            holder[i] = list(holder[i])
+            holder[i][rng.randrange(3)] = rng.choice([True, False, 1.0, "1", None, -1, 10**12, "q", "x", 0, 1])
+    return data
+
+
+def test_the_json_reader_outcomes_are_pinned():
+    # each outcome is the diagram's table or the refusal's type and message,
+    # so a change to how ports are read keeps every message and which bad port
+    # is reported first; this digest was taken from the Port-based reader
+    rng = random.Random(0)
+    bases = [cb.diagram_to_json_dict(d) for d in valid_diagrams()]
+    corpus = bases + [mutated_diagram_json(rng, data) for data in bases for _ in range(40)]
+    outcomes = []
+    for data in corpus:
+        try:
+            d = cb.diagram_from_json_dict(data)
+            outcomes.append((d.peer, d.crossing_kinds, d.free_loops))
+        except ChromaticBracketError as exc:
+            outcomes.append((type(exc).__name__, str(exc)))
+    digest = hashlib.sha256(repr(outcomes).encode()).hexdigest()
+    assert digest == "9cc891ef7576c5138c538086ee54b917f12950452341d84b3b0aa390844fca1e"
 
 
 def test_surgery_builds_no_port_view():

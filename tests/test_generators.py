@@ -182,6 +182,15 @@ def test_random_plane_cubic_growth_is_pinned():
     assert digest.hexdigest() == "0e36e04303f8cc1f01e838e5a83e28364061c5c9a7e5763cecac839a24e1e822"
 
 
+def test_large_random_plane_cubic_growth_is_pinned():
+    # a long growth keeps its draws too: this digest was taken from the
+    # generator that sorted every node and arc at each step
+    d = gen.random_plane_cubic(3000, 7)
+    assert (d.node_count, d.crossing_count) == (3000, 0)
+    digest = hashlib.sha256(repr(d.peer).encode()).hexdigest()
+    assert digest == "665064a963377339c2d3f9836223c3e3f7a3c6fb86db9655e746ccc6d2e44d27"
+
+
 def test_random_plane_cubic_refuses_positive_genus(monkeypatch):
     # the genus check is a raise, not an assert, so it holds under python -O
     monkeypatch.setattr(gen, "genus", lambda d: 1)

@@ -7,6 +7,7 @@ import pytest
 
 import chromatic_bracket as cb
 from chromatic_bracket import generators as gen
+from chromatic_bracket import PURPLE, RED
 from chromatic_bracket.diagram import NODE, Port
 from chromatic_bracket.errors import (
     ChromaticBracketError,
@@ -49,6 +50,13 @@ BAD_CALLS = {
     **{f"{f.__name__} of None": (lambda f=f: f(None))
        for f in (cb.squeeze, cb.state_has_isthmus, cb.count_state_colorings)},
     "formation None": lambda: cb.coloring_from_formation(K33, None),
+    # a color is an int 0-2 by type(), as is_proper checks it
+    "node_weight of None": lambda: cb.node_weight(None),
+    "node_weight of a bool": lambda: cb.node_weight((True, PURPLE, RED)),
+    "coloring_names of None": lambda: cb.coloring_names(None),
+    "coloring_names past the colors": lambda: cb.coloring_names([5]),
+    "coloring_names of a negative color": lambda: cb.coloring_names([-1]),
+    "CubicGraph of None edges": lambda: cb.CubicGraph(2, None),
     "port with two fields": lambda: theta_with_first_port((NODE, 0)),
     "port with four fields": lambda: theta_with_first_port((NODE, 0, 0, 0)),
     "port that is a number": lambda: theta_with_first_port(0),
