@@ -121,7 +121,7 @@ def _diagram(node_count: int, kinds: tuple[str, ...], codes: Sequence[tuple[int,
             peer[a], peer[b] = b, a
         else:
             return Diagram(node_count, kinds, tuple(peer), free_loops)
-    # as in build_graph, 2|A| port ends leave a code below 2|A| + 1 uncovered if any is
+    # as in the CubicGraph check, 2|A| port ends leave a code below 2|A| + 1 uncovered if any is
     covered = [0] * min(size, 2 * len(codes) + 1)
     for arc in codes:
         for c in arc:

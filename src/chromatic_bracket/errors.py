@@ -76,11 +76,6 @@ class NotPlane(ChromaticBracketError):
     """The operation is only defined for crossing-free genus-0 diagrams."""
 
 
-class NonIntegerResult(ChromaticBracketError):
-    """penrose.coloring_weight got an odd number of node triples: each node
-    weighs i times a sign, so their product keeps a factor i."""
-
-
 class NotCircled(ChromaticBracketError):
     """The rewrite applies to circled crossings only."""
 
@@ -106,7 +101,7 @@ def refuse_deep_recursion(search: str) -> Iterator[None]:
 
 class InvalidArgument(ChromaticBracketError, ValueError):
     """A function got an argument outside its domain, such as a value of the wrong
-    type given to build_graph or build_diagram; also a ValueError."""
+    type given to CubicGraph (build_graph) or build_diagram; also a ValueError."""
 
 
 class ParseError(ChromaticBracketError):

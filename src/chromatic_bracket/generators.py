@@ -10,7 +10,7 @@ import random
 from bisect import bisect_left, insort
 from typing import Callable
 
-from .diagram import CIRCLED, Diagram, Port, _diagram, build_diagram, chord_immersion, genus, underlying_graph
+from .diagram import CIRCLED, Diagram, _diagram, build_diagram, chord_immersion, genus, underlying_graph
 from .errors import InvalidArgument, NotPlane, shown
 from .graph_core import CubicGraph, build_graph
 
@@ -121,35 +121,27 @@ def random_cubic(n: int, seed: int) -> CubicGraph:
 # ---------------------------------------------------------------------------
 # plane diagrams
 
-def _n(owner: int, slot: int) -> Port:
-    return Port("n", owner, slot)
-
-
-def _x(owner: int, slot: int) -> Port:
-    return Port("x", owner, slot)
-
-
 def theta_diagram() -> Diagram:
     return build_diagram(
-        2, (), [(_n(0, 0), _n(1, 0)), (_n(0, 1), _n(1, 2)), (_n(0, 2), _n(1, 1))]
+        2, (), [(("n", 0, 0), ("n", 1, 0)), (("n", 0, 1), ("n", 1, 2)), (("n", 0, 2), ("n", 1, 1))]
     )
 
 
 def dumbbell_diagram() -> Diagram:
     return build_diagram(
-        2, (), [(_n(0, 1), _n(0, 2)), (_n(0, 0), _n(1, 2)), (_n(1, 0), _n(1, 1))]
+        2, (), [(("n", 0, 1), ("n", 0, 2)), (("n", 0, 0), ("n", 1, 2)), (("n", 1, 0), ("n", 1, 1))]
     )
 
 
 def k4_diagram() -> Diagram:
     """Outer triangle 0,1,2 with node 3 in the middle."""
     arcs = [
-        (_n(0, 0), _n(1, 0)),
-        (_n(0, 2), _n(2, 1)),
-        (_n(0, 1), _n(3, 2)),
-        (_n(1, 1), _n(2, 0)),
-        (_n(1, 2), _n(3, 0)),
-        (_n(2, 2), _n(3, 1)),
+        (("n", 0, 0), ("n", 1, 0)),
+        (("n", 0, 2), ("n", 2, 1)),
+        (("n", 0, 1), ("n", 3, 2)),
+        (("n", 1, 1), ("n", 2, 0)),
+        (("n", 1, 2), ("n", 3, 0)),
+        (("n", 2, 2), ("n", 3, 1)),
     ]
     return build_diagram(4, (), arcs)
 
@@ -157,7 +149,7 @@ def k4_diagram() -> Diagram:
 def prism_diagram() -> Diagram:
     cw = {0: [2, 1, 3], 1: [0, 2, 4], 2: [1, 0, 5], 3: [5, 0, 4], 4: [1, 5, 3], 5: [4, 2, 3]}
     arcs = [
-        (_n(u, cw[u].index(v)), _n(v, cw[v].index(u)))
+        (("n", u, cw[u].index(v)), ("n", v, cw[v].index(u)))
         for u, v in prism().edges
     ]
     return build_diagram(6, (), arcs)
@@ -170,17 +162,17 @@ def k33_diagram() -> Diagram:
     crossing inside and 2-3 routed around the hexagon.
     """
     arcs = [
-        (_n(0, 0), _n(3, 0)),
-        (_n(5, 0), _n(0, 2)),
-        (_n(3, 2), _n(1, 1)),
-        (_n(1, 2), _n(4, 2)),
-        (_n(3, 1), _n(2, 2)),
-        (_n(4, 0), _n(2, 1)),
-        (_n(2, 0), _n(5, 2)),
-        (_n(0, 1), _x(0, 0)),
-        (_x(0, 2), _n(4, 1)),
-        (_n(1, 0), _x(0, 1)),
-        (_x(0, 3), _n(5, 1)),
+        (("n", 0, 0), ("n", 3, 0)),
+        (("n", 5, 0), ("n", 0, 2)),
+        (("n", 3, 2), ("n", 1, 1)),
+        (("n", 1, 2), ("n", 4, 2)),
+        (("n", 3, 1), ("n", 2, 2)),
+        (("n", 4, 0), ("n", 2, 1)),
+        (("n", 2, 0), ("n", 5, 2)),
+        (("n", 0, 1), ("x", 0, 0)),
+        (("x", 0, 2), ("n", 4, 1)),
+        (("n", 1, 0), ("x", 0, 1)),
+        (("x", 0, 3), ("n", 5, 1)),
     ]
     return build_diagram(6, (CIRCLED,), arcs)
 

@@ -20,10 +20,13 @@ HalfEdge = int
 
 @dataclass(frozen=True)
 class CubicGraph:
-    """Immutable cubic multigraph.
+    """Immutable cubic multigraph; the one place a graph is checked.
 
-    ``incidence[n]`` lists the half-edges at node ``n`` in increasing order;
-    its length is the degree and must be 3 for every node.
+    ``incidence[n]`` lists the half-edges at node ``n`` in increasing order.
+    Raises InvalidArgument for a node_count that is not an int, an edge that
+    is not a list or tuple of two ints (by type(), so True is not 1) or one
+    out of range; EmptyGraph for zero nodes; DegreeViolation for the lowest
+    node whose half-edge count differs from 3. ``edges`` is kept as tuples.
     """
 
     node_count: int
@@ -31,14 +34,31 @@ class CubicGraph:
     incidence: tuple[tuple[HalfEdge, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        try:  # build_graph checks a graph; a direct call is at least refused typed
-            stubs: list[list[HalfEdge]] = [[] for _ in range(self.node_count)]
-            for e, (u, v) in enumerate(self.edges):
+        node_count, edges = self.node_count, self.edges
+        if type(node_count) is not int or not isinstance(edges, Iterable):
+            raise InvalidArgument("node_count must be an int and edges iterable")
+        edges = tuple(edges)
+        for e in edges:
+            if type(e) not in (list, tuple) or len(e) != 2 or type(e[0]) is not int or type(e[1]) is not int:
+                raise InvalidArgument(f"edge {shown(e)} is not a pair of ints")
+        if node_count <= 0:
+            raise EmptyGraph("a cubic graph needs at least one node")
+        # The edges touch at most 2|E| nodes, so when node_count is larger some
+        # node below 2|E| + 1 has degree 0 and the lowest violation lies in range.
+        size = min(node_count, 2 * len(edges) + 1)
+        stubs: list[list[HalfEdge]] = [[] for _ in range(size)]
+        for e, (u, v) in enumerate(edges):
+            if not (0 <= u < node_count and 0 <= v < node_count):
+                raise InvalidArgument(f"edge endpoint out of range: {shown((u, v))}")
+            if u < size:
                 stubs[u].append(2 * e)
+            if v < size:
                 stubs[v].append(2 * e + 1)
-        except (TypeError, ValueError, IndexError):
-            raise InvalidArgument("a CubicGraph needs an int node count and pairs of node ids") from None
-        object.__setattr__(self, "incidence", tuple(tuple(s) for s in stubs))
+        for n, s in enumerate(stubs):
+            if len(s) != 3:
+                raise DegreeViolation(n, len(s))
+        object.__setattr__(self, "edges", tuple(map(tuple, edges)))
+        object.__setattr__(self, "incidence", tuple(map(tuple, stubs)))
 
     @property
     def edge_count(self) -> int:
@@ -47,37 +67,10 @@ class CubicGraph:
     def half_edge_node(self, h: HalfEdge) -> NodeId:
         return self.edges[h // 2][h % 2]
 
-def build_graph(node_count: int, edges: Iterable[Sequence[int]]) -> CubicGraph:
-    """Check and freeze a cubic multigraph: the one place a graph is checked.
 
-    Raises InvalidArgument for a node_count that is not an int, an edge that
-    is not a list or tuple of two ints (by type(), so True is not 1) or one out
-    of range; EmptyGraph for zero nodes; DegreeViolation for the lowest node
-    whose half-edge count differs from 3.
-    """
-    if type(node_count) is not int or not isinstance(edges, Iterable):
-        raise InvalidArgument("node_count must be an int and edges iterable")
-    edge_tuple = tuple(edges)
-    for e in edge_tuple:
-        if type(e) not in (list, tuple) or len(e) != 2 or type(e[0]) is not int or type(e[1]) is not int:
-            raise InvalidArgument(f"edge {shown(e)} is not a pair of ints")
-    if node_count <= 0:
-        raise EmptyGraph("a cubic graph needs at least one node")
-    # The edges touch at most 2|E| nodes, so when node_count is larger some
-    # node below 2|E| + 1 has degree 0 and the lowest violation lies in range.
-    size = min(node_count, 2 * len(edge_tuple) + 1)
-    degree = [0] * size
-    for u, v in edge_tuple:
-        if not (0 <= u < node_count and 0 <= v < node_count):
-            raise InvalidArgument(f"edge endpoint out of range: {shown((u, v))}")
-        if u < size:
-            degree[u] += 1
-        if v < size:
-            degree[v] += 1
-    for n, d in enumerate(degree):
-        if d != 3:
-            raise DegreeViolation(n, d)
-    return CubicGraph(node_count, tuple(map(tuple, edge_tuple)))
+def build_graph(node_count: int, edges: Iterable[Sequence[int]]) -> CubicGraph:
+    """The CubicGraph constructor under its public name, which checks the graph."""
+    return CubicGraph(node_count, edges)
 
 
 def _edges(g: CubicGraph) -> tuple[tuple[NodeId, NodeId], ...]:
@@ -240,8 +233,8 @@ def graph_to_json_dict(g: CubicGraph) -> dict:
 
 def graph_from_json_dict(data: object) -> CubicGraph:
     """Read {"nodes": n, "edges": [[u, v], ...]}: this checks only the object's
-    shape, and build_graph checks the values (its InvalidArgument becomes a
-    ParseError; EmptyGraph and DegreeViolation pass through)."""
+    shape, and the CubicGraph constructor checks the values (its InvalidArgument
+    becomes a ParseError; EmptyGraph and DegreeViolation pass through)."""
     if not isinstance(data, dict) or "nodes" not in data or not isinstance(data.get("edges"), list):
         raise ParseError("graph JSON must be an object with 'nodes' and an 'edges' list")
     try:

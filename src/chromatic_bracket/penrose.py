@@ -30,7 +30,6 @@ from .errors import (
     ImproperColoring,
     IndexOutOfRange,
     InvalidArgument,
-    NonIntegerResult,
     NotCircled,
     RecursionBudgetExceeded,
     refuse_deep_recursion,
@@ -46,8 +45,12 @@ _EPSILON = {t: 1 if t in ((RED, BLUE, PURPLE), (BLUE, PURPLE, RED), (PURPLE, RED
 
 def node_weight(cw_colors: Sequence[int]) -> int:
     """The epsilon sign of a node's clockwise colors, 0 when a color repeats;
-    the node weighs i times this sign."""
-    return _EPSILON.get(_colors(cw_colors), 0)
+    the node weighs i times this sign. InvalidArgument unless cw_colors are
+    three colors."""
+    colors = _colors(cw_colors)
+    if len(colors) != 3:
+        raise InvalidArgument(f"a node has three colors, not {len(colors)}")
+    return _EPSILON.get(colors, 0)
 
 
 # Each crossing weighs a + b*[its two strand colors agree].
@@ -77,10 +80,9 @@ def coloring_weight(
     """Weight of one proper coloring: node weights times crossing weights.
 
     The n node weights i*epsilon multiply to (-1)^(n/2) times the epsilon
-    signs; an odd n would leave a factor i and raises NonIntegerResult.
+    signs. n is even: the triples are all nodes of a cubic graph (3n = 2E),
+    or two of them (formation.classify_meetings).
     """
-    if len(nodes) % 2:
-        raise NonIntegerResult(f"{len(nodes)} nodes: an odd node count leaves a factor i")
     term = -1 if len(nodes) % 4 else 1
     for a, b, e in nodes:
         term *= _EPSILON[c[a], c[b], c[e]]

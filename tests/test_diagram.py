@@ -507,6 +507,8 @@ def test_the_package_types_no_port_of_a_diagram_it_builds(monkeypatch):
         raise AssertionError(f"typed port {obj!r}")
 
     monkeypatch.setattr(diagram_module, "_arc_port", refuse)
+    for name in ("theta", "dumbbell", "k4", "prism", "k33"):  # the fixtures spell their ports as tuples
+        assert gen.named_diagram(name).node_count >= 2
     assert gen.random_plane_cubic(2, 0) == theta
     assert gen.random_plane_cubic(12, 3).node_count == 12
     for d in (theta, immersed):

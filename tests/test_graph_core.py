@@ -22,6 +22,12 @@ def test_build_graph_theta():
     assert g.edges == ((0, 1), (0, 1), (0, 1))
 
 
+def test_the_constructor_normalizes_edges_as_build_graph_does():
+    g = cb.CubicGraph(2, [[0, 1]] * 3)
+    assert g == cb.build_graph(2, [(0, 1)] * 3) and g.edges == ((0, 1),) * 3
+    assert hash(g) == hash(cb.build_graph(2, [(0, 1)] * 3))
+
+
 def test_half_edge_endpoints():
     g = gen.k4()
     for e, (u, v) in enumerate(g.edges):

@@ -11,6 +11,8 @@ from chromatic_bracket import PURPLE, RED
 from chromatic_bracket.diagram import NODE, Port
 from chromatic_bracket.errors import (
     ChromaticBracketError,
+    DegreeViolation,
+    EmptyGraph,
     InvalidArgument,
     NotAMatching,
     NotCircled,
@@ -57,6 +59,9 @@ BAD_CALLS = {
     "coloring_names past the colors": lambda: cb.coloring_names([5]),
     "coloring_names of a negative color": lambda: cb.coloring_names([-1]),
     "CubicGraph of None edges": lambda: cb.CubicGraph(2, None),
+    "node_weight of two colors": lambda: cb.node_weight((0, 1)),
+    "node_weight of no colors": lambda: cb.node_weight(()),
+    "node_weight of four colors": lambda: cb.node_weight((0, 1, 2, 0)),
     "port with two fields": lambda: theta_with_first_port((NODE, 0)),
     "port with four fields": lambda: theta_with_first_port((NODE, 0, 0, 0)),
     "port that is a number": lambda: theta_with_first_port(0),
@@ -124,6 +129,24 @@ def test_bad_arguments_raise_the_package_error(call):
     with pytest.raises(ChromaticBracketError) as info:
         call()
     assert isinstance(info.value, InvalidArgument) and isinstance(info.value, ValueError)
+
+
+# direct CubicGraph calls, which BAD_CALLS cannot hold: some raise EmptyGraph or DegreeViolation
+BAD_GRAPHS = {
+    "bool endpoint": ((2, ((0, True),) * 3), InvalidArgument, "edge (0, True) is not a pair of ints"),
+    "negative endpoint": ((2, ((0, -1),) * 3), InvalidArgument, "edge endpoint out of range: (0, -1)"),
+    "no nodes": ((0, ()), EmptyGraph, "a cubic graph needs at least one node"),
+    "one edge on three nodes": ((3, ((0, 1),)), DegreeViolation, "node 0 has degree 1, expected 3"),
+    "a million bare nodes": ((10**6, ()), DegreeViolation, "node 0 has degree 0, expected 3"),
+}
+
+
+@pytest.mark.parametrize("args, error, message", BAD_GRAPHS.values(), ids=BAD_GRAPHS.keys())
+def test_a_direct_cubic_graph_call_is_checked_as_build_graph_is(args, error, message):
+    for construct in (cb.build_graph, cb.CubicGraph):
+        with pytest.raises(error) as info:
+            construct(*args)
+        assert type(info.value) is error and str(info.value) == message
 
 
 MISTYPED_PORTS = {

@@ -15,7 +15,6 @@ from chromatic_bracket import diagram, penrose
 from chromatic_bracket.errors import (
     ImproperColoring,
     IndexOutOfRange,
-    NonIntegerResult,
     NotCircled,
     RecursionBudgetExceeded,
     StrandClosesWithoutNode,
@@ -51,12 +50,8 @@ def test_node_weight_permutation_table():
         assert cb.node_weight(colors) == 0
 
 
-def test_an_odd_node_count_has_no_integer_weight():
-    # one node weighs +-i, so coloring_weight refuses an odd number of triples
-    with pytest.raises(NonIntegerResult):
-        penrose.coloring_weight((RED, BLUE, PURPLE), [(0, 1, 2)])
-    with pytest.raises(NonIntegerResult):
-        penrose.coloring_weight((RED, BLUE, PURPLE), [(0, 1, 2)] * 3)
+def test_two_nodes_of_opposite_sign_weigh_one():
+    # one node weighs +-i; a cubic graph has an even number of nodes
     assert penrose.coloring_weight((RED, BLUE, PURPLE), [(0, 1, 2), (0, 2, 1)]) == 1  # i * -i
 
 
