@@ -58,8 +58,10 @@ _PAIR_FACTOR = {PLAIN: (1, 0), CIRCLED: (-1, 2), DOTTED: (0, 1)}
 
 
 def crossing_weight(kind: str, color_a: int, color_b: int) -> int:
-    if kind not in _PAIR_FACTOR:
+    """The crossing's weight; InvalidArgument for an unknown kind or a non-color (True is not BLUE)."""
+    if type(kind) is not str or kind not in _PAIR_FACTOR:
         raise InvalidArgument(f"unknown crossing kind {shown(kind)}")
+    color_a, color_b = _colors((color_a, color_b))
     a, b = _PAIR_FACTOR[kind]
     return a + b if color_a == color_b else a
 
@@ -151,11 +153,12 @@ def _strand_sum(nodes: Sequence[tuple[int, ...]], adj: list[dict[int, tuple[int,
     circled factor (-1, 2) is the sign (-1)^[colors differ]: each position
     keeps a bitmask of its earlier circled partners, and the sign is the
     parity of the partners outside the color. Other factors are multiplied
-    in one by one. In a
-    component with a node, the first node's first two strands are fixed to
-    (R, B) and its sum taken 6 times: pair factors read only agreement, and
-    an odd color permutation flips every epsilon, which an even node count
-    leaves unchanged in the product.
+    in one by one. These tables are set up in one pass over the node triples
+    and one over the couplings of the strands in order. In a component with
+    a node, the first node's first two strands are fixed to (R, B) and its
+    sum taken 6 times: pair factors read only agreement, and an odd color
+    permutation flips every epsilon, which an even node count leaves
+    unchanged in the product.
     """
     if not adj:
         return 1
@@ -195,16 +198,22 @@ def _strand_sum(nodes: Sequence[tuple[int, ...]], adj: list[dict[int, tuple[int,
     order = [s for part in parts for s in part]
     starts = list(itertools.accumulate(map(len, parts), initial=0))
     fixed = {lo for lo in starts[:-1] if at[order[lo]]}  # the component holds a node
-    pos = {s: d for d, s in enumerate(order)}
-    near = [sum(1 << p for p in {pos[w] for n in at[s] for w in nodes[n]} if p < d)
-            for d, s in enumerate(order)]
-    done: list[list[list[int]]] = [[] for _ in order]
+    pos = dict(zip(order, range(len(order))))
+    near, signs = [0] * len(order), [0] * len(order)  # bitmasks of earlier positions
+    done: list[list[tuple[int, ...]]] = [[] for _ in order]
     for t in nodes:
-        p = [pos[s] for s in t]
-        done[max(p)].append(p)
-    links = [[(pos[w], f) for w, f in adj[s].items() if pos[w] < d] for d, s in enumerate(order)]
-    signs = [sum(1 << p for p, f in ls if f == _PAIR_FACTOR[CIRCLED]) for ls in links]
-    links = [[(p, *f) for p, f in ls if f != _PAIR_FACTOR[CIRCLED]] for ls in links]
+        p = tuple(map(pos.__getitem__, t))
+        lo, mid, hi = sorted(p)
+        done[hi].append(p)
+        near[mid] |= 1 << lo
+        near[hi] |= 1 << lo | 1 << mid
+    links: list[list[tuple[int, int, int]]] = [[] for _ in order]
+    for d, s in enumerate(order):
+        for w, f in adj[s].items():
+            if pos[w] < d and f == _PAIR_FACTOR[CIRCLED]:
+                signs[d] |= 1 << pos[w]
+            elif pos[w] < d:
+                links[d].append((pos[w], *f))
     tries = [(RED, BLUE, PURPLE)] * len(order)
     for lo in fixed:
         tries[lo], tries[lo + 1] = (RED,), (BLUE,)
@@ -336,72 +345,82 @@ def encircle_arc(d: Diagram, arc_index: int) -> Diagram:
 # ---------------------------------------------------------------------------
 # skein evaluation
 
-def _merge(tri: dict[int, tuple[int, ...]], adj: list, x: int, y: int) -> int:
-    """Give strand y the color of strand x: y's couplings move onto x and y
-    leaves the node triples. Returns the constant split off, 0 when a node
-    now holds one strand twice (a repeated epsilon index). Coupling dicts
-    are shared between branches, so each one changed here is copied first."""
+_Tuples = dict[int, tuple[int, ...]]  # tri: node -> its strand triple; at: strand -> its live nodes
+
+
+def _merge(tri: _Tuples, adj: dict[int, dict], at: _Tuples, x: int, y: int) -> int:
+    """Give strand y the color of strand x: y's couplings move onto x, and so
+    do its live nodes (at[y]), in whose triples y is renamed x. Returns the
+    constant split off, 0 when a node now holds one strand twice (a repeated
+    epsilon index). Coupling dicts are shared between branches, so each one
+    changed here is copied first."""
     if x == y:  # the strand closed up
+        at.pop(x, None)
         if adj[x]:
             return 1
-        adj[x] = None  # a free loop sums to 3
+        del adj[x]  # a free loop sums to 3
         return 3
     mult = 1
     adj[x] = dict(adj[x])
-    for w, (a, b) in adj[y].items():
+    for w, (a, b) in adj.pop(y).items():
         adj[w] = dict(adj[w])
         del adj[w][y]
         mult *= _link(adj, x, w, a, b)
-    adj[y] = None  # merged away
-    for n, t in tri.items():
-        if y in t:
-            if x in t:
-                return 0
-            tri[n] = tuple(x if s == y else s for s in t)
+    on_x, on_y = at.pop(x, ()), at.pop(y, ())
+    if any(n in on_x for n in on_y):
+        return 0
+    for n in on_y:
+        tri[n] = tuple(x if s == y else s for s in tri[n])
+    if on_x or on_y:
+        at[x] = on_x + on_y
     return mult
 
 
-def _state_key(tri: dict[int, tuple[int, ...]], adj: list) -> tuple[int, ...]:
+def _state_key(tri: _Tuples, adj: dict[int, dict]) -> tuple[int, ...]:
     """The state up to strand renaming as one flat tuple: node count, triples (strands
     numbered by first appearance, then the other live ones), live count, couplings."""
-    strands = [s for t in tri.values() for s in t]
-    live = [s for s, c in enumerate(adj) if c is not None]
-    pos = {s: p for p, s in enumerate(dict.fromkeys(strands + live))}
-    pairs = sorted((pos[s], pos[w], *f) for s in pos for w, f in adj[s].items() if pos[s] < pos[w])
-    return (len(tri), *map(pos.get, strands), len(pos), *itertools.chain(*pairs))
+    strands = list(itertools.chain.from_iterable(tri.values()))
+    names = dict.fromkeys(itertools.chain(strands, adj))
+    pos = dict(zip(names, range(len(names))))
+    pairs = sorted((pos[s], pos[w], *f) for s, c in adj.items() if c for w, f in c.items() if pos[s] < pos[w])
+    return (len(tri), *map(pos.__getitem__, strands), len(pos), *itertools.chain.from_iterable(pairs))
 
 
-def _skein(tri: dict[int, tuple[int, ...]], adj: list, steps: list[int], memo: dict) -> int:
+def _skein(tri: _Tuples, adj: dict[int, dict], at: _Tuples, steps: list[int], memo: dict) -> int:
     """Expand a coupling-free strand e from node u (slot i) to node v (slot j):
     summing e out of the two epsilons leaves (parallel) - (crossed), that is,
     u's strands at slots i+1, i+2 take the colors of v's at j+2, j+1, resp.
-    j+1, j+2. A leaf with no such strand is summed over strand colorings."""
+    j+1, j+2. Of the coupling-free strands on two nodes (at[e] = (u, v)), e has
+    the least sum of its nodes' places in tri's order, ties to the lower strand.
+    A leaf with no such strand is summed over strand colorings. adj is this call's own."""
     steps[0] -= 1
     if steps[0] < 0:
         raise RecursionBudgetExceeded("skein step budget exhausted")
-    found = next(((u, i, e) for u, t in tri.items() for i, e in enumerate(t) if not adj[e]), None)
-    if found is None:
-        live = [s for s, c in enumerate(adj) if c is not None]
-        pos = {s: p for p, s in enumerate(live)}
-        return _strand_sum([tuple(pos[s] for s in t) for t in tri.values()],
-                           [{pos[w]: f for w, f in adj[s].items()} for s in live])
-    u, i, e = found
-    v, tv = next((v, t) for v, t in tri.items() if v != u and e in t)
-    j = tv.index(e)
-    a, b, c, d = tri[u][(i + 1) % 3], tri[u][(i + 2) % 3], tv[(j + 1) % 3], tv[(j + 2) % 3]
-    adj[e] = None  # summed out; this list is this call's own
+    place = dict(zip(tri, range(len(tri))))
+    best = min(((place[u] + place[v], e) for e, (u, v) in at.items() if not adj[e]), default=None)
+    if best is None:
+        pos = dict(zip(adj, range(len(adj))))
+        return _strand_sum([tuple(map(pos.__getitem__, t)) for t in tri.values()],
+                           [{pos[w]: f for w, f in c.items()} for c in adj.values()])
+    e = best[1]
+    u, v = at[e]
+    i, j = tri[u].index(e), tri[v].index(e)
+    a, b, c, d = tri[u][(i + 1) % 3], tri[u][(i + 2) % 3], tri[v][(j + 1) % 3], tri[v][(j + 2) % 3]
+    del adj[e]  # summed out
+    ends = {s: tuple(n for n in at[s] if n != u and n != v) for s in (a, b, c, d)}
     total = 0
     for sign, (x1, y1), (x2, y2) in ((1, (a, d), (b, c)), (-1, (a, c), (b, d))):
-        branch = {n: t for n, t in tri.items() if n != u and n != v}
-        badj = adj.copy()
-        mult = _merge(branch, badj, x1, y1)
+        branch, badj, bat = tri.copy(), adj.copy(), at.copy()
+        del branch[u], branch[v], bat[e]
+        bat.update(ends)
+        mult = _merge(branch, badj, bat, x1, y1)
         if mult:
             x2, y2 = (x1 if s == y1 else s for s in (x2, y2))
-            mult *= _merge(branch, badj, x2, y2)
+            mult *= _merge(branch, badj, bat, x2, y2)
         if mult:
             key = _state_key(branch, badj)
             if key not in memo:
-                memo[key] = _skein(branch, badj, steps, memo)
+                memo[key] = _skein(branch, badj, bat, steps, memo)
             total += sign * mult * memo[key]
     return total
 
@@ -411,17 +430,20 @@ def skein_evaluate(d: Diagram, budget: int = 100_000) -> int:
 
     _couplings traces the strands once and couples each crossing's two strands.
     An expansion drops both nodes and merges the colors of the strands they
-    held, as (parallel) - (crossed); see _skein. It takes a coupling-free
-    strand at the first node in a min-fill elimination order of the nodes
-    (adjacent when they share a strand), or in input order when at most one
-    strand starts coupling-free. A sub-diagram met again up to strand
-    renaming is reused: one budget step is one expansion of a state new to
-    this evaluation. Agrees with contract_extended wherever both apply.
+    held, as (parallel) - (crossed); see _skein. It takes the coupling-free
+    strand whose two nodes come earliest, by the least sum of their places in
+    a min-fill elimination order of the live nodes (adjacent when they share
+    a strand), or in input order when at most one strand starts
+    coupling-free. A sub-diagram met again up to strand renaming is reused:
+    one budget step is one expansion of a state new to this evaluation.
+    Agrees with contract_extended wherever both apply.
     """
     if type(budget) is not int or budget < 0:
         raise InvalidArgument(f"skein budget {shown(budget)} is not a nonnegative int")
     nodes, adj, mult = _couplings(d, include_crossings=True)
+    at, node_nbrs = _node_adjacency(len(adj), nodes)
     choice = len({s for t in nodes for s in t if not adj[s]}) > 1
-    rank = min_fill_order(_node_adjacency(len(adj), nodes)[1]) if choice else range(len(nodes))
+    rank = min_fill_order(node_nbrs) if choice else range(len(nodes))
     with refuse_deep_recursion("skein expansion"):
-        return mult and mult * _skein({n: nodes[n] for n in rank}, adj, [budget], {})
+        return mult and mult * _skein({n: nodes[n] for n in rank}, dict(enumerate(adj)),
+                                      {s: tuple(ns) for s, ns in enumerate(at) if ns}, [budget], {})

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import chromatic_bracket as cb
 from chromatic_bracket import generators as gen
+from chromatic_bracket import penrose
 from chromatic_bracket.cli import _load_file
 from chromatic_bracket.coloring import _bfs_components
 from chromatic_bracket.errors import DegreeViolation, EmptyGraph, ParseError, UnmatchedPort
@@ -265,6 +267,18 @@ def test_min_fill_order_eliminates_a_tree_without_fill(draws):
     order = min_fill_order(neighbours)
     rank = {v: i for i, v in enumerate(order)}
     assert all(sum(rank[w] > rank[v] for w in neighbours[v]) <= 1 for v in order)
+
+
+def test_min_fill_order_keeps_its_orders():
+    # a digest over the orders the skein ranks its nodes by: node adjacency
+    # (nodes sharing a strand) of plane diagrams and of chord immersions
+    diagrams = [gen.random_plane_cubic(n, seed) for n in range(2, 81, 2) for seed in range(5)]
+    diagrams += [cb.chord_immersion(gen.random_cubic(n, seed)) for n in range(4, 15, 2) for seed in range(5)]
+    digest = hashlib.sha256()
+    for d in diagrams:
+        k, nodes, _ = cb.trace_strands(d)
+        digest.update(str(min_fill_order(penrose._node_adjacency(k, nodes)[1])).encode())
+    assert digest.hexdigest() == "2327af30000ff002b96319169d209ca382da5bf5726eb6691bb7d74ad1f82c5a"
 
 
 def test_min_fill_order_breaks_ties_by_degree_then_vertex():

@@ -7,7 +7,7 @@ import pytest
 
 import chromatic_bracket as cb
 from chromatic_bracket import generators as gen
-from chromatic_bracket import PURPLE, RED
+from chromatic_bracket import CIRCLED, DOTTED, PURPLE, RED
 from chromatic_bracket.diagram import NODE, Port
 from chromatic_bracket.errors import (
     ChromaticBracketError,
@@ -86,6 +86,9 @@ BAD_CALLS = {
     "twist arc index a str": lambda: cb.insert_twist(gen.theta_diagram(), "0"),
     "skein budget a float": lambda: cb.skein_evaluate(gen.theta_diagram(), 1.5),
     "skein budget negative": lambda: cb.skein_evaluate(gen.theta_diagram(), -1),
+    "crossing kind a list": lambda: cb.crossing_weight([], 0, 0),
+    "crossing color a str": lambda: cb.crossing_weight(CIRCLED, "R", None),
+    "crossing color a bool": lambda: cb.crossing_weight(DOTTED, True, 1),
     "crossing index a str": lambda: cb.expand_circled(cb.chord_immersion(K33), "0"),
     "crossing index a bool": lambda: cb.expand_circled(cb.chord_immersion(K33), True),
     "random_cubic size a str": lambda: gen.random_cubic("4", 0),

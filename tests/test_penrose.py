@@ -337,7 +337,7 @@ def test_deep_contraction_fails_typed():
 
 def test_skein_answers_past_the_old_budget():
     # a sub-diagram met again is read back, not expanded again: these need
-    # up to 127 expansions, where re-expanding took more than 100k steps
+    # at most 21 new states
     for n in range(30, 42, 2):
         for seed in (1, 2):
             d = gen.random_plane_cubic(n, seed)
@@ -346,7 +346,7 @@ def test_skein_answers_past_the_old_budget():
 
 
 def test_skein_budget_counts_new_states_only():
-    # 23 and 33 distinct states; re-expanding them takes 481 and 2433 steps
+    # 12 and 15 distinct states; re-expanding them takes 243 and 3455 steps
     for n, seed in ((22, 1), (28, 2)):
         d = gen.random_plane_cubic(n, seed)
         assert cb.skein_evaluate(d, budget=100) == cb.contract_plain(d)
@@ -356,6 +356,23 @@ def test_skein_expands_along_the_min_fill_rank():
     # in input node order these need 3447 and 71 109 new states
     assert cb.skein_evaluate(gen.random_plane_cubic(40, 1), budget=1_000) == 12288
     assert cb.skein_evaluate(gen.random_plane_cubic(60, 3), budget=2_000) == 98304
+
+
+@pytest.mark.parametrize("n, seed, value, states", [(28, 488396908, 48, 18), (60, 3, 98304, 33)])
+def test_skein_expands_the_strand_between_the_earliest_ranked_nodes(n, seed, value, states):
+    # the least sum of the two nodes' places; a strand at the first node,
+    # wherever its other node sits, took 102 and 516 states
+    d = gen.random_plane_cubic(n, seed)
+    assert cb.skein_evaluate(d, budget=states) == value
+    with pytest.raises(RecursionBudgetExceeded, match="budget exhausted"):
+        cb.skein_evaluate(d, budget=states - 1)
+
+
+def test_skein_answers_large_plane_diagrams():
+    # values from perfbench/reference.py, a frontier DP over the edges; the
+    # strand at the first node took 30 956 states and over 100k
+    assert cb.skein_evaluate(gen.random_plane_cubic(100, 1), budget=1_000) == 805306368
+    assert cb.skein_evaluate(gen.random_plane_cubic(200, 2)) == 13510798882111488
 
 
 @st.composite
@@ -382,7 +399,8 @@ def ranked_diagrams(draw) -> tuple[cb.Diagram, list[int]]:
 def test_skein_value_does_not_depend_on_the_node_order(case):
     d, rank = case
     nodes, adj, mult = penrose._couplings(d, include_crossings=True)
-    got = mult * penrose._skein({n: nodes[n] for n in rank}, adj, [100_000], {})
+    at = {s: tuple(ns) for s, ns in enumerate(penrose._node_adjacency(len(adj), nodes)[0]) if ns}
+    got = mult * penrose._skein({n: nodes[n] for n in rank}, dict(enumerate(adj)), at, [100_000], {})
     assert got == cb.skein_evaluate(d) == cb.contract_extended(d)
 
 
@@ -442,19 +460,23 @@ def test_state_key_is_blind_to_names_only():
     # strands 1 and 4 dotted together, strand 7 merged away
     tri = {0: (0, 1, 2), 1: (0, 3, 4), 2: (1, 5, 3), 3: (2, 4, 5)}
     adj = [{6: (-1, 2)}, {4: (0, 1)}, {}, {}, {1: (0, 1)}, {}, {0: (-1, 2)}, None]
-    key = penrose._state_key(tri, adj)
+
+    def state_key(tri, adj):  # the live strands' couplings by strand
+        return penrose._state_key(tri, {s: c for s, c in enumerate(adj) if c is not None})
+
+    key = state_key(tri, adj)
 
     rename = [3, 7, 0, 5, 1, 6, 2, 4]
     renamed_adj: list = [None] * len(adj)
     for s, c in enumerate(adj):
         renamed_adj[rename[s]] = None if c is None else {rename[w]: f for w, f in c.items()}
     renamed_tri = {10 + 3 * n: tuple(rename[s] for s in t) for n, t in tri.items()}
-    assert penrose._state_key(renamed_tri, renamed_adj) == key
+    assert state_key(renamed_tri, renamed_adj) == key
 
     circled = [dict(c) if c is not None else None for c in adj]
     circled[1][4] = circled[4][1] = (-1, 2)
-    assert penrose._state_key(tri, circled) != key
-    assert penrose._state_key(tri, adj + [{}]) != key
+    assert state_key(tri, circled) != key
+    assert state_key(tri, adj + [{}]) != key
 
 
 def mixed_k33_immersion() -> cb.Diagram:
