@@ -27,6 +27,7 @@ from .diagram import (
 )
 from .errors import (
     ChromaticBracketError,
+    EmptyGraph,
     IndexOutOfRange,
     NotPlane,
     ParseError,
@@ -299,7 +300,7 @@ def cmd_validate(args: argparse.Namespace, obj: CubicGraph | Diagram) -> int:
         try:
             g = underlying_graph(obj)
             payload["underlying"] = {"nodes": g.node_count, "edges": g.edge_count}
-        except StrandClosesWithoutNode:
+        except (StrandClosesWithoutNode, EmptyGraph):  # no graph reading, or one of no nodes
             payload["underlying"] = None
         summary = f"{args.input}: valid diagram, genus {payload['genus']}"
     else:

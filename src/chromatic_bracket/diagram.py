@@ -15,9 +15,11 @@ circled crossing for each pair of chords whose ports interleave.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from collections.abc import Iterable, Iterator, Sequence
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import NamedTuple
 
 from .errors import (
     InvalidArgument,
@@ -46,14 +48,51 @@ class Port(NamedTuple):
 
 @dataclass(frozen=True)
 class Diagram:
-    """A diagram as its port-code table. Equal tables are equal sorted code
-    arcs, which sort as their Ports do; arcs is the Port view of the table,
-    built on first use and kept."""
+    """A diagram as its port-code table; the one place a diagram is checked.
+
+    code_arcs pairs the two port codes of each arc, and peer is filled from
+    them. Raises InvalidArgument for a node_count or free_loops that is not a
+    nonnegative int, kinds or arcs not iterable, an unknown kind or an arc
+    that is not a list or tuple of two int codes of ports (by type(), so True
+    is not 1); UnmatchedPort for the lowest port not covered exactly once.
+    Equal tables are equal sorted code arcs, which sort as their Ports do;
+    arcs is the Port view of the table, built on first use and kept."""
 
     node_count: int
     crossing_kinds: tuple[str, ...]
-    peer: tuple[int, ...]
+    peer: tuple[int, ...] = field(init=False)
+    code_arcs: InitVar[Iterable[Sequence[int]]]
     free_loops: int = 0
+
+    def __post_init__(self, code_arcs: Iterable[Sequence[int]]) -> None:
+        node_count, free_loops = self.node_count, self.free_loops
+        if not (type(node_count) is int and node_count >= 0 and type(free_loops) is int and free_loops >= 0
+                and isinstance(self.crossing_kinds, Iterable) and isinstance(code_arcs, Iterable)):
+            raise InvalidArgument("node_count and free_loops must be nonnegative ints, "
+                                  "and crossing_kinds and arcs iterable")
+        kinds = tuple(self.crossing_kinds)
+        for k in kinds:
+            if type(k) is not str or k not in CROSSING_KINDS:
+                raise InvalidArgument(f"unknown crossing kind {shown(k)}")
+        codes = tuple(code_arcs)  # build_diagram reads its ports only now, after the checks above
+        size = 3 * node_count + 4 * len(kinds)
+        peer = [-1] * size if 2 * len(codes) == size else None  # None: some port is not covered once
+        for pair in codes:
+            if (type(pair) is tuple or type(pair) is list) and len(pair) == 2:  # "is" beats "in" per arc
+                a, b = pair
+                if type(a) is int and type(b) is int and 0 <= a < size and 0 <= b < size:  # -1 would wrap
+                    if peer is None or a == b or peer[a] >= 0 or peer[b] >= 0:
+                        peer = None
+                    else:
+                        peer[a], peer[b] = b, a
+                    continue
+            raise InvalidArgument(f"arc {shown(pair)} is not a pair of port codes below {shown(size)}")
+        if peer is None:
+            covered = Counter(c for arc in codes for c in arc)
+            code = next(c for c in range(size) if covered[c] != 1)  # one is below 2|A| + 1, as in CubicGraph
+            raise UnmatchedPort(f"port {_port_of(code, node_count)} is covered {covered[code]} times, expected 1")
+        object.__setattr__(self, "crossing_kinds", kinds)
+        object.__setattr__(self, "peer", tuple(peer))
 
     @property
     def crossing_count(self) -> int:
@@ -71,65 +110,36 @@ def build_diagram(
     arcs: Iterable[Sequence[Port]],
     free_loops: int = 0,
 ) -> Diagram:
-    """Check and canonicalize a diagram: the one place a caller's diagram is checked.
+    """The Diagram of arcs given as pairs of ports, each read to its code.
 
     Equal diagrams compare and serialize identically whatever the order of
     their arcs and ports. A list or tuple port is read straight to its code;
-    a Port is built only to word a refusal or to type another object. Raises
-    InvalidArgument for a node_count or free_loops that is not a nonnegative
-    int, an unknown crossing kind, an arc that is not a list or tuple of two
-    ports or a port without three fields; UnmatchedPort for a port that does
-    not exist (the first in sorted arc order when only its range is wrong) or
-    is not covered exactly once.
+    a Port is built only to word a refusal or to type another object. Beyond
+    the constructor's refusals, raises InvalidArgument for an arc that is not
+    a list or tuple of two ports or a port without three fields; UnmatchedPort
+    for a port that does not exist (the first in sorted arc order when only
+    its range is wrong) or an arc that joins a port to itself.
     """
-    if not (type(node_count) is int and node_count >= 0 and type(free_loops) is int and free_loops >= 0
-            and isinstance(crossing_kinds, Iterable) and isinstance(arcs, Iterable)):
-        raise InvalidArgument("node_count and free_loops must be nonnegative ints, "
-                              "and crossing_kinds and arcs iterable")
-    kinds = tuple(crossing_kinds)
-    for k in kinds:
-        if k not in CROSSING_KINDS:
-            raise InvalidArgument(f"unknown crossing kind {shown(k)}")
-    crossings = len(kinds)
-    codes, missing = [], []  # missing: each arc with a port that does not exist, as sorted Ports
-    for pair in arcs:
-        if type(pair) not in (list, tuple) or len(pair) != 2:
-            raise InvalidArgument(f"arc {shown(pair)} is not a pair of ports")
-        a, b = _port_code(pair[0], node_count, crossings), _port_code(pair[1], node_count, crossings)
-        if a < 0 or b < 0 or a == b:  # a refusal: only now are its Ports built
-            p, q = sorted(map(_arc_port, pair))
-            if p == q:
-                raise UnmatchedPort(f"arc joins port {shown(p)} to itself")
-            missing.append((p, q))
-        codes.append((a, b))
-    if missing:  # the first in sorted arc order
-        port = next(port for arc in sorted(missing) for port in arc if _port_code(port, node_count, crossings) < 0)
-        raise UnmatchedPort(f"port {shown(port)} does not exist")
-    return _diagram(node_count, kinds, codes, free_loops)
+    kinds = tuple(crossing_kinds) if isinstance(crossing_kinds, Iterable) else crossing_kinds
 
+    def codes() -> Iterator[tuple[int, int]]:  # run by the constructor once it has checked the rest
+        crossings = len(kinds)
+        missing = []  # each arc with a port that does not exist, as sorted Ports
+        for pair in arcs:
+            if type(pair) not in (list, tuple) or len(pair) != 2:
+                raise InvalidArgument(f"arc {shown(pair)} is not a pair of ports")
+            a, b = _port_code(pair[0], node_count, crossings), _port_code(pair[1], node_count, crossings)
+            if a < 0 or b < 0 or a == b:  # a refusal: only now are its Ports built
+                p, q = sorted(map(_arc_port, pair))
+                if p == q:
+                    raise UnmatchedPort(f"arc joins port {shown(p)} to itself")
+                missing.append((p, q))
+            yield a, b
+        if missing:  # the first in sorted arc order
+            port = next(p for arc in sorted(missing) for p in arc if _port_code(p, node_count, crossings) < 0)
+            raise UnmatchedPort(f"port {shown(port)} does not exist")
 
-def _diagram(node_count: int, kinds: tuple[str, ...], codes: Sequence[tuple[int, int]],
-             free_loops: int) -> Diagram:
-    """The diagram of arcs given as pairs of existing port codes; raises
-    UnmatchedPort for the lowest port not covered exactly once."""
-    size = 3 * node_count + 4 * len(kinds)
-    if 2 * len(codes) == size:
-        peer = [-1] * size
-        for a, b in codes:
-            if peer[a] >= 0 or peer[b] >= 0:
-                break
-            peer[a], peer[b] = b, a
-        else:
-            return Diagram(node_count, kinds, tuple(peer), free_loops)
-    # as in the CubicGraph check, 2|A| port ends leave a code below 2|A| + 1 uncovered if any is
-    covered = [0] * min(size, 2 * len(codes) + 1)
-    for arc in codes:
-        for c in arc:
-            if c < len(covered):
-                covered[c] += 1
-    code = next(c for c, k in enumerate(covered) if k != 1)
-    port = _port_of(code, node_count)
-    raise UnmatchedPort(f"port {port} is covered {covered[code]} times, expected 1")
+    return Diagram(node_count, kinds, codes() if isinstance(arcs, Iterable) else arcs, free_loops)
 
 
 def _port_code(obj: object, node_count: int, crossings: int) -> int:
@@ -327,7 +337,7 @@ def _chord_layout(g: CubicGraph, order: Sequence[int]) -> Diagram:
             arcs.append((prev, base + 4 * x + enter))
             prev = base + 4 * x + leave
         arcs.append((prev, last))
-    return _diagram(g.node_count, (CIRCLED,) * len(pairs), arcs, 0)
+    return Diagram(g.node_count, (CIRCLED,) * len(pairs), arcs)
 
 
 # ---------------------------------------------------------------------------

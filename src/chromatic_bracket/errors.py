@@ -42,14 +42,14 @@ class DegreeViolation(ChromaticBracketError):
     """A node does not have exactly three incident half-edges."""
 
     def __init__(self, node: int, degree: int):
-        super().__init__(f"node {node} has degree {degree}, expected 3")
+        super().__init__(f"node {shown(node)} has degree {shown(degree)}, expected 3")
         self.node = node
         self.degree = degree
 
 
 class UnmatchedPort(ChromaticBracketError):
-    """A diagram port is not covered by exactly one arc, or does not exist: a
-    port needs kind "n" or "x" and an int owner and slot (True is not 1)."""
+    """A diagram port is not covered by exactly one arc, or one given to build_diagram
+    does not exist: it needs kind "n" or "x" and an int owner and slot (not True)."""
 
 
 class StrandClosesWithoutNode(ChromaticBracketError):
@@ -100,8 +100,8 @@ def refuse_deep_recursion(search: str) -> Iterator[None]:
 
 
 class InvalidArgument(ChromaticBracketError, ValueError):
-    """A function got an argument outside its domain, such as a value of the wrong
-    type given to CubicGraph (build_graph) or build_diagram; also a ValueError."""
+    """A function got an argument outside its domain, such as a value of the wrong type
+    given to the CubicGraph or Diagram constructor (or a builder); also a ValueError."""
 
 
 class ParseError(ChromaticBracketError):

@@ -10,7 +10,7 @@ import random
 from bisect import bisect_left, insort
 from typing import Callable
 
-from .diagram import CIRCLED, Diagram, _diagram, build_diagram, chord_immersion, genus, underlying_graph
+from .diagram import CIRCLED, Diagram, build_diagram, chord_immersion, genus, underlying_graph
 from .errors import InvalidArgument, NotPlane, shown
 from .graph_core import CubicGraph, build_graph
 
@@ -227,7 +227,7 @@ def random_plane_cubic(n: int, seed: int) -> Diagram:
 
     dense = {old: new for new, old in enumerate(nodes)}
     code = {c: 3 * dense[c // 3] + c % 3 for c in mate}
-    d = _diagram(len(dense), (), [(code[c], code[m]) for c, m in arcs], 0)
+    d = Diagram(len(dense), (), [(code[c], code[m]) for c, m in arcs])
     if genus(d) != 0:
         raise NotPlane("plane growth came out with positive genus")
     return d

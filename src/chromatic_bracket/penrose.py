@@ -11,7 +11,6 @@ All arithmetic is exact: integer signs, never floats.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 from typing import Sequence
 
@@ -21,7 +20,6 @@ from .diagram import (
     DOTTED,
     PLAIN,
     Diagram,
-    _diagram,
     _strand_graph,
     _table,
     trace_strands,
@@ -298,12 +296,9 @@ def expand_circled(d: Diagram, crossing: int) -> tuple[Diagram, Diagram]:
     if d.crossing_kinds[crossing] != CIRCLED:
         raise NotCircled(f"crossing {crossing} is {d.crossing_kinds[crossing]}, not circled")
 
-    def with_kind(kind: str) -> Diagram:
-        kinds = list(d.crossing_kinds)
-        kinds[crossing] = kind
-        return dataclasses.replace(d, crossing_kinds=tuple(kinds))  # the same port-code table
-
-    return with_kind(DOTTED), with_kind(PLAIN)
+    arcs = [(c, m) for c, m in enumerate(d.peer) if c < m]  # the same port-code table
+    before, after = d.crossing_kinds[:crossing], d.crossing_kinds[crossing + 1:]
+    return tuple(Diagram(d.node_count, before + (kind,) + after, arcs, d.free_loops) for kind in (DOTTED, PLAIN))
 
 
 def _cut_arc(d: Diagram, arc_index: int) -> tuple[int, int, list[tuple[int, int]]]:
@@ -327,7 +322,7 @@ def insert_twist(d: Diagram, arc_index: int) -> Diagram:
     p, q, arcs = _cut_arc(d, arc_index)
     x = len(d.peer)  # slot s of the new crossing is code x + s
     arcs += [(p, x), (x + 2, x + 1), (x + 3, q)]
-    return _diagram(d.node_count, d.crossing_kinds + (CIRCLED,), arcs, d.free_loops)
+    return Diagram(d.node_count, d.crossing_kinds + (CIRCLED,), arcs, d.free_loops)
 
 
 def encircle_arc(d: Diagram, arc_index: int) -> Diagram:
@@ -339,7 +334,7 @@ def encircle_arc(d: Diagram, arc_index: int) -> Diagram:
     p, q, arcs = _cut_arc(d, arc_index)
     x = len(d.peer)  # slot s of the new crossing is code x + s
     arcs += [(p, x), (x + 2, q), (x + 1, x + 3)]
-    return _diagram(d.node_count, d.crossing_kinds + (CIRCLED,), arcs, d.free_loops)
+    return Diagram(d.node_count, d.crossing_kinds + (CIRCLED,), arcs, d.free_loops)
 
 
 # ---------------------------------------------------------------------------

@@ -275,6 +275,24 @@ def test_validate_diagram(capsys):
     assert payload["underlying"] == {"nodes": 6, "edges": 9}
 
 
+def test_validate_a_diagram_without_nodes(tmp_path: Path, capsys):
+    # no node means no graph reading, as with a strand that closes on no node
+    loops = tmp_path / "loops.json"
+    loops.write_text(json.dumps({"nodes": [], "crossings": [], "arcs": [], "free_loops": 2}))
+    code, payload, _ = run(capsys, "validate", str(loops))
+    assert code == 0
+    assert payload == {"kind": "diagram", "nodes": 0, "crossings": 0, "arcs": 0, "free_loops": 2, "genus": 0,
+                       "underlying": None}
+    code, payload, _ = run(capsys, "count", str(loops), "--method", "penrose")
+    assert (code, payload["count"]) == (0, 9)
+    crossed = tmp_path / "crossed.json"
+    crossed.write_text(json.dumps({"nodes": [], "crossings": [{"id": 0, "kind": "plain"}],
+                                   "arcs": [[["x", 0, 0], ["x", 0, 1]], [["x", 0, 2], ["x", 0, 3]]]}))
+    code, payload, _ = run(capsys, "validate", str(crossed))
+    assert code == 0
+    assert (payload["crossings"], payload["genus"], payload["underlying"]) == (1, 0, None)
+
+
 def test_json_only_silences_stderr(capsys):
     _, _, err = run(capsys, "count", "theta", "--json-only")
     assert err == ""

@@ -3,7 +3,11 @@ which is also a ValueError for callers that catch that."""
 
 from __future__ import annotations
 
+import inspect
+from collections.abc import Iterator
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import chromatic_bracket as cb
 from chromatic_bracket import generators as gen
@@ -152,6 +156,46 @@ def test_a_direct_cubic_graph_call_is_checked_as_build_graph_is(args, error, mes
         assert type(info.value) is error and str(info.value) == message
 
 
+THETA_CODES = [(0, 3), (1, 5), (2, 4)]  # theta's arcs as pairs of port codes
+COUNTS_MESSAGE = "node_count and free_loops must be nonnegative ints, and crossing_kinds and arcs iterable"
+# a direct Diagram call: the first four failed bare or answered at the parent commit, whose
+# constructor checked nothing, and the rest returned an unchecked diagram there
+BAD_DIAGRAMS = {
+    "genus of a one-code table": (lambda: cb.genus(cb.Diagram(2, (), (1,))),
+                                  InvalidArgument, "arc 1 is not a pair of port codes below 6"),
+    "skein of a bogus kind": (lambda: cb.skein_evaluate(cb.Diagram(2, ("bogus",), (1, 0, 3, 2, 5, 4, 7, 6, 9, 8))),
+                              InvalidArgument, "unknown crossing kind 'bogus'"),
+    "extended bracket of -1 nodes": (lambda: cb.contract_extended(cb.Diagram(-1, (), ())),
+                                     InvalidArgument, COUNTS_MESSAGE),
+    "strands of six zeros": (lambda: cb.trace_strands(cb.Diagram(2, (), (0,) * 6)),
+                             InvalidArgument, "arc 0 is not a pair of port codes below 6"),
+    "negative code": (lambda: cb.Diagram(2, (), [(0, 3), (1, 5), (-4, 4)]),
+                      InvalidArgument, "arc (-4, 4) is not a pair of port codes below 6"),
+    "True code": (lambda: cb.Diagram(2, (), [(0, 3), (True, 5), (2, 4)]),
+                  InvalidArgument, "arc (True, 5) is not a pair of port codes below 6"),
+    "float code": (lambda: cb.Diagram(2, (), [(0, 3), (1, 5), (2.0, 4)]),
+                   InvalidArgument, "arc (2.0, 4) is not a pair of port codes below 6"),
+    "port paired with itself": (lambda: cb.Diagram(2, (), [(0, 3), (1, 5), (2, 2)]), UnmatchedPort,
+                                "port Port(kind='n', owner=0, slot=2) is covered 2 times, expected 1"),
+    "uncovered port": (lambda: cb.Diagram(2, (), THETA_CODES[:2]), UnmatchedPort,
+                       "port Port(kind='n', owner=0, slot=2) is covered 0 times, expected 1"),
+    "node_count -1": (lambda: cb.Diagram(-1, (), THETA_CODES), InvalidArgument, COUNTS_MESSAGE),
+    "unknown kind": (lambda: cb.Diagram(2, ("wavy",), THETA_CODES), InvalidArgument, "unknown crossing kind 'wavy'"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", BAD_DIAGRAMS.values(), ids=BAD_DIAGRAMS.keys())
+def test_a_direct_diagram_call_is_checked(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message
+
+
+def test_the_constructor_builds_what_build_diagram_does():
+    d = cb.Diagram(2, (), THETA_CODES)
+    assert d == gen.theta_diagram() and hash(d) == hash(gen.theta_diagram())
+
+
 MISTYPED_PORTS = {
     "str owner": (NODE, "0", 0),
     "None owner": (NODE, None, 0),
@@ -194,3 +238,68 @@ def test_huge_ints_get_bounded_messages(call, error):
 def test_coloring_that_is_not_a_sequence_is_partial():
     with pytest.raises(PartialColoring, match="not a sequence"):
         cb.is_proper(gen.theta(), None)
+
+
+# valid arguments for every exported callable; the fuzz below mistypes one at a time
+IMMERSED = gen.k33_diagram()  # one circled crossing
+IMMERSED_COLORING = next(cb.iter_colorings(cb.underlying_graph(IMMERSED)))
+K33_FORMATION = cb.formation_from_coloring(K33, K33_COLORING)
+K33_STATE = cb.make_state(K33, K33_MATCHING, [cb.PARALLEL] * 3)
+VALID_ARGS = {
+    "coloring_names": (K33_COLORING,), "is_proper": (K33, K33_COLORING),
+    **dict.fromkeys(["count_colorings", "enumerate_colorings", "iter_colorings", "has_loop", "is_connected",
+                     "connected_components", "bridges_per_component", "graph_to_json_dict",
+                     "enumerate_perfect_matchings", "iter_perfect_matchings", "count_from_even_matchings"], (K33,)),
+    **dict.fromkeys(["CubicGraph", "build_graph"], (2, [(0, 1)] * 3)),
+    "graph_from_json_dict": (cb.graph_to_json_dict(K33),),
+    **dict.fromkeys(["validate_matching", "complement_cycles", "is_even_matching", "colorings_from_even_matching",
+                     "logical_expansion_count"], (K33, K33_MATCHING)),
+    "matching_from_coloring": (K33, K33_COLORING, PURPLE),
+    "Diagram": (2, (), THETA_CODES, 0), "Port": (NODE, 0, 0), "build_diagram": (2, (), THETA_ARCS, 0),
+    "chord_immersion": (K33, list(range(6))),
+    **dict.fromkeys(["genus", "trace_faces", "trace_strands", "underlying_graph", "diagram_to_json_dict",
+                     "contract_plain", "contract_extended"], (IMMERSED,)),
+    "diagram_from_json_dict": (cb.diagram_to_json_dict(IMMERSED),),
+    "Formation": tuple(vars(K33_FORMATION).values()), "formation_from_coloring": (K33, K33_COLORING),
+    "coloring_from_formation": (K33, K33_FORMATION),
+    **dict.fromkeys(["classify_meetings", "crossing_parity"], (IMMERSED, IMMERSED_COLORING)),
+    "Site": tuple(vars(K33_STATE.sites[0]).values()), "State": tuple(vars(K33_STATE).values()),
+    "make_state": (K33, K33_MATCHING, [cb.PARALLEL] * 3),
+    **dict.fromkeys(["count_state_colorings", "squeeze", "state_has_isthmus"], (K33_STATE,)),
+    "node_weight": ((0, 1, 2),), "crossing_weight": (CIRCLED, 0, 1),
+    "per_coloring_weight": (IMMERSED, IMMERSED_COLORING, True), "skein_evaluate": (IMMERSED, 1000),
+    **dict.fromkeys(["expand_circled", "insert_twist", "encircle_arc"], (IMMERSED, 0)),
+}
+ERROR_CALLS = [(obj, ("x", 3) if obj is DegreeViolation else ("x",)) for name, obj in vars(cb.errors).items()
+               if callable(obj) and not name.startswith("_") and getattr(obj, "__module__", None) == cb.errors.__name__]
+MISTYPED = (None, True, False, 0.5, float("nan"), "", "0", HUGE, -HUGE, gen.theta(), gen.theta_diagram())
+
+
+def mistyped(valid: object) -> list:
+    # a graph is mistyped where a diagram or anything else is expected, but not in place of a graph
+    return [v for v in MISTYPED if not (type(v) is type(valid) and type(v) in (cb.CubicGraph, cb.Diagram))]
+
+
+def test_the_fuzz_has_valid_arguments_for_every_export():
+    exported = {name for name in cb.__all__ if callable(getattr(cb, name))}
+    assert exported == set(VALID_ARGS)
+    for name, args in VALID_ARGS.items():
+        inspect.signature(getattr(cb, name)).bind(*args)
+
+
+CALLS = [(getattr(cb, name), args) for name, args in VALID_ARGS.items()] + ERROR_CALLS
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.sampled_from(CALLS), st.data())
+def test_every_export_returns_or_raises_the_package_error_on_a_mistyped_argument(call, data):
+    f, args = call
+    args = list(args)
+    i = data.draw(st.integers(0, len(args) - 1))
+    args[i] = data.draw(st.sampled_from(mistyped(args[i])))
+    try:
+        out = f(*args)
+        if isinstance(out, Iterator):  # a lazy search reads its arguments on the first next()
+            next(out, None)
+    except ChromaticBracketError:
+        pass

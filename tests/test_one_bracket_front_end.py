@@ -28,9 +28,9 @@ def called_names(fn: ast.AST) -> set[str]:
 
 def free_loop_weighings(fn: ast.AST) -> list[int]:
     """Lines reading free_loops other than to hand it on to build_diagram or
-    the private constructor _diagram."""
+    the Diagram constructor."""
     passed = {id(arg) for node in ast.walk(fn)
-              if isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("build_diagram", "_diagram")
+              if isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("build_diagram", "Diagram")
               for arg in [*node.args, *(k.value for k in node.keywords)]}
     return [node.lineno for node in ast.walk(fn)
             if isinstance(node, ast.Attribute) and node.attr == "free_loops"

@@ -202,6 +202,7 @@ def test_expand_circled_identity():
     dotted, plain = cb.expand_circled(d, 0)
     assert dotted.crossing_kinds == (DOTTED,)
     assert plain.crossing_kinds == (PLAIN,)
+    assert dotted.peer == plain.peer == d.peer  # the same port-code table
     assert cb.contract_extended(d) == 2 * cb.contract_extended(dotted) - cb.contract_extended(plain)
     assert cb.skein_evaluate(d) == 2 * cb.skein_evaluate(dotted) - cb.skein_evaluate(plain)
 
