@@ -12,7 +12,8 @@ import json
 import os
 import sys
 import time
-from typing import Callable, Iterable, Sequence, TypeVar
+from collections.abc import Callable, Iterable, Sequence
+from typing import TypeVar
 
 from . import generators
 from .coloring import coloring_names, count_colorings, iter_colorings

@@ -18,8 +18,8 @@ Listing keeps plain BFS order from each component's lowest node, because
 from __future__ import annotations
 
 import sys
+from collections.abc import Iterator, Sequence
 from itertools import chain
-from typing import Iterator, Sequence
 
 from .errors import InvalidArgument, PartialColoring, RecursionBudgetExceeded, refuse_deep_recursion, shown
 from .graph_core import CubicGraph, _edges, connected_components, has_loop, tightest_first

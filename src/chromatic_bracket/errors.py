@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from contextlib import contextmanager
-from typing import Iterator
 
 
 class ChromaticBracketError(Exception):
@@ -66,10 +66,6 @@ class ImproperColoring(ChromaticBracketError):
 
 class NotAMatching(ChromaticBracketError):
     """The given edge set is not a perfect matching of the graph."""
-
-
-class IncompleteState(ChromaticBracketError):
-    """A state's loops and sites do not cover every edge of its graph."""
 
 
 class NotPlane(ChromaticBracketError):

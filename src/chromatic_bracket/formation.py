@@ -9,12 +9,13 @@ cross; the class is read off the endpoint node weights.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import chain
 
 from .coloring import BLUE, PURPLE, RED, is_proper
 from .diagram import Diagram, genus
-from .errors import ImproperColoring, InvalidArgument, NotPlane
+from .errors import ImproperColoring, InvalidArgument, NotPlane, shown
 from .graph_core import CubicGraph, _edges
 from .matching import complement_cycles
 from .penrose import coloring_weight, weight_tables
@@ -44,6 +45,9 @@ def coloring_from_formation(g: CubicGraph, f: Formation) -> tuple[int, ...]:
     colors = [BLUE] * len(_edges(g))  # refuses a non-CubicGraph
     if type(f) is not Formation:
         raise InvalidArgument(f"expected a Formation, not {type(f).__name__}")
+    for e in chain(*f.red_curves, *f.blue_curves, f.shared_segments):
+        if type(e) is not int or not 0 <= e < len(colors):  # type(): True is not edge 1
+            raise InvalidArgument(f"edge id {shown(e)} is not an edge of the graph")
     for curve in f.red_curves:
         for e in curve:
             colors[e] = RED

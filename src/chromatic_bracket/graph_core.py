@@ -8,8 +8,8 @@ exactly three half-edges.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
 
 from .errors import DegreeViolation, EmptyGraph, InvalidArgument, ParseError, shown
 

@@ -11,7 +11,7 @@ edges all purple.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 from .coloring import BLUE, PURPLE, RED, EdgeColoring, is_proper
 from .errors import ImproperColoring, NotAMatching, refuse_deep_recursion, shown

@@ -12,7 +12,7 @@ All arithmetic is exact: integer signs, never floats.
 from __future__ import annotations
 
 import itertools
-from typing import Sequence
+from collections.abc import Sequence
 
 from .coloring import BLUE, PURPLE, RED, _colors, is_proper
 from .diagram import (

@@ -6,16 +6,17 @@ ways. Loops are the closed curves obtained by alternating complement edges
 with site links, and a state coloring assigns one of three colors per loop
 so that the two loops meeting at every site differ.
 
-make_state orients sites along the complement cycles and traces loops; the
-expansion builds no state and keeps only the ends and node masks of paths.
+The State constructor orients sites along the complement cycles and traces
+loops; the expansion builds no state and keeps only the ends and node masks
+of paths.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
+from dataclasses import dataclass, field
 
-from .errors import IncompleteState, InvalidArgument, refuse_deep_recursion, shown
+from .errors import InvalidArgument, refuse_deep_recursion, shown
 from .graph_core import CubicGraph, bridges_per_component, build_graph
 from .matching import PerfectMatching, _complement_link, trace_cycles, validate_matching
 
@@ -52,20 +53,46 @@ class Site:
 
 @dataclass(frozen=True)
 class State:
+    """The state of one switch vector (in edge-id order of the sites); the one
+    place a state is built and checked. Raises NotAMatching for a matching that
+    is not perfect, InvalidArgument for switches that are not a sequence of one
+    setting per site. Stores the matching as a frozenset and the switches as a
+    tuple, orients site ends along the complement cycles and traces the loops."""
+
     graph: CubicGraph
     matching: PerfectMatching
-    sites: tuple[Site, ...]
-    loops: tuple[tuple[int, ...], ...]
+    switches: tuple[str, ...]
+    sites: tuple[Site, ...] = field(init=False, compare=False)
+    loops: tuple[tuple[int, ...], ...] = field(init=False, compare=False)
     # per site, the loop indices of its two strands (its two links)
-    site_graph: tuple[tuple[int, int], ...]
+    site_graph: tuple[tuple[int, int], ...] = field(init=False, compare=False)
+
+    def __post_init__(self) -> None:
+        g, switches = self.graph, self.switches
+        m = validate_matching(g, self.matching)
+        ordered = sorted(m)
+        if not isinstance(switches, Sequence) or len(switches) != len(ordered):
+            raise InvalidArgument(f"need a sequence of {len(ordered)} switch settings")
+        for s in switches:
+            if s not in SWITCH_SETTINGS:
+                raise InvalidArgument(f"unknown switch setting {shown(s)}")
+        cycle_link = _complement_link(g, m)
+        # a complement walk departs each node along some h and arrives there along cycle_link[h]
+        ends = {g.half_edge_node(h): (h, cycle_link[h]) for w in trace_cycles(cycle_link)[0] for h in w}
+        sites = tuple(Site(e, *(ends[n] for n in g.edges[e]), sw) for e, sw in zip(ordered, switches))
+        site_links = [s.links() for s in sites]
+        link = [-1] * (2 * g.edge_count)
+        for (a, b), (c, d) in site_links:
+            link[a], link[b], link[c], link[d] = b, a, d, c
+        walks, loop_of = trace_cycles(link)
+        for name, value in (("matching", m), ("switches", tuple(switches)), ("sites", sites),
+                            ("loops", tuple(tuple(h >> 1 for h in w) for w in walks)),
+                            ("site_graph", tuple((loop_of[p[0]], loop_of[q[0]]) for p, q in site_links))):
+            object.__setattr__(self, name, value)
 
     @property
     def loop_count(self) -> int:
         return len(self.loops)
-
-    @property
-    def switches(self) -> tuple[str, ...]:
-        return tuple(s.switch for s in self.sites)
 
 
 def _count_loop_colorings(k: int, pairs: Sequence[Pair]) -> int:
@@ -103,26 +130,8 @@ def _count_loop_colorings(k: int, pairs: Sequence[Pair]) -> int:
 
 
 def make_state(g: CubicGraph, matching: Iterable[int], switches: Sequence[str]) -> State:
-    """The state of one switch vector (in edge-id order of the sites), with
-    site ends oriented along the complement cycles and its loops traced."""
-    m = validate_matching(g, matching)
-    ordered = sorted(m)
-    if not isinstance(switches, Sequence) or len(switches) != len(ordered):
-        raise InvalidArgument(f"need a sequence of {len(ordered)} switch settings")
-    for s in switches:
-        if s not in SWITCH_SETTINGS:
-            raise InvalidArgument(f"unknown switch setting {shown(s)}")
-    cycle_link = _complement_link(g, m)
-    # a complement walk departs each node along some h and arrives there along cycle_link[h]
-    ends = {g.half_edge_node(h): (h, cycle_link[h]) for w in trace_cycles(cycle_link)[0] for h in w}
-    sites = [Site(e, *(ends[n] for n in g.edges[e]), sw) for e, sw in zip(ordered, switches)]
-    site_links = [s.links() for s in sites]
-    link = [-1] * (2 * g.edge_count)
-    for (a, b), (c, d) in site_links:
-        link[a], link[b], link[c], link[d] = b, a, d, c
-    walks, loop_of = trace_cycles(link)
-    return State(g, m, tuple(sites), tuple(tuple(h >> 1 for h in w) for w in walks),
-                 tuple((loop_of[p[0]], loop_of[q[0]]) for p, q in site_links))
+    """The State constructor under its public name, which builds and checks the state."""
+    return State(g, matching, switches)
 
 
 def _state(s: State) -> State:
@@ -224,18 +233,10 @@ def squeeze(s: State) -> CubicGraph:
     which is why every state of (g, m) squeezes to g.
     """
     g = _state(s).graph
-    edge_list: list[tuple[int, int] | None] = [None] * g.edge_count
-    for loop in s.loops:
-        for e in loop:
-            edge_list[e] = (g.half_edge_node(2 * e), g.half_edge_node(2 * e + 1))
+    endpoints = {e: (g.half_edge_node(2 * e), g.half_edge_node(2 * e + 1)) for loop in s.loops for e in loop}
     for site in s.sites:
-        u = g.half_edge_node(site.ends_u[0])
-        v = g.half_edge_node(site.ends_v[0])
-        edge_list[site.edge] = (u, v)
-    filled = [pair for pair in edge_list if pair is not None]
-    if len(filled) != g.edge_count:
-        raise IncompleteState(f"loops and sites cover {len(filled)} of {g.edge_count} edges")
-    return build_graph(g.node_count, filled)
+        endpoints[site.edge] = (g.half_edge_node(site.ends_u[0]), g.half_edge_node(site.ends_v[0]))
+    return build_graph(g.node_count, [endpoints[e] for e in range(g.edge_count)])
 
 
 def state_has_isthmus(s: State) -> bool:

@@ -1,9 +1,9 @@
 """The state expansion keeps one loop structure, its path ends and node
 masks: sites are read from the incidence, each link joins or closes paths,
 and a leaf's loops are the node masks of the closed paths. Orienting sites
-along complement cycles and tracing loops serve make_state only; a call to
-either from logical_expansion_count, directly or through a helper of
-state_calculus, fails here. Every name in TRACERS must still be defined in
+along complement cycles and tracing loops serve the State constructor only;
+a call to either from logical_expansion_count, directly or through a helper
+of state_calculus, fails here. Every name in TRACERS must still be defined in
 the package, so a renamed tracer cannot leave the guard checking nothing."""
 
 from __future__ import annotations

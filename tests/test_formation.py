@@ -7,7 +7,7 @@ import pytest
 import chromatic_bracket as cb
 from chromatic_bracket import BLUE, BOUNCE, CROSS, PURPLE, RED
 from chromatic_bracket import generators as gen
-from chromatic_bracket.errors import ImproperColoring, NotPlane
+from chromatic_bracket.errors import ImproperColoring, InvalidArgument, NotPlane
 
 
 def test_theta_formation_shape():
@@ -35,6 +35,18 @@ def test_round_trip_on_fixtures():
         for c in cb.enumerate_colorings(g):
             f = cb.formation_from_coloring(g, c)
             assert cb.coloring_from_formation(g, f) == c
+
+
+def test_coloring_from_formation_refuses_an_edge_id_outside_the_graph():
+    # at the parent commit True colored edge 1, -1 the last edge, -2 made edge 4
+    # purple, and 99 raised a bare IndexError; the check reads every field
+    g = gen.k4()
+    f = cb.formation_from_coloring(g, next(cb.iter_colorings(g)))
+    for bad in (cb.Formation(((True,),), (), frozenset()), cb.Formation(((-1,),), (), frozenset()),
+                cb.Formation(f.red_curves, f.blue_curves, f.shared_segments | {-2}),
+                cb.Formation(((99,),), (), frozenset()), cb.Formation((), ((0, 99),), frozenset())):
+        with pytest.raises(InvalidArgument, match="is not an edge of the graph"):
+            cb.coloring_from_formation(g, bad)
 
 
 def test_formations_are_in_bijection_with_colorings():

@@ -196,6 +196,26 @@ def test_the_constructor_builds_what_build_diagram_does():
     assert d == gen.theta_diagram() and hash(d) == hash(gen.theta_diagram())
 
 
+SWITCH_COUNT_MESSAGE = "need a sequence of 3 switch settings"
+# a direct State call: at the parent commit State took its sites, loops and site graph
+# as given and checked nothing, so none of these was refused there
+BAD_STATES = {
+    "non-matching": ((K33, [0, 1], [cb.PARALLEL] * 3), NotAMatching, "node 0 is covered 2 times"),
+    "too many switches": ((K33, K33_MATCHING, [cb.PARALLEL] * 4), InvalidArgument, SWITCH_COUNT_MESSAGE),
+    "unknown switch": ((K33, K33_MATCHING, [cb.PARALLEL, "diagonal", cb.CROSSED]), InvalidArgument,
+                       "unknown switch setting 'diagonal'"),
+    "switches None": ((K33, K33_MATCHING, None), InvalidArgument, SWITCH_COUNT_MESSAGE),
+}
+
+
+@pytest.mark.parametrize("args, error, message", BAD_STATES.values(), ids=BAD_STATES.keys())
+def test_a_direct_state_call_is_checked_as_make_state_is(args, error, message):
+    for construct in (cb.make_state, cb.State):
+        with pytest.raises(error) as info:
+            construct(*args)
+        assert type(info.value) is error and str(info.value) == message
+
+
 MISTYPED_PORTS = {
     "str owner": (NODE, "0", 0),
     "None owner": (NODE, None, 0),
@@ -263,7 +283,7 @@ VALID_ARGS = {
     "Formation": tuple(vars(K33_FORMATION).values()), "formation_from_coloring": (K33, K33_COLORING),
     "coloring_from_formation": (K33, K33_FORMATION),
     **dict.fromkeys(["classify_meetings", "crossing_parity"], (IMMERSED, IMMERSED_COLORING)),
-    "Site": tuple(vars(K33_STATE.sites[0]).values()), "State": tuple(vars(K33_STATE).values()),
+    "Site": tuple(vars(K33_STATE.sites[0]).values()), "State": (K33, K33_MATCHING, [cb.PARALLEL] * 3),
     "make_state": (K33, K33_MATCHING, [cb.PARALLEL] * 3),
     **dict.fromkeys(["count_state_colorings", "squeeze", "state_has_isthmus"], (K33_STATE,)),
     "node_weight": ((0, 1, 2),), "crossing_weight": (CIRCLED, 0, 1),

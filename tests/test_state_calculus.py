@@ -11,11 +11,12 @@ from hypothesis import example, given, settings, strategies as st
 import chromatic_bracket as cb
 from chromatic_bracket import generators as gen
 from chromatic_bracket import state_calculus
-from chromatic_bracket.errors import IncompleteState, NotAMatching, RecursionBudgetExceeded
+from chromatic_bracket.errors import NotAMatching, RecursionBudgetExceeded
 from chromatic_bracket.state_calculus import (
     CROSSED,
     PARALLEL,
     SWITCH_SETTINGS,
+    State,
     count_state_colorings,
     logical_expansion_count,
     make_state,
@@ -192,11 +193,24 @@ def test_too_many_loops_fail_typed():
         logical_expansion_count(g, m)
 
 
-def test_squeeze_rejects_a_state_missing_edges():
-    g = gen.k4()
-    s = make_state(g, cb.enumerate_perfect_matchings(g)[0], [PARALLEL, PARALLEL])
-    with pytest.raises(IncompleteState):
-        squeeze(dataclasses.replace(s, loops=s.loops[1:]))
+def test_the_constructor_rebuilds_a_state_from_its_graph_matching_and_switches():
+    for g in (gen.theta(), gen.k4(), gen.k33(), gen.dumbbell()):
+        for m in cb.enumerate_perfect_matchings(g):
+            for vec in itertools.product(SWITCH_SETTINGS, repeat=len(m)):
+                s = make_state(g, m, vec)
+                assert s == State(g, list(m), list(vec)) and hash(s) == hash(State(g, m, vec))
+                assert State(s.graph, s.matching, s.switches) == s
+                assert (s.matching, s.switches) == (frozenset(m), vec)
+
+
+def test_the_derived_fields_cannot_be_set():
+    # sites, loops and site_graph follow from the graph, matching and switches
+    s = make_state(gen.k33(), cb.enumerate_perfect_matchings(gen.k33())[0], [PARALLEL] * 3)
+    for field, value in (("loops", s.loops[1:]), ("site_graph", ((0, -1),) * 3), ("sites", ())):
+        with pytest.raises(ValueError, match="init=False"):
+            dataclasses.replace(s, **{field: value})
+        with pytest.raises(TypeError):
+            State(s.graph, s.matching, s.switches, **{field: value})
 
 
 def test_only_vectors_without_a_zeroing_site_are_traced(monkeypatch):
