@@ -18,6 +18,7 @@ from typing import TypeVar
 from . import generators
 from .coloring import coloring_names, count_colorings, iter_colorings
 from .diagram import (
+    CIRCLED,
     Diagram,
     chord_immersion,
     diagram_from_json_dict,
@@ -28,8 +29,8 @@ from .diagram import (
 )
 from .errors import (
     ChromaticBracketError,
-    EmptyGraph,
     IndexOutOfRange,
+    NotCircled,
     NotPlane,
     ParseError,
     StrandClosesWithoutNode,
@@ -176,7 +177,7 @@ def cmd_count(args: argparse.Namespace, obj: CubicGraph | Diagram) -> int:
 
 
 def run_crosscheck(g: CubicGraph, d: Diagram) -> dict:
-    """All methods on one instance; report["agree"] is False on any split."""
+    """All methods on a plane, all-circled diagram d and its graph g; "agree" is False on any split."""
     methods: dict[str, int] = {}
     timings: dict[str, float] = {}
 
@@ -190,7 +191,7 @@ def run_crosscheck(g: CubicGraph, d: Diagram) -> dict:
     run("even_matchings", lambda: even_matching_sum(g, matchings))
     run("penrose_extended", lambda: contract_extended(d))
     run("penrose_skein", lambda: skein_evaluate(d))
-    if d.crossing_count == 0 and genus(d) == 0:
+    if d.crossing_count == 0:
         run("penrose_plain", lambda: contract_plain(d))
     states: dict[str, int] = {}
     t0 = time.perf_counter()
@@ -202,7 +203,7 @@ def run_crosscheck(g: CubicGraph, d: Diagram) -> dict:
     bracket = count * 3**d.free_loops  # each free loop weighs 3 in the bracket only
     agree = set(states.values()) <= {count} and all(
         v == (bracket if name.startswith("penrose") else count) for name, v in methods.items())
-    report = {
+    return {
         "methods": methods,
         "states_by_matching": states,
         "matching_count": len(matchings),
@@ -211,10 +212,14 @@ def run_crosscheck(g: CubicGraph, d: Diagram) -> dict:
         "count": count,
         "free_loops": d.free_loops,
     }
-    return report
 
 
 def cmd_crosscheck(args: argparse.Namespace, obj: CubicGraph | Diagram) -> int:
+    if isinstance(obj, Diagram):  # the bracket counts colorings only on plane, all-circled diagrams
+        if genus(obj):
+            raise NotPlane(f"crosscheck needs a plane diagram; this one has genus {genus(obj)}")
+        if set(obj.crossing_kinds) - {CIRCLED}:
+            raise NotCircled("crosscheck needs every crossing of a diagram to be circled")
     g = _input_graph(obj)
     d = obj if isinstance(obj, Diagram) else chord_immersion(g)
     report = run_crosscheck(g, d)
@@ -301,7 +306,7 @@ def cmd_validate(args: argparse.Namespace, obj: CubicGraph | Diagram) -> int:
         try:
             g = underlying_graph(obj)
             payload["underlying"] = {"nodes": g.node_count, "edges": g.edge_count}
-        except (StrandClosesWithoutNode, EmptyGraph):  # no graph reading, or one of no nodes
+        except StrandClosesWithoutNode:  # a strand on no node has no graph reading
             payload["underlying"] = None
         summary = f"{args.input}: valid diagram, genus {payload['genus']}"
     else:

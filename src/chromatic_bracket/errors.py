@@ -34,10 +34,6 @@ def shown(value: object) -> str:
     return repr(_bounded(value))
 
 
-class EmptyGraph(ChromaticBracketError):
-    """A graph must have at least one node."""
-
-
 class DegreeViolation(ChromaticBracketError):
     """A node does not have exactly three incident half-edges."""
 
@@ -73,7 +69,7 @@ class NotPlane(ChromaticBracketError):
 
 
 class NotCircled(ChromaticBracketError):
-    """The rewrite applies to circled crossings only."""
+    """The rewrite, or crosscheck's comparison, applies to circled crossings only."""
 
 
 class RecursionBudgetExceeded(ChromaticBracketError):

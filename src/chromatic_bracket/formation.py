@@ -45,6 +45,9 @@ def coloring_from_formation(g: CubicGraph, f: Formation) -> tuple[int, ...]:
     colors = [BLUE] * len(_edges(g))  # refuses a non-CubicGraph
     if type(f) is not Formation:
         raise InvalidArgument(f"expected a Formation, not {type(f).__name__}")
+    if type(f.shared_segments) is not frozenset or not all(  # the types formation_from_coloring returns
+            type(cs) is tuple and all(type(c) is tuple for c in cs) for cs in (f.red_curves, f.blue_curves)):
+        raise InvalidArgument("a Formation holds two tuples of curve tuples and a frozenset of edge ids")
     for e in chain(*f.red_curves, *f.blue_curves, f.shared_segments):
         if type(e) is not int or not 0 <= e < len(colors):  # type(): True is not edge 1
             raise InvalidArgument(f"edge id {shown(e)} is not an edge of the graph")
@@ -53,6 +56,8 @@ def coloring_from_formation(g: CubicGraph, f: Formation) -> tuple[int, ...]:
             colors[e] = RED
     for e in f.shared_segments:
         colors[e] = PURPLE
+    if not is_proper(g, colors) or formation_from_coloring(g, colors) != f:
+        raise InvalidArgument("the formation is not the curve system of a proper coloring")
     return tuple(colors)
 
 

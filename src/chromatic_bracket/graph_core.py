@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
-from .errors import DegreeViolation, EmptyGraph, InvalidArgument, ParseError, shown
+from .errors import DegreeViolation, InvalidArgument, ParseError, shown
 
 NodeId = int
 EdgeId = int
@@ -22,11 +22,11 @@ HalfEdge = int
 class CubicGraph:
     """Immutable cubic multigraph; the one place a graph is checked.
 
-    ``incidence[n]`` lists the half-edges at node ``n`` in increasing order.
-    Raises InvalidArgument for a node_count that is not an int, an edge that
-    is not a list or tuple of two ints (by type(), so True is not 1) or one
-    out of range; EmptyGraph for zero nodes; DegreeViolation for the lowest
-    node whose half-edge count differs from 3. ``edges`` is kept as tuples.
+    ``incidence[n]`` lists the half-edges at node ``n`` in increasing order,
+    and ``edges`` is kept as tuples. Zero nodes is a graph, the empty one.
+    Raises InvalidArgument for a node_count that is not a nonnegative int, an
+    edge that is not a list or tuple of two ints (by type(), so True is not 1)
+    or one out of range; DegreeViolation for the lowest node of degree not 3.
     """
 
     node_count: int
@@ -35,14 +35,12 @@ class CubicGraph:
 
     def __post_init__(self) -> None:
         node_count, edges = self.node_count, self.edges
-        if type(node_count) is not int or not isinstance(edges, Iterable):
-            raise InvalidArgument("node_count must be an int and edges iterable")
+        if type(node_count) is not int or node_count < 0 or not isinstance(edges, Iterable):
+            raise InvalidArgument("node_count must be a nonnegative int and edges iterable")
         edges = tuple(edges)
         for e in edges:
             if type(e) not in (list, tuple) or len(e) != 2 or type(e[0]) is not int or type(e[1]) is not int:
                 raise InvalidArgument(f"edge {shown(e)} is not a pair of ints")
-        if node_count <= 0:
-            raise EmptyGraph("a cubic graph needs at least one node")
         # The edges touch at most 2|E| nodes, so when node_count is larger some
         # node below 2|E| + 1 has degree 0 and the lowest violation lies in range.
         size = min(node_count, 2 * len(edges) + 1)
@@ -85,6 +83,7 @@ def has_loop(g: CubicGraph) -> bool:
 
 
 def is_connected(g: CubicGraph) -> bool:
+    """Exactly one component: the empty graph, with none, is not connected."""
     return len(connected_components(g)) == 1
 
 
@@ -247,7 +246,7 @@ def graph_to_json_dict(g: CubicGraph) -> dict:
 def graph_from_json_dict(data: object) -> CubicGraph:
     """Read {"nodes": n, "edges": [[u, v], ...]}: this checks only the object's
     shape, and the CubicGraph constructor checks the values (its InvalidArgument
-    becomes a ParseError; EmptyGraph and DegreeViolation pass through)."""
+    becomes a ParseError; DegreeViolation passes through)."""
     if not isinstance(data, dict) or "nodes" not in data or not isinstance(data.get("edges"), list):
         raise ParseError("graph JSON must be an object with 'nodes' and an 'edges' list")
     try:

@@ -276,15 +276,21 @@ def test_validate_diagram(capsys):
 
 
 def test_validate_a_diagram_without_nodes(tmp_path: Path, capsys):
-    # no node means no graph reading, as with a strand that closes on no node
+    # no node reads as the empty graph, whose one coloring is the empty one
     loops = tmp_path / "loops.json"
     loops.write_text(json.dumps({"nodes": [], "crossings": [], "arcs": [], "free_loops": 2}))
     code, payload, _ = run(capsys, "validate", str(loops))
     assert code == 0
     assert payload == {"kind": "diagram", "nodes": 0, "crossings": 0, "arcs": 0, "free_loops": 2, "genus": 0,
-                       "underlying": None}
+                       "underlying": {"nodes": 0, "edges": 0}}
     code, payload, _ = run(capsys, "count", str(loops), "--method", "penrose")
     assert (code, payload["count"]) == (0, 9)
+    code, payload, _ = run(capsys, "count", str(loops))
+    assert (code, payload["count"]) == (0, 1)
+    code, payload, _ = run(capsys, "crosscheck", str(loops))
+    assert (code, payload["agree"], payload["count"]) == (0, True, 1)
+    assert {v for k, v in payload["methods"].items() if k.startswith("penrose")} == {9}
+    # a strand that closes on no node still has no graph reading
     crossed = tmp_path / "crossed.json"
     crossed.write_text(json.dumps({"nodes": [], "crossings": [{"id": 0, "kind": "plain"}],
                                    "arcs": [[["x", 0, 0], ["x", 0, 1]], [["x", 0, 2], ["x", 0, 3]]]}))
@@ -515,6 +521,26 @@ def test_deep_input_fails_typed(tmp_path: Path, capsys):
         code, payload, err = run(capsys, command[0], str(path), *command[1:])
         assert (code, payload) == (1, None), command
         assert err.startswith("error:"), command
+
+
+def test_crosscheck_refuses_a_diagram_the_bracket_does_not_count(tmp_path: Path, capsys):
+    # without the refusal each exits 2: the torus gives a bracket of -6 against
+    # 6 colorings, and a plain or dotted crossing splits k33's methods
+    arcs = [tuple(cb.Port("n", 3, 1 - p.slot) if p.owner == 3 and p.slot < 2 else p for p in arc)
+            for arc in gen.k4_diagram().arcs]  # node 3's slots 0 and 1 swapped
+    torus = cb.build_diagram(4, (), arcs)
+    assert cb.genus(torus) == 1
+    k33 = cb.diagram_to_json_dict(gen.k33_diagram())
+    cases = {"torus": (cb.diagram_to_json_dict(torus), "genus 1")}
+    for kind in ("plain", "dotted"):
+        k33["crossings"][0]["kind"] = kind
+        cases[kind] = (json.loads(json.dumps(k33)), "circled")
+    for name, (data, message) in cases.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(data))
+        code, payload, err = run(capsys, "crosscheck", str(path))
+        assert (code, payload) == (1, None), name
+        assert err.startswith("error:") and message in err and err.count("\n") == 1, name
 
 
 def test_crosscheck_disagreement_exits_2(monkeypatch, capsys):

@@ -49,6 +49,17 @@ def test_coloring_from_formation_refuses_an_edge_id_outside_the_graph():
             cb.coloring_from_formation(g, bad)
 
 
+def test_coloring_from_formation_refuses_what_is_not_a_coloring_s_curve_system():
+    # unchecked, the first two raise a bare TypeError and the third paints
+    # (0, 0, 1, 2, 1, 1), which is not proper
+    g = gen.k4()
+    for bad, message in ((cb.Formation(None, (), frozenset()), "tuples of curve tuples"),
+                         (cb.Formation((5,), (), frozenset()), "tuples of curve tuples"),
+                         (cb.Formation(((0, 1),), ((2,),), frozenset({3})), "not the curve system")):
+        with pytest.raises(InvalidArgument, match=message):
+            cb.coloring_from_formation(g, bad)
+
+
 def test_formations_are_in_bijection_with_colorings():
     for name in ("theta", "k4", "prism", "k33"):
         g = getattr(gen, name)()

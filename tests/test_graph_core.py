@@ -14,7 +14,7 @@ from chromatic_bracket import generators as gen
 from chromatic_bracket import penrose
 from chromatic_bracket.cli import _load_file
 from chromatic_bracket.coloring import _bfs_components
-from chromatic_bracket.errors import DegreeViolation, EmptyGraph, ParseError, UnmatchedPort
+from chromatic_bracket.errors import DegreeViolation, ParseError, UnmatchedPort
 from chromatic_bracket.graph_core import components, min_fill_order, tightest_first
 
 
@@ -54,9 +54,19 @@ def test_degree_must_be_exactly_three():
         cb.build_graph(3, [(0, 1), (0, 1), (0, 1)])
 
 
-def test_empty_graph_rejected():
-    with pytest.raises(EmptyGraph):
-        cb.build_graph(0, [])
+def test_the_empty_graph_answers_every_method():
+    # no node and no edge: one coloring, the empty one, and one empty perfect matching
+    g = cb.build_graph(0, [])
+    assert cb.count_colorings(g) == cb.count_from_even_matchings(g) == cb.logical_expansion_count(g, []) == 1
+    assert cb.enumerate_colorings(g) == [()] and cb.enumerate_perfect_matchings(g) == [frozenset()]
+    assert not cb.is_connected(g)  # connected means one component, and it has none
+    d = cb.chord_immersion(g)
+    assert d == cb.Diagram(0, (), ()) and cb.genus(d) == 0
+    assert cb.contract_plain(d) == cb.contract_extended(d) == cb.skein_evaluate(d) == 1
+    for k in range(4):  # each free loop weighs 3 in the bracket, and none in the graph
+        nodeless = cb.Diagram(0, (), (), k)
+        assert cb.count_colorings(cb.underlying_graph(nodeless)) == 1
+        assert cb.contract_plain(nodeless) == cb.contract_extended(nodeless) == cb.skein_evaluate(nodeless) == 3**k
 
 
 def test_node_ids_validated():

@@ -16,7 +16,6 @@ from chromatic_bracket.diagram import NODE, Port
 from chromatic_bracket.errors import (
     ChromaticBracketError,
     DegreeViolation,
-    EmptyGraph,
     InvalidArgument,
     NotAMatching,
     NotCircled,
@@ -138,11 +137,11 @@ def test_bad_arguments_raise_the_package_error(call):
     assert isinstance(info.value, InvalidArgument) and isinstance(info.value, ValueError)
 
 
-# direct CubicGraph calls, which BAD_CALLS cannot hold: some raise EmptyGraph or DegreeViolation
+# direct CubicGraph calls, which BAD_CALLS cannot hold: some raise DegreeViolation
 BAD_GRAPHS = {
     "bool endpoint": ((2, ((0, True),) * 3), InvalidArgument, "edge (0, True) is not a pair of ints"),
     "negative endpoint": ((2, ((0, -1),) * 3), InvalidArgument, "edge endpoint out of range: (0, -1)"),
-    "no nodes": ((0, ()), EmptyGraph, "a cubic graph needs at least one node"),
+    "negative node count": ((-1, ()), InvalidArgument, "node_count must be a nonnegative int and edges iterable"),
     "one edge on three nodes": ((3, ((0, 1),)), DegreeViolation, "node 0 has degree 1, expected 3"),
     "a million bare nodes": ((10**6, ()), DegreeViolation, "node 0 has degree 0, expected 3"),
 }

@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import itertools
+import json
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -12,6 +17,7 @@ import chromatic_bracket as cb
 from chromatic_bracket import BLUE, CIRCLED, DOTTED, PLAIN, PURPLE, RED, Port
 from chromatic_bracket import generators as gen
 from chromatic_bracket import diagram, penrose
+from chromatic_bracket.cli import main
 from chromatic_bracket.errors import (
     ImproperColoring,
     IndexOutOfRange,
@@ -431,6 +437,21 @@ def test_every_summed_node_component_has_an_even_node_count(d):
         mp.setattr(penrose, "_strand_sum", recording)
         assert cb.skein_evaluate(d) == cb.contract_extended(d)
     assert all(n % 2 == 0 for n in sizes)
+
+
+@settings(max_examples=60, deadline=None)
+@given(surgered_diagrams().map(cb.diagram_to_json_dict))  # as JSON, which hypothesis can print
+@example(cb.diagram_to_json_dict(cb.build_diagram(6, (PLAIN,), gen.k33_diagram().arcs)))  # exit 2 without the refusal
+def test_crosscheck_refuses_or_agrees_on_every_surgered_diagram(data):
+    # exit 2 means the methods disagree; a diagram the bracket does not count is refused
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d.json"
+        path.write_text(json.dumps(data))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main(["crosscheck", str(path)])
+    assert code in (0, 1)
+    if code == 1:
+        assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
 
 
 def test_components_are_summed_apart(monkeypatch):
