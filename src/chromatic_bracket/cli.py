@@ -160,6 +160,8 @@ def cmd_count(args: argparse.Namespace, obj: CubicGraph | Diagram) -> int:
     else:  # states; with no perfect matching there is no coloring, and index 0 counts 0
         g = _input_graph(obj)
         k = args.matching_index or 0
+        if k < 0:  # no matching has a negative index, so none is generated to count them
+            raise IndexOutOfRange(f"matching index {k} is negative")
         ms = iter_perfect_matchings(g)
         m = next(ms, None) if k == 0 else _item(ms, k, lambda total: IndexOutOfRange(
             f"matching index {k} out of range: {total} perfect matchings"))
@@ -254,6 +256,8 @@ def cmd_matchings(args: argparse.Namespace, obj: CubicGraph | Diagram) -> int:
 def cmd_formation(args: argparse.Namespace, obj: CubicGraph | Diagram) -> int:
     g = _input_graph(obj)
     k = args.coloring_index
+    if k < 0:  # no coloring has a negative index, so none is generated to count them
+        raise IndexOutOfRange(f"coloring index {k} is negative")
     c = _item(iter_colorings(g), k, lambda total: IndexOutOfRange(
         f"coloring index {k} out of range; the graph has {total} colorings"))
     f = formation_from_coloring(g, c)
@@ -299,7 +303,7 @@ def cmd_validate(args: argparse.Namespace, obj: CubicGraph | Diagram) -> int:
             "kind": "diagram",
             "nodes": obj.node_count,
             "crossings": obj.crossing_count,
-            "arcs": len(obj.peer) // 2,
+            "arcs": len(obj.code_arcs),
             "free_loops": obj.free_loops,
             "genus": genus(obj),
         }

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
@@ -50,22 +50,21 @@ class Port(NamedTuple):
 class Diagram:
     """A diagram as its port-code table; the one place a diagram is checked.
 
-    code_arcs pairs the two port codes of each arc, and peer is filled from
-    them. Raises InvalidArgument for a node_count or free_loops that is not a
-    nonnegative int, kinds or arcs not iterable, an unknown kind or an arc
-    that is not a list or tuple of two int codes of ports (by type(), so True
-    is not 1); UnmatchedPort for the lowest port not covered exactly once.
-    Equal tables are equal sorted code arcs, which sort as their Ports do;
-    arcs is the Port view of the table, built on first use and kept."""
+    peer is filled from code_arcs, which is kept canonical: (c, peer[c]) for
+    c < peer[c], by c. Raises InvalidArgument for a node_count or free_loops
+    that is not a nonnegative int, kinds or arcs not iterable, an unknown kind
+    or an arc not a list or tuple of two int codes of ports (by type(), so True
+    is not 1); UnmatchedPort for the lowest port not covered exactly once. arcs
+    is the Port view of code_arcs, built on first use and kept."""
 
     node_count: int
     crossing_kinds: tuple[str, ...]
-    peer: tuple[int, ...] = field(init=False)
-    code_arcs: InitVar[Iterable[Sequence[int]]]
+    code_arcs: tuple[tuple[int, int], ...]
     free_loops: int = 0
+    peer: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self, code_arcs: Iterable[Sequence[int]]) -> None:
-        node_count, free_loops = self.node_count, self.free_loops
+    def __post_init__(self) -> None:
+        node_count, free_loops, code_arcs = self.node_count, self.free_loops, self.code_arcs
         if not (type(node_count) is int and node_count >= 0 and type(free_loops) is int and free_loops >= 0
                 and isinstance(self.crossing_kinds, Iterable) and isinstance(code_arcs, Iterable)):
             raise InvalidArgument("node_count and free_loops must be nonnegative ints, "
@@ -93,6 +92,7 @@ class Diagram:
             raise UnmatchedPort(f"port {_port_of(code, node_count)} is covered {covered[code]} times, expected 1")
         object.__setattr__(self, "crossing_kinds", kinds)
         object.__setattr__(self, "peer", tuple(peer))
+        object.__setattr__(self, "code_arcs", tuple((c, m) for c, m in enumerate(peer) if c < m))
 
     @property
     def crossing_count(self) -> int:
@@ -100,8 +100,7 @@ class Diagram:
 
     @cached_property
     def arcs(self) -> tuple[tuple[Port, Port], ...]:
-        return tuple((_port_of(c, self.node_count), _port_of(m, self.node_count))
-                     for c, m in enumerate(self.peer) if c < m)
+        return tuple((_port_of(c, self.node_count), _port_of(m, self.node_count)) for c, m in self.code_arcs)
 
 
 def build_diagram(
@@ -354,7 +353,7 @@ def diagram_to_json_dict(d: Diagram) -> dict:
             {"id": x, "kind": kind, "cw": [list(_port_of(m, n)) for m in peer[c:c + 4]]}
             for x, (kind, c) in enumerate(zip(d.crossing_kinds, range(3 * n, len(peer), 4)))
         ],
-        "arcs": [[list(_port_of(c, n)), list(_port_of(m, n))] for c, m in enumerate(peer) if c < m],
+        "arcs": [[list(_port_of(c, n)), list(_port_of(m, n))] for c, m in d.code_arcs],
     }
     if d.free_loops:
         out["free_loops"] = d.free_loops

@@ -22,7 +22,9 @@ PerfectMatching = frozenset[int]
 
 def validate_matching(g: CubicGraph, edge_ids: Iterable[int]) -> PerfectMatching:
     _edges(g)  # refuses a non-CubicGraph
-    ids = list(edge_ids) if isinstance(edge_ids, Iterable) else [edge_ids]
+    if not isinstance(edge_ids, Iterable):  # a bare int is not the set of one edge
+        raise NotAMatching(f"matching {shown(edge_ids)} is not an iterable of edge ids")
+    ids = list(edge_ids)
     for e in ids:
         if type(e) is not int:  # type(): True is not edge 1
             raise NotAMatching(f"edge id {shown(e)} is not an int")

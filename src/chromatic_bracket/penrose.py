@@ -296,9 +296,8 @@ def expand_circled(d: Diagram, crossing: int) -> tuple[Diagram, Diagram]:
     if d.crossing_kinds[crossing] != CIRCLED:
         raise NotCircled(f"crossing {crossing} is {d.crossing_kinds[crossing]}, not circled")
 
-    arcs = [(c, m) for c, m in enumerate(d.peer) if c < m]  # the same port-code table
-    before, after = d.crossing_kinds[:crossing], d.crossing_kinds[crossing + 1:]
-    return tuple(Diagram(d.node_count, before + (kind,) + after, arcs, d.free_loops) for kind in (DOTTED, PLAIN))
+    return tuple(Diagram(d.node_count, d.crossing_kinds[:crossing] + (kind,) + d.crossing_kinds[crossing + 1:],
+                         d.code_arcs, d.free_loops) for kind in (DOTTED, PLAIN))  # the same port-code table
 
 
 def _cut_arc(d: Diagram, arc_index: int) -> tuple[int, int, list[tuple[int, int]]]:
@@ -306,9 +305,10 @@ def _cut_arc(d: Diagram, arc_index: int) -> tuple[int, int, list[tuple[int, int]
     (c, peer[c]) with c < peer[c], numbered in the order d.arcs lists them."""
     if type(arc_index) is not int:  # type(): True is not arc 1
         raise InvalidArgument(f"arc index {shown(arc_index)} is not an int")
-    if not 0 <= arc_index < len(_table(d)) // 2:
+    _table(d)  # refuses a non-Diagram
+    if not 0 <= arc_index < len(d.code_arcs):
         raise IndexOutOfRange(f"no arc {shown(arc_index)}")
-    arcs = [(c, m) for c, m in enumerate(d.peer) if c < m]
+    arcs = list(d.code_arcs)
     p, q = arcs.pop(arc_index)
     return p, q, arcs
 

@@ -62,10 +62,10 @@ class State:
     graph: CubicGraph
     matching: PerfectMatching
     switches: tuple[str, ...]
-    sites: tuple[Site, ...] = field(init=False, compare=False)
-    loops: tuple[tuple[int, ...], ...] = field(init=False, compare=False)
+    sites: tuple[Site, ...] = field(init=False, repr=False, compare=False)
+    loops: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     # per site, the loop indices of its two strands (its two links)
-    site_graph: tuple[tuple[int, int], ...] = field(init=False, compare=False)
+    site_graph: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         g, switches = self.graph, self.switches

@@ -216,10 +216,26 @@ def test_formation_index_out_of_range(capsys, monkeypatch):
         raise AssertionError("formation counts the colorings it walks")
 
     monkeypatch.setattr("chromatic_bracket.cli.count_colorings", no_second_walk)
-    for k in ("6", "-1"):
-        code, _, err = run(capsys, "formation", "theta", "--coloring-index", k)
-        assert code == 1
-        assert err == f"error: coloring index {k} out of range; the graph has 6 colorings\n"
+    code, _, err = run(capsys, "formation", "theta", "--coloring-index", "6")
+    assert code == 1
+    assert err == "error: coloring index 6 out of range; the graph has 6 colorings\n"
+    code, _, err = run(capsys, "formation", "theta", "--coloring-index", "-1")
+    assert code == 1
+    assert err == "error: coloring index -1 is negative\n"
+
+
+def test_a_negative_index_is_refused_before_any_search(capsys, monkeypatch):
+    # no item has a negative index, so none is generated to count them all
+    def no_search(g):
+        raise AssertionError("searched for an index no item has")
+
+    monkeypatch.setattr("chromatic_bracket.cli.iter_colorings", no_search)
+    monkeypatch.setattr("chromatic_bracket.cli.iter_perfect_matchings", no_search)
+    for argv, what in ((("formation", "k33", "--coloring-index", "-1"), "coloring"),
+                       (("count", "k33", "--method", "states", "--matching-index", "-2"), "matching")):
+        code, payload, err = run(capsys, *argv)
+        assert code == 1 and payload is None
+        assert err == f"error: {what} index {argv[-1]} is negative\n"
 
 
 def test_gen_graph_round_trips(capsys):

@@ -10,6 +10,7 @@ from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.vendor.pretty import pretty
 
 import chromatic_bracket as cb
 from chromatic_bracket import CIRCLED, DOTTED, PLAIN, Port
@@ -529,6 +530,19 @@ def valid_diagrams() -> list[cb.Diagram]:
                                 d.arcs) for d in immersed]
             + [cb.build_diagram(2, (), gen.theta_diagram().arcs, free_loops=2),
                cb.encircle_arc(gen.k4_diagram(), 3)])
+
+
+def test_every_value_type_prints_as_its_constructor_call():
+    # hypothesis reports a falsifying value by reading each __init__ argument
+    # back off it, so every argument must be kept; eval of the repr rebuilds it
+    g = gen.k33()
+    state = cb.make_state(g, cb.enumerate_perfect_matchings(g)[0], [cb.PARALLEL, cb.CROSSED, cb.PARALLEL])
+    formation = cb.formation_from_coloring(g, cb.enumerate_colorings(g)[0])
+    values = [*valid_diagrams(), state, state.sites[0], formation, g, gen.k33_diagram().arcs[0][1]]
+    ns = {name: getattr(cb, name) for name in cb.__all__}
+    for x in values:
+        assert eval(repr(x), ns) == x
+        assert pretty(x)
 
 
 def test_the_json_reader_types_no_port_of_a_valid_file(monkeypatch):

@@ -85,6 +85,18 @@ def test_validate_matching_rejects_bad_sets():
             cb.validate_matching(g, not_ints)
 
 
+@pytest.mark.parametrize("check", [cb.validate_matching, cb.complement_cycles, cb.is_even_matching,
+                                   cb.colorings_from_even_matching, cb.logical_expansion_count,
+                                   lambda g, m: cb.make_state(g, m, [cb.PARALLEL])])
+def test_a_bare_int_is_not_a_matching(check):
+    # on theta the set {0} is a perfect matching, but the int 0 is not a set
+    g = gen.theta()
+    check(g, {0})
+    for bare in (0, None):
+        with pytest.raises(NotAMatching):
+            check(g, bare)
+
+
 @pytest.mark.parametrize("check", [cb.complement_cycles, cb.is_even_matching,
                                    cb.colorings_from_even_matching, cb.logical_expansion_count])
 def test_matching_entry_points_reject_bad_sets(check):

@@ -440,7 +440,7 @@ def test_every_summed_node_component_has_an_even_node_count(d):
 
 
 @settings(max_examples=60, deadline=None)
-@given(surgered_diagrams().map(cb.diagram_to_json_dict))  # as JSON, which hypothesis can print
+@given(surgered_diagrams().map(cb.diagram_to_json_dict))  # as JSON, the input crosscheck reads
 @example(cb.diagram_to_json_dict(cb.build_diagram(6, (PLAIN,), gen.k33_diagram().arcs)))  # exit 2 without the refusal
 def test_crosscheck_refuses_or_agrees_on_every_surgered_diagram(data):
     # exit 2 means the methods disagree; a diagram the bracket does not count is refused
