@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterable, Iterator, Sequence
 
-from .coloring import BLUE, PURPLE, RED, EdgeColoring, is_proper
+from .coloring import BLUE, PURPLE, RED, EdgeColoring, _colors, is_proper
 from .errors import ImproperColoring, NotAMatching, refuse_deep_recursion, shown
 from .graph_core import CubicGraph, _edges
 
@@ -164,6 +164,7 @@ def colorings_from_even_matching(g: CubicGraph, matching: Iterable[int]) -> list
 
 def matching_from_coloring(g: CubicGraph, coloring: Sequence[int], color: int) -> PerfectMatching:
     """The edges carrying one color of a proper coloring; always a perfect matching."""
+    _colors((color,))  # refuses a non-color by type(), so True is not BLUE
     if not is_proper(g, coloring):
         raise ImproperColoring("matching extraction needs a proper coloring")
     return validate_matching(g, (e for e, c in enumerate(coloring) if c == color))

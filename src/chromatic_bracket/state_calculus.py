@@ -13,10 +13,11 @@ of paths.
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
-from .errors import InvalidArgument, refuse_deep_recursion, shown
+from .errors import InvalidArgument, RecursionBudgetExceeded, refuse_deep_recursion, shown
 from .graph_core import CubicGraph, bridges_per_component, build_graph
 from .matching import PerfectMatching, _complement_link, trace_cycles, validate_matching
 
@@ -95,38 +96,50 @@ class State:
         return len(self.loops)
 
 
-def _count_loop_colorings(k: int, pairs: Sequence[Pair]) -> int:
-    """Proper 3-colorings of k loops; 0 as soon as a site pair is one loop.
-
-    The first pair's loops go first, colored 1 and 2 (colors are bits), and the
-    count is 6 times theirs: a color permutation maps them onto any other two."""
-    if any(a == b for a, b in pairs):
-        return 0
-    if not pairs:
-        return 3**k
-    place = {v: i for i, v in enumerate(dict.fromkeys([*pairs[0], *range(k)]))}
-    earlier: list[list[int]] = [[] for _ in range(k)]  # by place
-    for a, b in pairs:
-        earlier[max(place[a], place[b])].append(min(place[a], place[b]))
-    colors = [1, 2] + [0] * (k - 2)  # by place
-
-    def rec(i: int) -> int:
-        if i == k:
-            return 1
-        taken = 0
-        for j in earlier[i]:
-            taken |= colors[j]
-        total = 0
-        for c in (1, 2, 4):
-            if not taken & c:
-                colors[i] = c
-                total += rec(i + 1)
-        return total
-
-    try:
-        return 6 * rec(2)
-    finally:
-        del rec  # rec holds itself; let go so refcounting frees it
+def _count_loop_colorings(loops: Sequence[int]) -> int:
+    """Proper 3-colorings of loops as node masks, loops whose masks meet differing; a loop that
+    meets none is a factor of 3. The rest go largest first, the largest and the first loop meeting
+    it fixed to R and B (times 6), in count_colorings's search, refused at loop sys.getrecursionlimit()."""
+    once = twice = 0  # the nodes on at least one and on at least two loops
+    for x in loops:
+        twice, once = twice | once & x, once | x
+    met = list(filter(twice.__and__, loops))
+    if len(met) < 3:
+        return 3 ** (len(loops) - len(met)) * (6 if met else 1)
+    met.sort(key=int.bit_count, reverse=True)
+    j = 1
+    while not met[j] & met[0]:  # met[0] meets some loop
+        j += 1
+    met.insert(1, met.pop(j))
+    stop = min(last := len(met) - 1, sys.getrecursionlimit())
+    leaves = 0
+    stack = [(2, met[0], met[1], 0)]  # (loop i, then the nodes on R, B and P)
+    push, pop = stack.append, stack.pop
+    while stack:
+        i, r, b, p = pop()
+        m = met[i]
+        while i < stop:  # carry on with the first free color, push the others
+            if not r & m:
+                if not b & m:
+                    push((i + 1, r, b | m, p))
+                if not p & m:
+                    push((i + 1, r, b, p | m))
+                r |= m
+            elif not b & m:
+                if not p & m:
+                    push((i + 1, r, b, p | m))
+                b |= m
+            elif not p & m:
+                p |= m
+            else:
+                break
+            i += 1
+            m = met[i]
+        else:  # at loop stop: the last loop, or the recursion limit
+            if i < last:
+                raise RecursionBudgetExceeded(f"loop-coloring search reached the recursion limit, {stop}")
+            leaves += (not r & m) + (not b & m) + (not p & m)
+    return 6 * 3 ** (len(loops) - len(met)) * leaves
 
 
 def make_state(g: CubicGraph, matching: Iterable[int], switches: Sequence[str]) -> State:
@@ -142,13 +155,12 @@ def _state(s: State) -> State:
 
 
 def count_state_colorings(s: State) -> int:
-    """Maps loops -> {R,B,P} with the two loops at every site distinct.
-
-    This is the number of proper 3-colorings of the site multigraph; a site
-    whose strands lie on one loop makes it zero.
-    """
-    with refuse_deep_recursion("loop-coloring count"):
-        return _count_loop_colorings(_state(s).loop_count, s.site_graph)
+    """Maps loops -> {R,B,P} with the two loops at every site distinct: 0 when a
+    site's two strands are one loop, else the count of masks where site i is node i."""
+    masks = [0] * _state(s).loop_count
+    for i, (a, b) in enumerate(s.site_graph):
+        masks[a], masks[b] = masks[a] | 1 << i, masks[b] | 1 << i
+    return 0 if any(a == b for a, b in s.site_graph) else _count_loop_colorings(masks)
 
 
 def logical_expansion_count(g: CubicGraph, matching: Iterable[int]) -> int:
@@ -167,8 +179,7 @@ def logical_expansion_count(g: CubicGraph, matching: Iterable[int]) -> int:
     branch has a zero site and the branch is cut. That happens exactly when a
     join's two paths touch a common node; a pair that is one edge (a loop at
     a site's end) is cut at the root. At a leaf every path has closed into a
-    loop; loops are numbered by lowest node, and two loops form a site's pair
-    when they share a node.
+    loop, and two loops meet at a site when their node masks meet.
 
     Equals count_colorings(g) for every perfect matching: each proper
     coloring selects exactly one switch per site (the pairing whose linked
@@ -189,9 +200,7 @@ def _expansion_count(g: CubicGraph, m: PerfectMatching) -> int:
 
     def rec(i: int) -> int:
         if i == len(choices):
-            ring = sorted(loops, key=lambda x: x & -x)  # by lowest node
-            pairs = [(p, q) for p, x in enumerate(ring) for q in range(p + 1, len(ring)) if x & ring[q]]
-            return _count_loop_colorings(len(ring), pairs)
+            return _count_loop_colorings(loops)
         total = 0
         for (a, b), (c, d) in choices[i]:
             x, y = far[a], far[b]

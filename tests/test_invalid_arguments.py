@@ -61,6 +61,8 @@ BAD_CALLS = {
     "coloring_names of None": lambda: cb.coloring_names(None),
     "coloring_names past the colors": lambda: cb.coloring_names([5]),
     "coloring_names of a negative color": lambda: cb.coloring_names([-1]),
+    **{f"matching_from_coloring of the color {c!r}": (lambda c=c: cb.matching_from_coloring(K33, K33_COLORING, c))
+       for c in (True, 1.0, 2.0, 5, "R")},
     "CubicGraph of None edges": lambda: cb.CubicGraph(2, None),
     "node_weight of two colors": lambda: cb.node_weight((0, 1)),
     "node_weight of no colors": lambda: cb.node_weight(()),

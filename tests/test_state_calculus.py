@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import sys
+import time
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -322,28 +324,86 @@ def test_squeeze_round_trip_on_random_graphs(seed: int) -> None:
         assert squeeze(make_state(g, m, vec)) == g
 
 
-def product_count(k: int, pairs: list[tuple[int, int]]) -> int:
-    return sum(all(c[a] != c[b] for a, b in pairs) for c in itertools.product(range(3), repeat=k))
+def masks_of(k: int, pairs: list[tuple[int, int]]) -> list[int]:
+    """The node masks of k loops where pair i is one fresh node on both of its loops."""
+    masks = [0] * k
+    for i, (a, b) in enumerate(pairs):
+        masks[a] |= 1 << i
+        masks[b] |= 1 << i
+    return masks
+
+
+def product_count(masks: list[int]) -> int:
+    met = [(a, b) for a, b in itertools.combinations(range(len(masks)), 2) if masks[a] & masks[b]]
+    return sum(all(c[a] != c[b] for a, b in met) for c in itertools.product(range(3), repeat=len(masks)))
 
 
 @st.composite
-def loop_graphs(draw) -> tuple[int, list[tuple[int, int]]]:
+def loop_masks(draw) -> list[int]:
     k = draw(st.integers(0, 6))
     loop = st.integers(0, k - 1)
-    return k, draw(st.lists(st.tuples(loop, loop), max_size=8)) if k else []
+    return masks_of(k, draw(st.lists(st.tuples(loop, loop), max_size=8)) if k else [])
 
 
 @settings(max_examples=300, deadline=None)
-@given(loop_graphs())
-@example((0, []))  # no loops, no pairs
-@example((4, []))  # isolated loops only
-@example((3, [(2, 2)]))  # a self-pair
-@example((4, [(1, 2), (2, 1), (1, 2)]))  # repeated pairs, loops 0 and 3 isolated
-@example((5, [(3, 1), (0, 2), (2, 4)]))  # disconnected; the first pair is not (0, 1)
-@example((4, [(2, 3), (0, 1), (1, 2), (0, 2)]))  # the first pair's loops come last
-def test_loop_colorings_match_a_product_count(case) -> None:
-    k, pairs = case
-    assert state_calculus._count_loop_colorings(k, pairs) == product_count(k, pairs)
+@given(loop_masks())
+@example(masks_of(0, []))  # no loops, no pairs: 1
+@example(masks_of(4, []))  # isolated loops only
+@example(masks_of(3, [(2, 2)]))  # a node on one loop only constrains nothing
+@example(masks_of(4, [(1, 2), (2, 1), (1, 2)]))  # repeated pairs, loops 0 and 3 isolated
+@example(masks_of(5, [(3, 1), (0, 2), (2, 4)]))  # disconnected; the first pair is not (0, 1)
+@example(masks_of(4, [(2, 3), (0, 1), (1, 2), (0, 2)]))  # the first pair's loops come last
+@example([1, 2, 2])  # the first loop meets no other: 3 times 6
+@example([0, 3, 1])  # a loop without nodes
+@example([5])  # one loop: 3
+def test_loop_colorings_match_a_product_count(masks: list[int]) -> None:
+    assert state_calculus._count_loop_colorings(masks) == product_count(masks)
+
+
+def test_a_site_on_one_loop_counts_zero(monkeypatch):
+    # a node bit cannot say that a site's two strands are one loop, so
+    # count_state_colorings answers 0 before counting; the loops' masks alone
+    # would count 6 here
+    monkeypatch.setattr(state_calculus, "_count_loop_colorings", None)
+    g = gen.k33()
+    s = make_state(g, cb.enumerate_perfect_matchings(g)[0], [PARALLEL, CROSSED, CROSSED])
+    assert s.site_graph == ((0, 0), (1, 0), (0, 1))
+    assert count_state_colorings(s) == 0
+
+
+def test_a_loop_path_past_the_recursion_limit_fails_typed():
+    # a strip where loop i meets loops i + 1 and i + 2 has 6 colorings and one
+    # branch, so a search that went on past the limit would answer at once
+    k = sys.getrecursionlimit() + 2
+    strip = [0b110110 << 2 * i for i in range(k)]  # i meets i + 1 at bit 2i + 4, i + 2 at 2i + 5
+    with pytest.raises(RecursionBudgetExceeded):
+        state_calculus._count_loop_colorings(strip)
+    assert state_calculus._count_loop_colorings(strip[:12]) == 6
+    # a path of loops has 3 * 2^(k-1) colorings; the search goes straight down
+    # its first branch and is refused at loop sys.getrecursionlimit()
+    path = [1 << i | 1 << i + 1 for i in range(k)]
+    start = time.perf_counter()
+    with pytest.raises(RecursionBudgetExceeded):
+        state_calculus._count_loop_colorings(path)
+    assert time.perf_counter() - start < 1
+    assert state_calculus._count_loop_colorings(path[:12]) == 3 * 2**11
+
+
+def test_states_and_the_expansion_share_one_leaf_counter(monkeypatch):
+    # the leaf summation is written once: a single state and every expansion leaf reach it
+    real, seen = state_calculus._count_loop_colorings, []
+
+    def counted(loops):
+        seen.append(list(loops))
+        return real(loops)
+
+    monkeypatch.setattr(state_calculus, "_count_loop_colorings", counted)
+    g = gen.k33()
+    m = cb.enumerate_perfect_matchings(g)[0]
+    assert count_state_colorings(make_state(g, m, [PARALLEL] * 3)) == real(seen[-1])
+    assert len(seen) == 1
+    assert logical_expansion_count(g, m) == cb.count_colorings(g)
+    assert len(seen) > 1
 
 
 @settings(max_examples=10, deadline=None)
