@@ -26,7 +26,6 @@ from .diagram import (
     NODE,
     PLAIN,
     Diagram,
-    Port,
     build_diagram,
     chord_immersion,
     diagram_from_json_dict,
@@ -106,7 +105,7 @@ __all__ = [
     "complement_cycles", "is_even_matching", "colorings_from_even_matching",
     "matching_from_coloring", "count_from_even_matchings",
     # diagrams
-    "Diagram", "Port", "NODE", "CROSSING", "CIRCLED", "PLAIN", "DOTTED",
+    "Diagram", "NODE", "CROSSING", "CIRCLED", "PLAIN", "DOTTED",
     "build_diagram", "chord_immersion", "genus", "trace_faces",
     "trace_strands", "underlying_graph", "diagram_to_json_dict", "diagram_from_json_dict",
     # formations

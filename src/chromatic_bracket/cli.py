@@ -24,7 +24,6 @@ from .diagram import (
     diagram_from_json_dict,
     diagram_to_json_dict,
     genus,
-    looks_like_diagram_json,
     underlying_graph,
 )
 from .errors import (
@@ -87,7 +86,7 @@ def _load_input(args: argparse.Namespace) -> CubicGraph | Diagram:
     name = args.input
     if os.path.exists(name):
         data = _load_file(name)
-        kind = args.as_kind or ("diagram" if looks_like_diagram_json(data) else "graph")
+        kind = args.as_kind or ("diagram" if isinstance(data, dict) and "arcs" in data else "graph")
         if kind == "diagram":
             return diagram_from_json_dict(data)
         return graph_from_json_dict(data)

@@ -5,8 +5,9 @@ crossings with 4 ports, and arcs pairing ports. Slot order around a vertex is
 the clockwise rotation; at a crossing the two strands occupy slots 0<->2 and
 1<->3. Planarity is not assumed but checked, by tracing faces of the rotation
 system and computing the genus. A diagram is stored as its port-code table,
-the ports numbered in sorted Port order: node port (n, s) is 3n + s, crossing
-port (x, s) is 3N + 4x + s for N nodes, and peer[c] is the code c's arc joins.
+the ports numbered in sorted (kind, owner, slot) order: node port (n, s) is
+3n + s, crossing port (x, s) is 3N + 4x + s for N nodes, and peer[c] is the
+code c's arc joins.
 
 chord_immersion draws any abstract cubic graph as a plane immersion: node
 ports on a line in a given order, edges as rectilinear chords above it, and a
@@ -18,8 +19,6 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import NamedTuple
 
 from .errors import (
     InvalidArgument,
@@ -40,12 +39,6 @@ DOTTED = "dotted"
 CROSSING_KINDS = (CIRCLED, PLAIN, DOTTED)
 
 
-class Port(NamedTuple):
-    kind: str  # NODE or CROSSING
-    owner: int
-    slot: int
-
-
 @dataclass(frozen=True)
 class Diagram:
     """A diagram as its port-code table; the one place a diagram is checked.
@@ -54,8 +47,7 @@ class Diagram:
     c < peer[c], by c. Raises InvalidArgument for a node_count or free_loops
     that is not a nonnegative int, kinds or arcs not iterable, an unknown kind
     or an arc not a list or tuple of two int codes of ports (by type(), so True
-    is not 1); UnmatchedPort for the lowest port not covered exactly once. arcs
-    is the Port view of code_arcs, built on first use and kept."""
+    is not 1); UnmatchedPort for the lowest port not covered exactly once."""
 
     node_count: int
     crossing_kinds: tuple[str, ...]
@@ -98,73 +90,64 @@ class Diagram:
     def crossing_count(self) -> int:
         return len(self.crossing_kinds)
 
-    @cached_property
-    def arcs(self) -> tuple[tuple[Port, Port], ...]:
-        return tuple((_port_of(c, self.node_count), _port_of(m, self.node_count)) for c, m in self.code_arcs)
-
 
 def build_diagram(
     node_count: int,
     crossing_kinds: Iterable[str],
-    arcs: Iterable[Sequence[Port]],
+    arcs: Iterable[Sequence[Sequence[object]]],
     free_loops: int = 0,
 ) -> Diagram:
     """The Diagram of arcs given as pairs of ports, each read to its code.
 
-    Equal diagrams compare and serialize identically whatever the order of
-    their arcs and ports. A list or tuple port is read straight to its code;
-    a Port is built only to word a refusal or to type another object. Beyond
-    the constructor's refusals, raises InvalidArgument for an arc that is not
-    a list or tuple of two ports or a port without three fields; UnmatchedPort
-    for a port that does not exist (the first in sorted arc order when only
-    its range is wrong) or an arc that joins a port to itself.
+    A port is a list or tuple (kind, owner, slot). Equal diagrams compare and
+    serialize identically whatever the order of their arcs and ports, and a
+    refusal shows a port as it was given. Beyond the constructor's refusals,
+    raises InvalidArgument for an arc that is not a list or tuple of two ports
+    or a port that is not a list or tuple of three fields; UnmatchedPort for a
+    port that does not exist (the first in sorted arc order when only its range
+    is wrong) or an arc that joins a port to itself.
     """
     kinds = tuple(crossing_kinds) if isinstance(crossing_kinds, Iterable) else crossing_kinds
 
     def codes() -> Iterator[tuple[int, int]]:  # run by the constructor once it has checked the rest
         crossings = len(kinds)
-        missing = []  # each arc with a port that does not exist, as sorted Ports
+        missing = []  # each arc with a port that does not exist, its ports sorted
         for pair in arcs:
             if type(pair) not in (list, tuple) or len(pair) != 2:
                 raise InvalidArgument(f"arc {shown(pair)} is not a pair of ports")
             a, b = _port_code(pair[0], node_count, crossings), _port_code(pair[1], node_count, crossings)
-            if a < 0 or b < 0 or a == b:  # a refusal: only now are its Ports built
-                p, q = sorted(map(_arc_port, pair))
-                if p == q:
+            if a < 0 or b < 0 or a == b:
+                p, q = arc = sorted(pair, key=tuple)
+                if tuple(p) == tuple(q):
                     raise UnmatchedPort(f"arc joins port {shown(p)} to itself")
-                missing.append((p, q))
+                missing.append(arc)
             yield a, b
         if missing:  # the first in sorted arc order
-            port = next(p for arc in sorted(missing) for p in arc if _port_code(p, node_count, crossings) < 0)
+            arc = min(missing, key=lambda pq: [*map(tuple, pq)])
+            port = next(p for p in arc if _port_code(p, node_count, crossings) < 0)
             raise UnmatchedPort(f"port {shown(port)} does not exist")
 
     return Diagram(node_count, kinds, codes() if isinstance(arcs, Iterable) else arcs, free_loops)
 
 
 def _port_code(obj: object, node_count: int, crossings: int) -> int:
-    """The code of a port, -1 when no such port exists: a list or tuple of a
-    kind and two ints is read in place, any other object typed by _arc_port."""
-    # type() rather than isinstance(): True must not pass as owner or slot 1
-    kind, owner, slot = obj if (type(obj) in (list, tuple) and len(obj) == 3 and type(obj[1]) is int
-                                and type(obj[2]) is int and obj[0] in (NODE, CROSSING)) else _arc_port(obj)
+    """The code of a port, a list or tuple of a kind and two ints; -1 when no
+    such port exists. By type(): True is not owner 1, and a str, a dict or a
+    named tuple is no port."""
+    if type(obj) not in (list, tuple) or len(obj) != 3:
+        raise InvalidArgument(f"port {shown(obj)} does not have three fields")
+    kind, owner, slot = obj
+    if type(owner) is not int or type(slot) is not int or kind not in (NODE, CROSSING):
+        raise UnmatchedPort(f"port {shown(obj)} does not exist")
     if kind == NODE:
         return 3 * owner + slot if 0 <= owner < node_count and 0 <= slot < 3 else -1
     return 3 * node_count + 4 * owner + slot if 0 <= owner < crossings and 0 <= slot < 4 else -1
 
 
-def _arc_port(obj: object) -> Port:
-    try:
-        kind, owner, slot = p = obj if type(obj) is Port else Port._make(obj)
-    except TypeError:
-        raise InvalidArgument(f"port {shown(obj)} does not have three fields") from None
-    if kind not in (NODE, CROSSING) or type(owner) is not int or type(slot) is not int:
-        raise UnmatchedPort(f"port {shown(p)} does not exist")
-    return p
-
-
-def _port_of(code: int, node_count: int) -> Port:
+def _port_of(code: int, node_count: int) -> list:
+    """The port of a code as its JSON spelling, [kind, owner, slot]."""
     base = 3 * node_count
-    return Port(NODE, *divmod(code, 3)) if code < base else Port(CROSSING, *divmod(code - base, 4))
+    return [NODE, *divmod(code, 3)] if code < base else [CROSSING, *divmod(code - base, 4)]
 
 
 def _table(d: Diagram) -> tuple[int, ...]:
@@ -177,12 +160,13 @@ def _table(d: Diagram) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # faces and genus
 
-def _face_walks(d: Diagram) -> Iterator[list[int]]:
+def trace_faces(d: Diagram) -> list[list[int]]:
     """Face boundary walks of the rotation system as port codes, each from its
     lowest code: a walk leaves a port over its arc and turns clockwise."""
     peer = _table(d)
     base = 3 * d.node_count
     seen = bytearray(len(peer))
+    faces = []
     for start in range(len(peer)):
         if seen[start]:
             continue
@@ -195,12 +179,8 @@ def _face_walks(d: Diagram) -> Iterator[list[int]]:
                 c = m - 2 if m % 3 == 2 else m + 1
             else:
                 c = m - 3 if (m - base) % 4 == 3 else m + 1
-        yield walk
-
-
-def trace_faces(d: Diagram) -> list[list[Port]]:
-    """Face boundary walks of the rotation system, deterministic order."""
-    return [[_port_of(c, d.node_count) for c in walk] for walk in _face_walks(d)]
+        faces.append(walk)
+    return faces
 
 
 def genus(d: Diagram) -> int:
@@ -215,8 +195,7 @@ def genus(d: Diagram) -> int:
     vertex = [m // 3 if m < base else n + (m - base) // 4 for m in peer]  # of each port's mate
     neighbours = [vertex[c:c + 3] for c in range(0, base, 3)]
     neighbours += [vertex[c:c + 4] for c in range(base, len(peer), 4)]
-    faces = sum(1 for _ in _face_walks(d))
-    return (2 * len(components(neighbours)) - len(neighbours) + len(peer) // 2 - faces) // 2
+    return (2 * len(components(neighbours)) - len(neighbours) + len(peer) // 2 - len(trace_faces(d))) // 2
 
 
 # ---------------------------------------------------------------------------
@@ -346,14 +325,14 @@ def diagram_to_json_dict(d: Diagram) -> dict:
     peer, n = _table(d), d.node_count
     out: dict = {
         "nodes": [
-            {"id": i, "cw": [list(_port_of(m, n)) for m in peer[3 * i:3 * i + 3]]}
+            {"id": i, "cw": [_port_of(m, n) for m in peer[3 * i:3 * i + 3]]}
             for i in range(n)
         ],
         "crossings": [
-            {"id": x, "kind": kind, "cw": [list(_port_of(m, n)) for m in peer[c:c + 4]]}
+            {"id": x, "kind": kind, "cw": [_port_of(m, n) for m in peer[c:c + 4]]}
             for x, (kind, c) in enumerate(zip(d.crossing_kinds, range(3 * n, len(peer), 4)))
         ],
-        "arcs": [[list(_port_of(c, n)), list(_port_of(m, n))] for c, m in d.code_arcs],
+        "arcs": [[_port_of(c, n), _port_of(m, n)] for c, m in d.code_arcs],
     }
     if d.free_loops:
         out["free_loops"] = d.free_loops
@@ -397,6 +376,3 @@ def diagram_from_json_dict(data: object) -> Diagram:
         raise ParseError(str(exc)) from exc
     return d
 
-
-def looks_like_diagram_json(data: object) -> bool:
-    return isinstance(data, dict) and "arcs" in data

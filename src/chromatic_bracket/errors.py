@@ -21,7 +21,7 @@ def _bounded(value: object) -> object:
         return type(value)(map(_bounded, value))
     if type(value) is dict:
         return {_bounded(k): _bounded(v) for k, v in value.items()}
-    if isinstance(value, tuple) and hasattr(value, "_make"):  # a named tuple, such as a Port
+    if isinstance(value, tuple) and hasattr(value, "_make"):  # a caller's named tuple, given as a port
         return value._make(map(_bounded, value))
     return value
 
@@ -45,7 +45,7 @@ class DegreeViolation(ChromaticBracketError):
 
 class UnmatchedPort(ChromaticBracketError):
     """A diagram port is not covered by exactly one arc, or one given to build_diagram
-    does not exist: it needs kind "n" or "x" and an int owner and slot (not True)."""
+    does not exist: it needs kind "n" or "x" and an int owner and slot (not True), in range."""
 
 
 class StrandClosesWithoutNode(ChromaticBracketError):
@@ -75,10 +75,10 @@ class NotCircled(ChromaticBracketError):
 class RecursionBudgetExceeded(ChromaticBracketError):
     """A search hit a bound: the skein step budget, a strand-coloring sum
     (contraction or a skein leaf) keeping more than 14 closed strands (on no
-    node), the recursion limit as a depth in edges for brute force, which
-    searches on an explicit stack, or the Python stack: coloring enumeration
-    (iter_colorings), contraction, skein, the perfect-matching search, the
-    state expansion and the loop-coloring count recurse as deep as the input."""
+    node), the recursion limit as a depth (in edges for brute force, in loops
+    for the loop-coloring count: both search on explicit stacks), or the Python
+    stack: coloring enumeration (iter_colorings), contraction, skein, the
+    perfect-matching search and the state expansion recurse as deep as the input."""
 
 
 @contextmanager

@@ -302,7 +302,7 @@ def expand_circled(d: Diagram, crossing: int) -> tuple[Diagram, Diagram]:
 
 def _cut_arc(d: Diagram, arc_index: int) -> tuple[int, int, list[tuple[int, int]]]:
     """The two port codes of arc arc_index and the other arcs, as code pairs
-    (c, peer[c]) with c < peer[c], numbered in the order d.arcs lists them."""
+    (c, peer[c]) with c < peer[c], numbered in the order d.code_arcs lists them."""
     if type(arc_index) is not int:  # type(): True is not arc 1
         raise InvalidArgument(f"arc index {shown(arc_index)} is not an int")
     _table(d)  # refuses a non-Diagram

@@ -72,7 +72,7 @@ def test_one_crossing_k33_and_terminal_fixture():
         d = gen.k33_diagram()
         assert cb.contract_plain(d) == 0
         assert cb.contract_extended(d) == 12
-        X = lambda o, s: cb.Port("x", o, s)
+        X = lambda o, s: ("x", o, s)
         terminal = cb.build_diagram(
             0,
             (CIRCLED, "plain"),
@@ -191,7 +191,7 @@ def test_tensor_identities():
         circle = cb.build_diagram(0, (), [], free_loops=1)
         assert cb.contract_extended(circle) == 3
         base_theta = gen.theta_diagram()
-        with_loop = cb.build_diagram(2, (), base_theta.arcs, free_loops=1)
+        with_loop = cb.Diagram(2, (), base_theta.code_arcs, free_loops=1)
         assert cb.contract_extended(with_loop) == 3 * 6
         assert cb.skein_evaluate(with_loop) == 3 * 6
 

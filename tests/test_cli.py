@@ -542,9 +542,8 @@ def test_deep_input_fails_typed(tmp_path: Path, capsys):
 def test_crosscheck_refuses_a_diagram_the_bracket_does_not_count(tmp_path: Path, capsys):
     # without the refusal each exits 2: the torus gives a bracket of -6 against
     # 6 colorings, and a plain or dotted crossing splits k33's methods
-    arcs = [tuple(cb.Port("n", 3, 1 - p.slot) if p.owner == 3 and p.slot < 2 else p for p in arc)
-            for arc in gen.k4_diagram().arcs]  # node 3's slots 0 and 1 swapped
-    torus = cb.build_diagram(4, (), arcs)
+    swap = {9: 10, 10: 9}  # node 3's slots 0 and 1, as port codes
+    torus = cb.Diagram(4, (), [tuple(swap.get(c, c) for c in arc) for arc in gen.k4_diagram().code_arcs])
     assert cb.genus(torus) == 1
     k33 = cb.diagram_to_json_dict(gen.k33_diagram())
     cases = {"torus": (cb.diagram_to_json_dict(torus), "genus 1")}

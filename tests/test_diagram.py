@@ -13,23 +13,40 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.vendor.pretty import pretty
 
 import chromatic_bracket as cb
-from chromatic_bracket import CIRCLED, DOTTED, PLAIN, Port
+from chromatic_bracket import CIRCLED, DOTTED, PLAIN
 from chromatic_bracket import diagram as diagram_module
 from chromatic_bracket import generators as gen
 from chromatic_bracket.errors import ChromaticBracketError, NotPlane, ParseError, StrandClosesWithoutNode, UnmatchedPort
 
-N = lambda o, s: Port("n", o, s)
-X = lambda o, s: Port("x", o, s)
+N = lambda o, s: ("n", o, s)
+X = lambda o, s: ("x", o, s)
 
 
 def edge_multiset(g: cb.CubicGraph) -> Counter:
     return Counter(tuple(sorted(e)) for e in g.edges)
 
 
+def port_arcs(d: cb.Diagram) -> list[tuple[tuple, tuple]]:
+    """The arcs of d as pairs of (kind, owner, slot) tuples, read off its JSON."""
+    return [(tuple(p), tuple(q)) for p, q in cb.diagram_to_json_dict(d)["arcs"]]
+
+
+def code_port(d: cb.Diagram, c: int) -> tuple:
+    """The (kind, owner, slot) tuple of port code c of d."""
+    base = 3 * d.node_count
+    return ("n", *divmod(c, 3)) if c < base else ("x", *divmod(c - base, 4))
+
+
+def port_code(d: cb.Diagram, p: tuple) -> int:
+    """The port code of port p = (kind, owner, slot) of d."""
+    kind, owner, slot = p
+    return 3 * owner + slot if kind == "n" else 3 * d.node_count + 4 * owner + slot
+
+
 def test_build_diagram_canonicalizes_arc_order():
     a = gen.theta_diagram()
     shuffled = cb.build_diagram(
-        a.node_count, a.crossing_kinds, list(reversed([tuple(reversed(arc)) for arc in a.arcs]))
+        a.node_count, a.crossing_kinds, list(reversed([tuple(reversed(arc)) for arc in port_arcs(a)]))
     )
     assert shuffled == a
     assert cb.diagram_to_json_dict(shuffled) == cb.diagram_to_json_dict(a)
@@ -53,37 +70,50 @@ THETA_ARCS = [(N(0, 0), N(1, 0)), (N(0, 1), N(1, 2)), (N(0, 2), N(1, 1))]
     "node_count, kinds, arcs, message",
     [
         (2, (), [(N(0, 0), N(0, 0))] + THETA_ARCS[1:],
-         "arc joins port Port(kind='n', owner=0, slot=0) to itself"),
+         "arc joins port ['n', 0, 0] to itself"),
         # the first missing port in sorted arc order, not the lowest missing port
         (2, (), THETA_ARCS[:2] + [(N(0, 2), N(1, 3)), (N(0, 3), N(1, 1))],
-         "port Port(kind='n', owner=1, slot=3) does not exist"),
+         "port ['n', 1, 3] does not exist"),
         (2, (), THETA_ARCS + [(N(1, 3), N(2, 0))],
-         "port Port(kind='n', owner=1, slot=3) does not exist"),
+         "port ['n', 1, 3] does not exist"),
         (2, (), THETA_ARCS + [(N(0, 0), X(0, 0))],
-         "port Port(kind='x', owner=0, slot=0) does not exist"),
+         "port ['x', 0, 0] does not exist"),
         (2, (PLAIN,), THETA_ARCS + [(X(0, 4), X(0, 0))],
-         "port Port(kind='x', owner=0, slot=4) does not exist"),
-        (2, (), THETA_ARCS[:2], "port Port(kind='n', owner=0, slot=2) is covered 0 times, expected 1"),
+         "port ['x', 0, 4] does not exist"),
+        (2, (), THETA_ARCS[:2], "port ['n', 0, 2] is covered 0 times, expected 1"),
         (2, (), THETA_ARCS + [(N(0, 0), N(1, 1))],
-         "port Port(kind='n', owner=0, slot=0) is covered 2 times, expected 1"),
+         "port ['n', 0, 0] is covered 2 times, expected 1"),
         # node ports are checked before crossing ports
         (2, (PLAIN,), [(X(0, 0), X(0, 1))] + THETA_ARCS[1:],
-         "port Port(kind='n', owner=0, slot=0) is covered 0 times, expected 1"),
+         "port ['n', 0, 0] is covered 0 times, expected 1"),
         (2, (PLAIN,), THETA_ARCS + [(X(0, 0), X(0, 1)), (X(0, 2), X(0, 1))],
-         "port Port(kind='x', owner=0, slot=1) is covered 2 times, expected 1"),
+         "port ['x', 0, 1] is covered 2 times, expected 1"),
     ],
+    ids=["joins itself", "first in sorted arc order", "first in its arc", "no crossing", "no slot 4", "uncovered",
+         "covered twice", "node ports first", "crossing port covered twice"],
 )
 def test_build_diagram_error_messages(node_count, kinds, arcs, message):
-    with pytest.raises(UnmatchedPort) as info:
-        cb.build_diagram(node_count, kinds, arcs)
-    assert str(info.value) == message
-    # a diagram JSON with those arcs reports the same port
+    # the ports given as lists, as a diagram JSON gives them, and the JSON reader reports the same port
     data = {"nodes": [{"id": n} for n in range(node_count)],
             "crossings": [{"id": x, "kind": k} for x, k in enumerate(kinds)],
             "arcs": [[list(p), list(q)] for p, q in arcs]}
+    with pytest.raises(UnmatchedPort) as info:
+        cb.build_diagram(node_count, kinds, data["arcs"])
+    assert str(info.value) == message
     with pytest.raises(ParseError) as info:
         cb.diagram_from_json_dict(data)
     assert str(info.value) == message
+
+
+def test_a_refusal_shows_the_port_as_given():
+    # the caller's spelling of a port that does not exist, and the JSON spelling of one not covered
+    for port, spelled in ((N(1, 3), "('n', 1, 3)"), (["n", 1, 3], "['n', 1, 3]")):
+        with pytest.raises(UnmatchedPort) as info:
+            cb.build_diagram(2, (), THETA_ARCS[:2] + [(N(0, 2), port)])
+        assert str(info.value) == f"port {spelled} does not exist"
+    with pytest.raises(UnmatchedPort) as info:
+        cb.build_diagram(2, (), THETA_ARCS[:2])
+    assert str(info.value) == "port ['n', 0, 2] is covered 0 times, expected 1"
 
 
 def test_build_diagram_validates_kinds_and_slots():
@@ -98,9 +128,9 @@ def test_trace_strand_without_crossings():
     # which strands are numbered: strand e is arc e
     for d in (gen.theta_diagram(), gen.prism_diagram(), gen.random_plane_cubic(20, 3)):
         k, triples, axes = cb.trace_strands(d)
-        assert (k, axes) == (len(d.arcs), [])
-        for e, (p, q) in enumerate(d.arcs):
-            assert triples[p.owner][p.slot] == triples[q.owner][q.slot] == e
+        assert (k, axes) == (len(d.code_arcs), [])
+        for e, ((_, u, s), (_, v, t)) in enumerate(port_arcs(d)):
+            assert triples[u][s] == triples[v][t] == e
 
 
 def test_plane_fixture_face_counts():
@@ -125,16 +155,7 @@ def test_k33_fixture_diagram():
 def test_slot_swap_changes_genus():
     # rerouting one node's rotation turns the plane tetrahedron drawing
     # into a genus-1 drawing of the same multigraph
-    k4d = gen.k4_diagram()
-
-    def fix(p: Port) -> Port:
-        if p.kind == "n" and p.owner == 3 and p.slot in (0, 1):
-            return Port("n", 3, 1 - p.slot)
-        return p
-
-    scrambled = cb.build_diagram(
-        k4d.node_count, k4d.crossing_kinds, [tuple(fix(p) for p in arc) for arc in k4d.arcs]
-    )
+    scrambled = _scrambled_k4()
     assert len(cb.trace_faces(scrambled)) == 2
     assert cb.genus(scrambled) == 1
     assert edge_multiset(cb.underlying_graph(scrambled)) == edge_multiset(gen.k4())
@@ -161,7 +182,7 @@ def test_crossing_axis_edges_on_immersion():
     k, triples, axes = cb.trace_strands(d)
     assert k == 6 and len(axes) == d.crossing_count
     walked = set()
-    strand = reference_strands(d, port_mate(d.arcs))[3]
+    strand = reference_strands(d, port_mate(port_arcs(d)))[3]
     for n, triple in enumerate(triples):
         for slot, e in enumerate(triple):
             _, walk = strand(N(n, slot))
@@ -293,7 +314,7 @@ def test_diagram_json_rejects_a_repeated_crossing_id():
 
 def test_free_loops_survive_json():
     base = gen.theta_diagram()
-    d = cb.build_diagram(base.node_count, (), base.arcs, free_loops=3)
+    d = cb.Diagram(base.node_count, (), base.code_arcs, free_loops=3)
     assert cb.diagram_from_json_dict(json.loads(json.dumps(cb.diagram_to_json_dict(d)))).free_loops == 3
 
 
@@ -307,22 +328,18 @@ def test_dotted_kind_accepted():
 def _scrambled_k4() -> cb.Diagram:
     """The genus-1 drawing of K4: node 3's slots 0 and 1 swapped."""
     k4d = gen.k4_diagram()
-
-    def fix(p: Port) -> Port:
-        if p.kind == "n" and p.owner == 3 and p.slot in (0, 1):
-            return Port("n", 3, 1 - p.slot)
-        return p
-
+    swap = {N(3, 0): N(3, 1), N(3, 1): N(3, 0)}
     return cb.build_diagram(
-        k4d.node_count, k4d.crossing_kinds, [tuple(fix(p) for p in arc) for arc in k4d.arcs]
+        k4d.node_count, k4d.crossing_kinds, [tuple(swap.get(p, p) for p in arc) for arc in port_arcs(k4d)]
     )
 
 
 def _disjoint_union(a: cb.Diagram, b: cb.Diagram) -> cb.Diagram:
-    def shift(p: Port) -> Port:
-        return Port(p.kind, p.owner + (a.node_count if p.kind == "n" else a.crossing_count), p.slot)
+    def shift(p: tuple) -> tuple:
+        kind, owner, slot = p
+        return kind, owner + (a.node_count if kind == "n" else a.crossing_count), slot
 
-    arcs = list(a.arcs) + [(shift(p), shift(q)) for p, q in b.arcs]
+    arcs = port_arcs(a) + [(shift(p), shift(q)) for p, q in port_arcs(b)]
     return cb.build_diagram(
         a.node_count + b.node_count, a.crossing_kinds + b.crossing_kinds, arcs
     )
@@ -353,11 +370,11 @@ def test_chord_immersion_refuses_a_layout_of_positive_genus(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the walks on port codes against the walks on Ports they replaced
+# the walks on port codes against walks on (kind, owner, slot) ports
 
 
-def port_mate(arcs) -> dict[Port, Port]:
-    """The pairing of Ports that arcs make, built here so that the reference
+def port_mate(arcs) -> dict[tuple, tuple]:
+    """The pairing of ports that arcs make, built here so that the reference
     walks do not depend on the port-code table."""
     mate = {}
     for p, q in arcs:
@@ -365,23 +382,23 @@ def port_mate(arcs) -> dict[Port, Port]:
     return mate
 
 
-def reference_faces(mate: dict[Port, Port]) -> list[list[Port]]:
-    """Face walks stepping Port by Port: over the arc, then one slot clockwise."""
+def reference_faces(mate: dict[tuple, tuple]) -> list[list[tuple]]:
+    """Face walks stepping port by port: over the arc, then one slot clockwise."""
     faces, seen = [], set()
     for start in sorted(mate):
         walk, p = [], start
         while p not in seen:
             seen.add(p)
             walk.append(p)
-            q = mate[p]
-            p = Port(q.kind, q.owner, (q.slot + 1) % (3 if q.kind == "n" else 4))
+            kind, owner, slot = mate[p]
+            p = kind, owner, (slot + 1) % (3 if kind == "n" else 4)
         if walk:
             faces.append(walk)
     return faces
 
 
-def reference_genus(d: cb.Diagram, mate: dict[Port, Port]) -> int:
-    vertex = lambda p: p.owner if p.kind == "n" else d.node_count + p.owner
+def reference_genus(d: cb.Diagram, mate: dict[tuple, tuple]) -> int:
+    vertex = lambda p: p[1] if p[0] == "n" else d.node_count + p[1]
     root = list(range(d.node_count + d.crossing_count))
 
     def find(v):
@@ -395,13 +412,13 @@ def reference_genus(d: cb.Diagram, mate: dict[Port, Port]) -> int:
     return (2 * c - len(root) + len(mate) // 2 - len(reference_faces(mate))) // 2
 
 
-def reference_strands(d: cb.Diagram, mate: dict[Port, Port]):
-    """trace_strands through mate on Ports: a strand leaves crossing slot s at s + 2."""
+def reference_strands(d: cb.Diagram, mate: dict[tuple, tuple]):
+    """trace_strands through mate on ports: a strand leaves crossing slot s at s + 2."""
     def strand(start):
         walk, cur = [], mate[start]
-        while cur.kind == "x":
-            walk.append((cur.owner, cur.slot))
-            cur = mate[X(cur.owner, (cur.slot + 2) % 4)]
+        while cur[0] == "x":
+            walk.append(cur[1:])
+            cur = mate[X(cur[1], (cur[2] + 2) % 4)]
         return cur, walk
 
     triples = [[-1, -1, -1] for _ in range(d.node_count)]
@@ -411,23 +428,23 @@ def reference_strands(d: cb.Diagram, mate: dict[Port, Port]):
         for s in range(3):
             if triple[s] < 0:
                 end, walk = strand(N(n, s))
-                triple[s] = triples[end.owner][end.slot] = k
+                triple[s] = triples[end[1]][end[2]] = k
                 for x, slot in walk:
                     axes[x][slot % 2] = k
                 k += 1
     for x, pair in enumerate(axes):
         for axis in (0, 1):
             if pair[axis] < 0:
-                cur = X(x, axis)
-                while axes[cur.owner][cur.slot % 2] < 0:
-                    axes[cur.owner][cur.slot % 2] = k
-                    cur = mate[X(cur.owner, (cur.slot + 2) % 4)]
+                _, y, slot = X(x, axis)
+                while axes[y][slot % 2] < 0:
+                    axes[y][slot % 2] = k
+                    _, y, slot = mate[X(y, (slot + 2) % 4)]
                 k += 1
     return k, [tuple(t) for t in triples], axes, strand
 
 
 @st.composite
-def walk_diagrams(draw) -> tuple[cb.Diagram, list[tuple[Port, Port]]]:
+def walk_diagrams(draw) -> tuple[cb.Diagram, list[tuple[tuple, tuple]]]:
     """A plane diagram, a chord immersion in input or reversed node order, a
     nodeless ring of crossings, or any pairing of the ports of a few nodes and
     crossings (of any genus); maybe with arcs encircled or twisted, crossings
@@ -453,11 +470,11 @@ def walk_diagrams(draw) -> tuple[cb.Diagram, list[tuple[Port, Port]]]:
         d = cb.build_diagram(nodes, (PLAIN,) * crossings, list(zip(ports[::2], ports[1::2])))
     for _ in range(draw(st.integers(0, 2))):
         surgery = draw(st.sampled_from((cb.encircle_arc, cb.insert_twist)))
-        d = surgery(d, draw(st.integers(0, len(d.arcs) - 1)))
+        d = surgery(d, draw(st.integers(0, len(d.code_arcs) - 1)))
     kinds = draw(st.lists(st.sampled_from((PLAIN, CIRCLED, DOTTED)),
                           min_size=d.crossing_count, max_size=d.crossing_count))
-    flips = draw(st.lists(st.booleans(), min_size=len(d.arcs), max_size=len(d.arcs)))
-    arcs = draw(st.permutations([(q, p) if flip else (p, q) for (p, q), flip in zip(d.arcs, flips)]))
+    flips = draw(st.lists(st.booleans(), min_size=len(d.code_arcs), max_size=len(d.code_arcs)))
+    arcs = draw(st.permutations([(q, p) if flip else (p, q) for (p, q), flip in zip(port_arcs(d), flips)]))
     return cb.build_diagram(d.node_count, kinds, arcs, free_loops=draw(st.integers(0, 2))), arcs
 
 
@@ -467,8 +484,8 @@ def test_code_walks_match_the_port_walks(drawn):
     d, arcs = drawn
     mate = port_mate(arcs)
     faces = cb.trace_faces(d)
-    assert faces == reference_faces(mate)
-    assert all(type(p) is Port for walk in faces for p in walk)
+    assert all(type(c) is int for walk in faces for c in walk)
+    assert [[code_port(d, c) for c in walk] for walk in faces] == reference_faces(mate)
     assert cb.genus(d) == reference_genus(d, mate)
     k, triples, axes, _ = reference_strands(d, mate)
     assert cb.trace_strands(d) == (k, triples, axes)
@@ -482,41 +499,9 @@ def test_code_walks_match_the_port_walks(drawn):
 @given(walk_diagrams())
 def test_port_views_are_the_arcs_given(drawn):
     d, arcs = drawn
-    assert d.arcs == tuple(sorted((p, q) if p < q else (q, p) for p, q in arcs))
-    assert all(type(p) is Port for arc in d.arcs for p in arc)
-    assert cb.build_diagram(d.node_count, d.crossing_kinds, d.arcs, d.free_loops) == d
-
-
-def test_the_walks_build_no_port_view():
-    # chord immersion, faces, strands and both brackets read the port-code
-    # table; the Port view is built only when asked for, and then kept
-    d = cb.chord_immersion(gen.random_cubic(14, 837814450))
-    assert cb.genus(d) == 0
-    cb.trace_strands(d)
-    assert cb.contract_extended(d) == cb.skein_evaluate(d) == cb.count_colorings(gen.random_cubic(14, 837814450))
-    assert "arcs" not in vars(d)
-    assert d.arcs is d.arcs
-    assert "arcs" in vars(d)
-
-
-def test_the_package_types_no_port_of_a_diagram_it_builds(monkeypatch):
-    # growth, surgery, expansion and chord immersion make port codes, never
-    # Ports: only a caller's ports go through build_diagram's typing
-    theta, immersed = gen.theta_diagram(), cb.chord_immersion(gen.k33())
-
-    def refuse(obj):
-        raise AssertionError(f"typed port {obj!r}")
-
-    monkeypatch.setattr(diagram_module, "_arc_port", refuse)
-    for name in ("theta", "dumbbell", "k4", "prism", "k33"):  # the fixtures spell their ports as tuples
-        assert gen.named_diagram(name).node_count >= 2
-    assert gen.random_plane_cubic(2, 0) == theta
-    assert gen.random_plane_cubic(12, 3).node_count == 12
-    for d in (theta, immersed):
-        for surgery in (cb.encircle_arc, cb.insert_twist):
-            assert surgery(d, 0).crossing_count == d.crossing_count + 1
-    assert len(cb.expand_circled(immersed, 0)) == 2
-    assert cb.chord_immersion(gen.petersen()).node_count == 10
+    codes = (sorted(port_code(d, p) for p in arc) for arc in arcs)
+    assert d.code_arcs == tuple(sorted(map(tuple, codes)))
+    assert cb.Diagram(d.node_count, d.crossing_kinds, d.code_arcs, d.free_loops) == d
 
 
 def valid_diagrams() -> list[cb.Diagram]:
@@ -526,9 +511,9 @@ def valid_diagrams() -> list[cb.Diagram]:
     return ([gen.named_diagram(name) for name in ("theta", "dumbbell", "k4", "prism", "k33")]
             + [gen.random_plane_cubic(n, seed) for n, seed in ((2, 0), (12, 3), (24, 523522211))]
             + immersed
-            + [cb.build_diagram(d.node_count, [diagram_module.CROSSING_KINDS[x % 3] for x in range(d.crossing_count)],
-                                d.arcs) for d in immersed]
-            + [cb.build_diagram(2, (), gen.theta_diagram().arcs, free_loops=2),
+            + [cb.Diagram(d.node_count, [diagram_module.CROSSING_KINDS[x % 3] for x in range(d.crossing_count)],
+                          d.code_arcs) for d in immersed]
+            + [cb.Diagram(2, (), gen.theta_diagram().code_arcs, free_loops=2),
                cb.encircle_arc(gen.k4_diagram(), 3)])
 
 
@@ -538,26 +523,11 @@ def test_every_value_type_prints_as_its_constructor_call():
     g = gen.k33()
     state = cb.make_state(g, cb.enumerate_perfect_matchings(g)[0], [cb.PARALLEL, cb.CROSSED, cb.PARALLEL])
     formation = cb.formation_from_coloring(g, cb.enumerate_colorings(g)[0])
-    values = [*valid_diagrams(), state, state.sites[0], formation, g, gen.k33_diagram().arcs[0][1]]
+    values = [*valid_diagrams(), state, state.sites[0], formation, g]
     ns = {name: getattr(cb, name) for name in cb.__all__}
     for x in values:
         assert eval(repr(x), ns) == x
         assert pretty(x)
-
-
-def test_the_json_reader_types_no_port_of_a_valid_file(monkeypatch):
-    # the reader reads each port of a valid file straight to its code: a Port
-    # is built only to word a refusal
-    diagrams = valid_diagrams()
-    files = [json.loads(json.dumps(cb.diagram_to_json_dict(d))) for d in diagrams]
-    assert {PLAIN, CIRCLED, DOTTED} <= {k for d in diagrams for k in d.crossing_kinds}
-
-    def refuse(obj):
-        raise AssertionError(f"typed port {obj!r}")
-
-    monkeypatch.setattr(diagram_module, "_arc_port", refuse)
-    for d, data in zip(diagrams, files):
-        assert cb.diagram_from_json_dict(data) == d
 
 
 def mutated_diagram_json(rng: random.Random, data: dict) -> dict:
@@ -583,7 +553,9 @@ def mutated_diagram_json(rng: random.Random, data: dict) -> dict:
 def test_the_json_reader_outcomes_are_pinned():
     # each outcome is the diagram's table or the refusal's type and message,
     # so a change to how ports are read keeps every message and which bad port
-    # is reported first; this digest was taken from the Port-based reader
+    # is reported first; this digest is that of the reader that typed ports as
+    # named tuples, with each Port(kind=K, owner=O, slot=S) in a message spelled
+    # [K, O, S], the port as the file gives it
     rng = random.Random(0)
     bases = [cb.diagram_to_json_dict(d) for d in valid_diagrams()]
     corpus = bases + [mutated_diagram_json(rng, data) for data in bases for _ in range(40)]
@@ -595,14 +567,7 @@ def test_the_json_reader_outcomes_are_pinned():
         except ChromaticBracketError as exc:
             outcomes.append((type(exc).__name__, str(exc)))
     digest = hashlib.sha256(repr(outcomes).encode()).hexdigest()
-    assert digest == "9cc891ef7576c5138c538086ee54b917f12950452341d84b3b0aa390844fca1e"
-
-
-def test_surgery_builds_no_port_view():
-    # the surgeries cut an arc out of the port-code table, not out of d.arcs
-    for d in (gen.theta_diagram(), cb.chord_immersion(gen.k33())):
-        assert cb.encircle_arc(d, 0) != cb.insert_twist(d, 0)
-        assert "arcs" not in vars(d)
+    assert digest == "8217c6542633e560012490812208db8ca87906f5fe3d1c3ecc2e299eb68fa4f8"
 
 
 def test_cw_lists_must_agree_with_the_arcs():
@@ -614,7 +579,7 @@ def test_cw_lists_must_agree_with_the_arcs():
         ("crossings", 0, 2, ["x", 0, 0], "cw entry of x0 slot 2 disagrees with arcs"),
         ("nodes", 5, 1, ["x", 1, 3], "cw entry of n5 slot 1 disagrees with arcs"),  # no crossing 1
         # equal to the right port by value, but a float owner is no port
-        ("nodes", 0, 0, ["n", 3.0, 0], "port Port(kind='n', owner=3.0, slot=0) does not exist"),
+        ("nodes", 0, 0, ["n", 3.0, 0], "port ['n', 3.0, 0] does not exist"),
     ):
         bad = copy.deepcopy(data)
         bad[key][owner]["cw"][slot] = port

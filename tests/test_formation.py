@@ -106,18 +106,8 @@ def test_meetings_refuse_non_plane_input():
 
 
 def test_meetings_refuse_positive_genus():
-    from chromatic_bracket import Port
-
-    k4d = gen.k4_diagram()
-
-    def fix(p: Port) -> Port:
-        if p.kind == "n" and p.owner == 3 and p.slot in (0, 1):
-            return Port("n", 3, 1 - p.slot)
-        return p
-
-    torus = cb.build_diagram(
-        k4d.node_count, k4d.crossing_kinds, [tuple(fix(p) for p in arc) for arc in k4d.arcs]
-    )
+    swap = {9: 10, 10: 9}  # node 3's slots 0 and 1, as port codes
+    torus = cb.Diagram(4, (), [tuple(swap.get(c, c) for c in arc) for arc in gen.k4_diagram().code_arcs])
     assert cb.genus(torus) == 1
     ug = cb.underlying_graph(torus)
     c = cb.enumerate_colorings(ug)[0]

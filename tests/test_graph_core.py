@@ -215,7 +215,7 @@ def test_huge_diagram_node_count_is_an_unmatched_port_not_an_allocation():
     # the coverage table is bounded by the arcs, as the degree table is by the edges
     with pytest.raises(UnmatchedPort) as info:
         cb.build_diagram(10**9, (), [])
-    assert str(info.value) == "port Port(kind='n', owner=0, slot=0) is covered 0 times, expected 1"
+    assert str(info.value) == "port ['n', 0, 0] is covered 0 times, expected 1"
 
 
 def test_graph_json_integer_past_the_digit_limit_is_a_parse_error(tmp_path):

@@ -4,6 +4,7 @@ which is also a ValueError for callers that catch that."""
 from __future__ import annotations
 
 import inspect
+from collections import namedtuple
 from collections.abc import Iterator
 
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 import chromatic_bracket as cb
 from chromatic_bracket import generators as gen
 from chromatic_bracket import CIRCLED, DOTTED, PURPLE, RED
-from chromatic_bracket.diagram import NODE, Port
+from chromatic_bracket.diagram import NODE
 from chromatic_bracket.errors import (
     ChromaticBracketError,
     DegreeViolation,
@@ -21,12 +22,13 @@ from chromatic_bracket.errors import (
     NotCircled,
     PartialColoring,
     UnmatchedPort,
+    shown,
 )
 
 K33 = gen.k33()
 K33_MATCHING = cb.enumerate_perfect_matchings(K33)[0]
 K33_COLORING = next(cb.iter_colorings(K33))
-THETA_ARCS = list(gen.theta_diagram().arcs)  # the first arc is (n0.0, n1.0)
+THETA_ARCS = [((NODE, 0, 0), (NODE, 1, 0)), ((NODE, 0, 1), (NODE, 1, 2)), ((NODE, 0, 2), (NODE, 1, 1))]  # theta's arcs
 HUGE = 10**5000  # past the default int-to-str limit of 4300 digits
 
 
@@ -177,9 +179,9 @@ BAD_DIAGRAMS = {
     "float code": (lambda: cb.Diagram(2, (), [(0, 3), (1, 5), (2.0, 4)]),
                    InvalidArgument, "arc (2.0, 4) is not a pair of port codes below 6"),
     "port paired with itself": (lambda: cb.Diagram(2, (), [(0, 3), (1, 5), (2, 2)]), UnmatchedPort,
-                                "port Port(kind='n', owner=0, slot=2) is covered 2 times, expected 1"),
+                                "port ['n', 0, 2] is covered 2 times, expected 1"),
     "uncovered port": (lambda: cb.Diagram(2, (), THETA_CODES[:2]), UnmatchedPort,
-                       "port Port(kind='n', owner=0, slot=2) is covered 0 times, expected 1"),
+                       "port ['n', 0, 2] is covered 0 times, expected 1"),
     "node_count -1": (lambda: cb.Diagram(-1, (), THETA_CODES), InvalidArgument, COUNTS_MESSAGE),
     "unknown kind": (lambda: cb.Diagram(2, ("wavy",), THETA_CODES), InvalidArgument, "unknown crossing kind 'wavy'"),
 }
@@ -217,25 +219,32 @@ def test_a_direct_state_call_is_checked_as_make_state_is(args, error, message):
         assert type(info.value) is error and str(info.value) == message
 
 
+NO_PORT = (InvalidArgument, "does not have three fields")
+ABSENT = (UnmatchedPort, "does not exist")
 MISTYPED_PORTS = {
-    "str owner": (NODE, "0", 0),
-    "None owner": (NODE, None, 0),
-    "float owner": Port(NODE, 0.0, 0),
-    "bool owner": Port(NODE, False, 0),
-    "float slot": (NODE, 0, 0.0),
-    "bool slot": (NODE, 0, False),
-    "unknown kind": ("q", 0, 0),
-    "None kind": (None, 0, 0),
+    "str owner": ((NODE, "0", 0), *ABSENT),
+    "None owner": ((NODE, None, 0), *ABSENT),
+    "float owner": ((NODE, 0.0, 0), *ABSENT),
+    "bool owner": ((NODE, False, 0), *ABSENT),
+    # a port is a list or tuple by type(), so none of these is unpacked
+    "str port": ("n01", *NO_PORT),
+    "dict port": ({"kind": NODE, "owner": 0, "slot": 0}, *NO_PORT),
+    "named tuple port": (namedtuple("UserPort", "kind owner slot")(NODE, 0, 0), *NO_PORT),
+    "float slot": ((NODE, 0, 0.0), *ABSENT),
+    "bool slot": ((NODE, 0, False), *ABSENT),
+    "unknown kind": (("q", 0, 0), *ABSENT),
+    "None kind": ((None, 0, 0), *ABSENT),
 }
 
 
-@pytest.mark.parametrize("port", MISTYPED_PORTS.values(), ids=MISTYPED_PORTS.keys())
-def test_mistyped_ports_do_not_exist(port):
+@pytest.mark.parametrize("port, error, message", MISTYPED_PORTS.values(), ids=MISTYPED_PORTS.keys())
+def test_mistyped_ports_do_not_exist(port, error, message):
     # each matches n0.0 only by value, or does not sort with it: ports are
     # checked by type, so none is read as n0.0 and none raises a bare TypeError
-    assert theta_with_first_port(Port(NODE, 0, 0)) == gen.theta_diagram()
-    with pytest.raises(UnmatchedPort, match="does not exist"):
+    assert theta_with_first_port((NODE, 0, 0)) == gen.theta_diagram()
+    with pytest.raises(error) as info:
         theta_with_first_port(port)
+    assert type(info.value) is error and str(info.value) == f"port {shown(port)} {message}"
 
 
 HUGE_INT_CALLS = {
@@ -276,7 +285,7 @@ VALID_ARGS = {
     **dict.fromkeys(["validate_matching", "complement_cycles", "is_even_matching", "colorings_from_even_matching",
                      "logical_expansion_count"], (K33, K33_MATCHING)),
     "matching_from_coloring": (K33, K33_COLORING, PURPLE),
-    "Diagram": (2, (), THETA_CODES, 0), "Port": (NODE, 0, 0), "build_diagram": (2, (), THETA_ARCS, 0),
+    "Diagram": (2, (), THETA_CODES, 0), "build_diagram": (2, (), THETA_ARCS, 0),
     "chord_immersion": (K33, list(range(6))),
     **dict.fromkeys(["genus", "trace_faces", "trace_strands", "underlying_graph", "diagram_to_json_dict",
                      "contract_plain", "contract_extended"], (IMMERSED,)),

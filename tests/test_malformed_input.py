@@ -25,7 +25,7 @@ DIAGRAMS = [
     gen.theta_diagram(),
     gen.k33_diagram(),
     cb.encircle_arc(gen.theta_diagram(), 0),
-    cb.build_diagram(2, (), gen.theta_diagram().arcs, free_loops=2),
+    cb.Diagram(2, (), gen.theta_diagram().code_arcs, free_loops=2),
     cb.chord_immersion(gen.k4()),
 ]
 GRAPH_JSON = [cb.graph_to_json_dict(g) for g in GRAPHS]

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import chromatic_bracket as cb
-from chromatic_bracket import BLUE, CIRCLED, DOTTED, PLAIN, PURPLE, RED, Port
+from chromatic_bracket import BLUE, CIRCLED, DOTTED, PLAIN, PURPLE, RED
 from chromatic_bracket import generators as gen
 from chromatic_bracket import diagram, penrose
 from chromatic_bracket.cli import main
@@ -27,8 +27,8 @@ from chromatic_bracket.errors import (
 )
 from chromatic_bracket.graph_core import components
 
-N = lambda o, s: Port("n", o, s)
-X = lambda o, s: Port("x", o, s)
+N = lambda o, s: ("n", o, s)
+X = lambda o, s: ("x", o, s)
 
 
 def two_strand_fixture() -> cb.Diagram:
@@ -119,7 +119,7 @@ def test_free_loops_multiply_by_three():
     assert cb.contract_extended(circle) == 3
     assert cb.skein_evaluate(circle) == 3
     base = gen.theta_diagram()
-    lifted = cb.build_diagram(base.node_count, (), base.arcs, free_loops=2)
+    lifted = cb.Diagram(base.node_count, (), base.code_arcs, free_loops=2)
     assert cb.contract_extended(lifted) == 9 * 6
     assert cb.skein_evaluate(lifted) == 9 * 6
 
@@ -127,11 +127,9 @@ def test_free_loops_multiply_by_three():
 def test_disjoint_union_multiplies_values():
     a = gen.theta_diagram()
     b = gen.k4_diagram()
-    shift = a.node_count
-    arcs = list(a.arcs) + [
-        tuple(Port("n", p.owner + shift, p.slot) for p in arc) for arc in b.arcs
-    ]
-    union = cb.build_diagram(a.node_count + b.node_count, (), arcs)
+    shift = 3 * a.node_count  # both are crossing-free, so b's port codes move past a's node ports
+    arcs = list(a.code_arcs) + [(c + shift, m + shift) for c, m in b.code_arcs]
+    union = cb.Diagram(a.node_count + b.node_count, (), arcs)
     assert cb.contract_extended(union) == 36
     assert cb.skein_evaluate(union) == 36
 
@@ -155,7 +153,7 @@ def test_two_strand_fixture_value():
 def test_twist_leaves_extended_value_unchanged():
     for d in (gen.theta_diagram(), gen.k33_diagram(), cb.chord_immersion(gen.k4())):
         base = cb.contract_extended(d)
-        for i in range(len(d.arcs)):
+        for i in range(len(d.code_arcs)):
             tw = cb.insert_twist(d, i)
             assert cb.contract_extended(tw) == base
             assert cb.skein_evaluate(tw) == base
@@ -164,7 +162,7 @@ def test_twist_leaves_extended_value_unchanged():
 def test_encircling_an_arc_flips_the_sign():
     for d in (gen.theta_diagram(), gen.k33_diagram()):
         base = cb.skein_evaluate(d)
-        for i in range(len(d.arcs)):
+        for i in range(len(d.code_arcs)):
             assert cb.skein_evaluate(cb.encircle_arc(d, i)) == -base
 
 
@@ -308,7 +306,7 @@ def test_skein_matches_contraction_on_mixed_crossing_kinds():
         for g in itertools.islice((g for g in graphs if not cb.has_loop(g)), 15):
             d = cb.chord_immersion(g)
             kinds = [rng.choice((PLAIN, CIRCLED, DOTTED)) for _ in d.crossing_kinds]
-            mixed = cb.build_diagram(d.node_count, kinds, d.arcs)
+            mixed = cb.Diagram(d.node_count, kinds, d.code_arcs)
             assert cb.skein_evaluate(mixed) == cb.contract_extended(mixed), (n, kinds)
 
 
@@ -394,10 +392,10 @@ def ranked_diagrams(draw) -> tuple[cb.Diagram, list[int]]:
         assume(not cb.has_loop(g))
         d = cb.chord_immersion(g)
     if draw(st.booleans()):
-        d = cb.encircle_arc(d, draw(st.integers(0, len(d.arcs) - 1)))
+        d = cb.encircle_arc(d, draw(st.integers(0, len(d.code_arcs) - 1)))
     kinds = draw(st.lists(st.sampled_from((PLAIN, CIRCLED, DOTTED)),
                           min_size=d.crossing_count, max_size=d.crossing_count))
-    d = cb.build_diagram(d.node_count, kinds, d.arcs, free_loops=draw(st.integers(0, 2)))
+    d = cb.Diagram(d.node_count, kinds, d.code_arcs, free_loops=draw(st.integers(0, 2)))
     return d, draw(st.permutations(range(d.node_count)))
 
 
@@ -417,7 +415,7 @@ def surgered_diagrams(draw) -> cb.Diagram:
     d, _ = draw(ranked_diagrams())
     for _ in range(draw(st.integers(0, 2))):
         surgery = draw(st.sampled_from((cb.encircle_arc, cb.insert_twist)))
-        d = surgery(d, draw(st.integers(0, len(d.arcs) - 1)))
+        d = surgery(d, draw(st.integers(0, len(d.code_arcs) - 1)))
     return d
 
 
@@ -441,7 +439,7 @@ def test_every_summed_node_component_has_an_even_node_count(d):
 
 @settings(max_examples=60, deadline=None)
 @given(surgered_diagrams().map(cb.diagram_to_json_dict))  # as JSON, the input crosscheck reads
-@example(cb.diagram_to_json_dict(cb.build_diagram(6, (PLAIN,), gen.k33_diagram().arcs)))  # exit 2 without the refusal
+@example(cb.diagram_to_json_dict(cb.Diagram(6, (PLAIN,), gen.k33_diagram().code_arcs)))  # exit 2 without the refusal
 def test_crosscheck_refuses_or_agrees_on_every_surgered_diagram(data):
     # exit 2 means the methods disagree; a diagram the bracket does not count is refused
     with tempfile.TemporaryDirectory() as tmp:
@@ -472,9 +470,9 @@ def test_components_are_summed_apart(monkeypatch):
     budget = 10**6
     assert cb.contract_extended(prism) == 6
     budget, reads[:] = 8 * len(reads), []
-    arcs = [tuple(Port(p.kind, p.owner + c * prism.node_count, p.slot) for p in arc)
-            for c in range(8) for arc in prism.arcs]
-    assert cb.contract_extended(cb.build_diagram(8 * prism.node_count, (), arcs)) == 6**8
+    shift = 3 * prism.node_count  # the prism is crossing-free: copy c's port codes start at c * shift
+    arcs = [(a + c * shift, b + c * shift) for c in range(8) for a, b in prism.code_arcs]
+    assert cb.contract_extended(cb.Diagram(8 * prism.node_count, (), arcs)) == 6**8
 
 
 def test_state_key_is_blind_to_names_only():
@@ -507,7 +505,7 @@ def mixed_k33_immersion() -> cb.Diagram:
     rng = random.Random(0)
     kinds = [rng.choice((PLAIN, CIRCLED)) for _ in d.crossing_kinds]
     kinds[3] = DOTTED
-    return cb.build_diagram(d.node_count, kinds, d.arcs)
+    return cb.Diagram(d.node_count, kinds, d.code_arcs)
 
 
 @pytest.mark.parametrize("d", [gen.prism_diagram(), gen.k33_diagram(), mixed_k33_immersion()],
