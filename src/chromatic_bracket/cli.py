@@ -57,7 +57,7 @@ from .penrose import (
     skein_evaluate,
     weight_tables,
 )
-from .state_calculus import _expansion_count, logical_expansion_count
+from .state_calculus import _expansion_counts, logical_expansion_count
 
 T = TypeVar("T")
 
@@ -194,10 +194,8 @@ def run_crosscheck(g: CubicGraph, d: Diagram) -> dict:
     run("penrose_skein", lambda: skein_evaluate(d))
     if d.crossing_count == 0:
         run("penrose_plain", lambda: contract_plain(d))
-    states: dict[str, int] = {}
     t0 = time.perf_counter()
-    for i, m in enumerate(matchings):
-        states[str(i)] = _expansion_count(g, m)
+    states = {str(i): v for i, v in enumerate(_expansion_counts(g, matchings))}
     timings["states"] = round(time.perf_counter() - t0, 6)
 
     count = methods["brute"]

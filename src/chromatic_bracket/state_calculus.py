@@ -185,15 +185,18 @@ def logical_expansion_count(g: CubicGraph, matching: Iterable[int]) -> int:
     coloring selects exactly one switch per site (the pairing whose linked
     edges it colors equally) and then colors the loops of that state.
     """
-    return _expansion_count(g, validate_matching(g, matching))
+    return _expansion_counts(g, [validate_matching(g, matching)])[0]
 
 
-def _expansion_count(g: CubicGraph, m: PerfectMatching) -> int:
-    """logical_expansion_count of a perfect matching, which is not validated."""
-    ends = [[[h for h in g.incidence[x] if h >> 1 != e] for x in g.edges[e]] for e in sorted(m)]
-    if any(a ^ 1 == b for site in ends for a, b in site):
-        return 0
-    choices = [(((a, c), (b, d)), ((a, d), (b, c))) for (a, b), (c, d) in ends]
+def _expansion_counts(g: CubicGraph, matchings: Iterable[PerfectMatching]) -> list[int]:
+    """logical_expansion_count of each perfect matching, none validated, in one sweep: each
+    edge's switches and the path tables are built once, as every link is undone on the way back."""
+    others = [()] * (2 * g.edge_count)  # per half-edge, the other two at its node, in increasing order
+    for p, q, r in g.incidence:
+        others[p], others[q], others[r] = (q, r), (p, r), (p, q)
+    # per edge, its site's two switches; () when an end pair is one edge, a loop
+    switch = [() if a ^ 1 == b or c ^ 1 == d else (((a, c), (b, d)), ((a, d), (b, c)))
+              for (a, b), (c, d) in zip(others[::2], others[1::2])]
     far = [h ^ 1 for h in range(2 * g.edge_count)]  # the other free end of h's path
     mask = [1 << u | 1 << v for u, v in g.edges for _ in (0, 1)]  # the nodes h's path touches
     loops: list[int] = []  # the node masks of the closed loops
@@ -229,7 +232,11 @@ def _expansion_count(g: CubicGraph, m: PerfectMatching) -> int:
 
     try:
         with refuse_deep_recursion("state expansion"):
-            return rec(0)
+            counts = []
+            for m in matchings:
+                choices = [switch[e] for e in sorted(m)]  # the switches of m's sites, in edge-id order
+                counts.append(rec(0) if all(choices) else 0)
+            return counts
     finally:
         del rec  # rec holds itself; let go so refcounting frees it
 

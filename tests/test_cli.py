@@ -602,6 +602,23 @@ def test_crosscheck_expands_states_without_revalidating(monkeypatch, capsys):
     assert payload["states_by_matching"] == {str(i): 12 for i in range(6)}
 
 
+def test_crosscheck_expands_its_matchings_in_one_sweep(monkeypatch, capsys):
+    # the switches and path tables are built once per graph, not once per matching
+    from chromatic_bracket import cli
+
+    real, sweeps = cli._expansion_counts, []
+
+    def counted(g, matchings):
+        sweeps.append(list(matchings))
+        return real(g, sweeps[-1])
+
+    monkeypatch.setattr(cli, "_expansion_counts", counted)
+    code, payload, _ = run(capsys, "crosscheck", "k33")
+    assert (code, len(sweeps)) == (0, 1)
+    assert sweeps[0] == cb.enumerate_perfect_matchings(gen.k33()) and len(sweeps[0]) == 6
+    assert payload["states_by_matching"] == {str(i): 12 for i in range(6)}
+
+
 def test_matchings_reads_cycles_without_revalidating(monkeypatch, capsys):
     # the search yields valid matchings, so the command validates none of them
     real, checked = cb.validate_matching, []

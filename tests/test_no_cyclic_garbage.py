@@ -13,7 +13,9 @@ import pytest
 
 import chromatic_bracket as cb
 from chromatic_bracket import generators as gen
+from chromatic_bracket import state_calculus
 from chromatic_bracket.cli import main
+from chromatic_bracket.errors import RecursionBudgetExceeded
 
 K33 = gen.k33()
 K33_DIAGRAM = cb.chord_immersion(K33)
@@ -83,6 +85,17 @@ def drop_partly_consumed_matchings() -> None:
     del it  # closed here by reference counting
 
 
+def refuse_mid_sweep() -> None:
+    # the 2400-rung ladder matched on every other ring edge, as in
+    # test_too_many_loops_fail_typed: the sweep is refused deep in its search
+    k = 2400
+    g = cb.build_graph(2 * k, [(i, (i + 1) % k) for i in range(k)]
+                       + [(k + i, k + (i + 1) % k) for i in range(k)] + [(i, k + i) for i in range(k)])
+    m = {2 * i for i in range(k // 2)} | {k + 2 * i for i in range(k // 2)}
+    with pytest.raises(RecursionBudgetExceeded):
+        state_calculus._expansion_counts(g, [m])
+
+
 DIRECT_CALLS = {
     "count_colorings": lambda: cb.count_colorings(gen.petersen()),
     "iter_colorings": lambda: list(cb.iter_colorings(K33)),
@@ -91,6 +104,7 @@ DIRECT_CALLS = {
     "skein_evaluate": lambda: cb.skein_evaluate(K33_DIAGRAM),
     "logical_expansion_count": lambda: cb.logical_expansion_count(
         K33, cb.enumerate_perfect_matchings(K33)[0]),
+    "state sweep refused partway": refuse_mid_sweep,
 }
 
 

@@ -195,6 +195,24 @@ def test_too_many_loops_fail_typed():
         logical_expansion_count(g, m)
 
 
+@settings(max_examples=25, deadline=None)
+@given(st.one_of(st.tuples(st.integers(1, 7), st.integers(0, 10_000))
+                 .map(lambda a: gen.random_cubic(2 * a[0], a[1])),
+                 st.integers(3, 5).map(gen.isaacs_j)))
+@example(gen.isaacs_j(5))
+@example(gen.dumbbell())
+@example(gen.double_dumbbell())
+def test_the_sweep_equals_each_matching_expanded_alone(g: cb.CubicGraph) -> None:
+    # one sweep undoes every link on the way back, so no path state leaks into
+    # the next matching: the reversed matchings give the reversed counts (and
+    # double_dumbbell, with no perfect matching, gives [])
+    ms = cb.enumerate_perfect_matchings(g)
+    alone = [logical_expansion_count(g, m) for m in ms]
+    assert state_calculus._expansion_counts(g, ms) == alone
+    assert state_calculus._expansion_counts(g, ms[::-1]) == alone[::-1]
+    assert alone == [cb.count_colorings(g)] * len(ms)
+
+
 def test_the_constructor_rebuilds_a_state_from_its_graph_matching_and_switches():
     for g in (gen.theta(), gen.k4(), gen.k33(), gen.dumbbell()):
         for m in cb.enumerate_perfect_matchings(g):
