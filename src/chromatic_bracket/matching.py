@@ -11,10 +11,11 @@ edges all purple.
 from __future__ import annotations
 
 import itertools
+import sys
 from collections.abc import Iterable, Iterator, Sequence
 
 from .coloring import BLUE, PURPLE, RED, EdgeColoring, _colors, is_proper
-from .errors import ImproperColoring, NotAMatching, refuse_deep_recursion, shown
+from .errors import ImproperColoring, NotAMatching, RecursionBudgetExceeded, shown
 from .graph_core import CubicGraph, _edges
 
 PerfectMatching = frozenset[int]
@@ -47,45 +48,48 @@ def validate_matching(g: CubicGraph, edge_ids: Iterable[int]) -> PerfectMatching
 def iter_perfect_matchings(g: CubicGraph) -> Iterator[PerfectMatching]:
     """Yield every perfect matching, in increasing order of its sorted edge ids:
     the next matched edge is taken in id order, before the branch leaving it out.
-    free[n] counts n's undecided edges to other uncovered nodes; a branch stops
-    when an uncovered node has none left."""
-    # each non-loop edge: its id, its ends, and the far ends of the later edges there
-    edges = [(e, u, v, [g.half_edge_node(h ^ 1) for x in (u, v) for h in g.incidence[x]
-                        if h // 2 > e]) for e, (u, v) in enumerate(_edges(g)) if u != v]
-    free = [sum(u != v for u, v in (g.edges[h // 2] for h in hs)) for hs in g.incidence]
-    covered = [False] * g.node_count
-
-    def rec(i: int, chosen: tuple[int, ...]) -> Iterator[PerfectMatching]:
-        if 2 * len(chosen) == g.node_count:
-            yield frozenset(chosen)
-            return
-        passed: list[int] = []  # ends of the edges this frame left out
-        for k in range(i, len(edges)):
-            e, u, v, later = edges[k]
-            if covered[u] or covered[v]:
+    One explicit stack over masks of the uncovered nodes, refused with
+    RecursionBudgetExceeded at matched edge sys.getrecursionlimit() if nodes are left."""
+    pairs = _edges(g)  # refuses a non-CubicGraph before node_count is read
+    later = [0] * g.node_count  # node -> its partners on the edges after the one at hand
+    edges = []  # non-loop edge -> (id, its ends, their later partners, (1 << y, later[y]) per later neighbour y)
+    for e in range(len(pairs) - 1, -1, -1):
+        u, v = pairs[e]
+        if u != v:
+            ys = {g.half_edge_node(h ^ 1) for x in (u, v) for h in g.incidence[x] if h >> 1 > e} - {u, v}
+            edges.append((e, 1 << u | 1 << v, later[u], later[v], [(1 << y, later[y]) for y in ys]))
+            later[u], later[v] = later[u] | 1 << v, later[v] | 1 << u
+    edges.reverse()
+    limit = sys.getrecursionlimit()
+    chosen: list[int] = []  # the matched edges of the frame at hand, cut back on each pop
+    stack = [(0, (1 << g.node_count) - 1, 0)]  # (next edge, uncovered nodes, matched edges)
+    push, pop = stack.append, stack.pop
+    while stack:
+        k, free, depth = pop()
+        del chosen[depth:]
+        for k in range(k, len(edges)):
+            e, ends, later_u, later_v, near = edges[k]
+            if free & ends != ends:
                 continue
-            covered[u] = covered[v] = True
-            lost = [y for y in later if not covered[y]]
-            for y in lost:
-                free[y] -= 1
-            if all(free[y] for y in lost):
-                yield from rec(k + 1, chosen + (e,))
-            for y in lost:
-                free[y] += 1
-            covered[u] = covered[v] = False
-            passed += (u, v)
-            free[u] -= 1
-            free[v] -= 1
-            if not (free[u] and free[v]):
+            rest = free ^ ends
+            keep = later_u & free and later_v & free  # both ends can still be covered without e
+            for y, later_y in near:
+                if y & rest and not later_y & rest:  # taking e would strand y
+                    break
+            else:  # take e, and carry on in that branch
+                if keep:
+                    push((k + 1, free, depth))
+                chosen.append(e)
+                free, depth = rest, depth + 1
+                if not free:
+                    break
+                if depth == limit:
+                    raise RecursionBudgetExceeded(f"perfect-matching search reached the recursion limit, {limit}")
+                continue
+            if not keep:
                 break
-        for x in passed:
-            free[x] += 1
-
-    try:
-        with refuse_deep_recursion("perfect-matching search"):
-            yield from rec(0, ())
-    finally:  # on close() too
-        del rec  # rec holds itself; let go so refcounting frees it
+        if not free:
+            yield frozenset(chosen)
 
 
 def enumerate_perfect_matchings(g: CubicGraph) -> list[PerfectMatching]:

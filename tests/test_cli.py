@@ -526,10 +526,10 @@ def ladder_file(tmp_path: Path, k: int) -> Path:
 
 
 def test_deep_input_fails_typed(tmp_path: Path, capsys):
-    # prism ladders: the recursive searches need more stack than Python
-    # allows, which must surface as a typed error, not a traceback. The
-    # 1200-edge ladder is too deep for brute force and formation; the
-    # matching search takes one frame per matched edge, 1300 on 1300 rungs.
+    # prism ladders: a search past the recursion limit must surface as a
+    # typed error, not a traceback. The 1200-edge ladder is too deep for brute
+    # force and formation; the matching search is refused at matched edge
+    # sys.getrecursionlimit(), and 1300 rungs need 1300.
     short, long = ladder_file(tmp_path, 400), ladder_file(tmp_path, 1300)
     cases = [(short, ["count"]), (short, ["formation"]),
              (long, ["matchings"]), (long, ["count", "--method", "states"])]

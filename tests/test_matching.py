@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import itertools
+import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 import chromatic_bracket as cb
 from chromatic_bracket import generators as gen
 from chromatic_bracket import matching, state_calculus
-from chromatic_bracket.errors import NotAMatching
+from chromatic_bracket.errors import NotAMatching, RecursionBudgetExceeded
 
 # frozen reference: (perfect matchings, even matchings, sum of 2**cycles)
 MATCHING_TABLE = {
@@ -62,6 +64,89 @@ def test_matchings_are_all_found_in_sorted_order():
                     want.append(frozenset(es))
             assert cb.enumerate_perfect_matchings(g) == want, (n, seed)
             assert list(cb.iter_perfect_matchings(g)) == want, (n, seed)
+
+
+def assert_found_in_sorted_order(g: cb.CubicGraph) -> None:
+    n = g.node_count
+    want = [frozenset(es) for es in itertools.combinations(range(g.edge_count), n // 2)
+            if sorted([x for e in es for x in g.edges[e]]) == list(range(n))]
+    got = list(cb.iter_perfect_matchings(g))
+    assert got == want
+    keys = [sorted(m) for m in got]
+    assert all(a < b for a, b in zip(keys, keys[1:]))  # strictly increasing: no duplicates
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.builds(gen.random_cubic, st.integers(1, 6).map(lambda half: 2 * half), st.integers(0, 2**64)))
+def test_matchings_on_multigraphs_are_all_found_in_sorted_order(g: cb.CubicGraph) -> None:
+    # loops and parallel pairs included: a parallel pair is one partner, not two
+    assert_found_in_sorted_order(g)
+
+
+def test_fixture_matchings_are_all_found_in_sorted_order():
+    for g in [getattr(gen, name)() for name in MATCHING_TABLE] + [gen.isaacs_j(3), gen.isaacs_j(4)]:
+        assert_found_in_sorted_order(g)
+
+
+def prism_ladder(k: int) -> cb.CubicGraph:
+    """C_k x K2, 3k edges: outer cycle 0..k-1, inner cycle k..2k-1."""
+    edges = [(i, (i + 1) % k) for i in range(k)] + [(k + i, k + (i + 1) % k) for i in range(k)]
+    return cb.build_graph(2 * k, edges + [(i, k + i) for i in range(k)])
+
+
+def test_an_edge_that_strands_a_neighbour_is_not_taken():
+    # node 0 is joined to node 1 by a parallel pair and to node 2, so taking
+    # edge 0, 1-2, leaves node 0 no partner. Node 2's third edge goes to node
+    # 3, which subdivides a ring edge of a 20-rung ladder with the higher ids.
+    # A search that took edge 0 would walk about 2^20 partial matchings of the
+    # ladder (seconds) before leaving edge 0 out.
+    ring = [(4 + a, 4 + b) for a, b in prism_ladder(20).edges if (a, b) != (0, 1)]
+    g = cb.build_graph(44, [(1, 2), (0, 1), (0, 1), (0, 2), (2, 3)] + ring + [(4, 3), (3, 5)])
+    start = time.perf_counter()
+    first = next(cb.iter_perfect_matchings(g))
+    assert time.perf_counter() - start < 1
+    assert {1, 4} <= first and 0 not in first
+
+
+def test_the_matching_search_makes_no_python_call_per_edge():
+    g = gen.isaacs_j(9)  # 54 edges; the recursive search made 79 219 calls here
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(profile)
+    try:
+        ms = list(cb.iter_perfect_matchings(g))
+    finally:
+        sys.setprofile(None)
+    assert len(ms) == 512
+    # one call per resume of the generator, and the set-up's comprehensions
+    assert calls < len(ms) + 20 * g.edge_count
+
+
+def test_the_matching_depth_bound_is_the_recursion_limit_not_the_callers_stack():
+    depth, frame = 0, sys._getframe()
+    while frame:
+        depth, frame = depth + 1, frame.f_back
+    limit = max(depth + 20, 80)
+    over, under = prism_ladder(limit + 1), prism_ladder(limit - 1)  # one matched edge per rung
+
+    def first_from(frames: int) -> frozenset[int]:  # the first matching, asked `frames` calls down
+        return first_from(frames - 1) if frames else next(cb.iter_perfect_matchings(under))
+
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit)
+    try:
+        start = time.perf_counter()
+        with pytest.raises(RecursionBudgetExceeded):
+            next(cb.iter_perfect_matchings(over))
+        assert time.perf_counter() - start < 1
+        # a recursion of one frame per matched edge would overflow here
+        assert len(first_from(limit - depth - 10)) == limit - 1
+    finally:
+        sys.setrecursionlimit(old)
 
 
 def test_loops_never_appear_in_matchings():
