@@ -7,12 +7,13 @@ edges, always the edge with the most colored edges at its two ends, so a
 clash shows at the edge that causes it. The two edges at the first node are
 fixed to R and B and the result multiplied by 6: those edges differ in every
 proper coloring, and each color permutation maps the colorings with (R, B)
-there one-to-one onto those with another of the 6 ordered pairs. The count
-is one loop over an explicit stack: each color is a bitmask of the nodes
-that hold it, passed by value, so nothing is undone and no Python call is
-made per edge, and its time does not depend on the caller's stack depth.
-Listing keeps plain BFS order from each component's lowest node, because
-`formation --coloring-index k` names a coloring by its place in that order.
+there one-to-one onto those with another of the 6 ordered pairs. Listing
+keeps plain BFS order from each component's lowest node, each edge tried R,
+B, then P, because `formation --coloring-index k` names a coloring by its
+place in that order. Both are one loop over an explicit stack: each color is
+a bitmask of the nodes that hold it, passed by value, so nothing is undone,
+no Python call is made per edge, the depth bound is edge
+sys.getrecursionlimit() and the time does not depend on the caller's stack.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import sys
 from collections.abc import Iterator, Sequence
 from itertools import chain
 
-from .errors import InvalidArgument, PartialColoring, RecursionBudgetExceeded, refuse_deep_recursion, shown
+from .errors import InvalidArgument, PartialColoring, RecursionBudgetExceeded, shown
 from .graph_core import CubicGraph, _edges, connected_components, has_loop, tightest_first
 
 RED, BLUE, PURPLE = 0, 1, 2
@@ -65,12 +66,6 @@ def is_proper(g: CubicGraph, coloring: Sequence[int]) -> bool:
         if len({coloring[h // 2] for h in stubs}) != 3:
             return False
     return True
-
-
-def _bfs_components(g: CubicGraph) -> list[list[int]]:
-    """Edge ids of each component, in the order its BFS meets them."""
-    return [list(dict.fromkeys(h // 2 for n in nodes for h in g.incidence[n]))
-            for nodes in connected_components(g)]
 
 
 def count_colorings(g: CubicGraph) -> int:
@@ -129,36 +124,46 @@ def count_colorings(g: CubicGraph) -> int:
 
 
 def iter_colorings(g: CubicGraph) -> Iterator[EdgeColoring]:
-    """Yield every proper coloring, in deterministic backtracking order."""
+    """Yield every proper coloring, edges in BFS order, each tried R, B, then P. Raises
+    RecursionBudgetExceeded at edge sys.getrecursionlimit() when edges remain."""
     if has_loop(g):
         return
-    order = [e for component in _bfs_components(g) for e in component]
-    ends = [g.edges[e] for e in order]
-    used = [0] * g.node_count
-    colors = [0] * g.edge_count
-
-    def rec(i: int) -> Iterator[EdgeColoring]:
-        if i == len(order):
+    order = list(dict.fromkeys(h >> 1 for nodes in connected_components(g)
+                               for n in nodes for h in g.incidence[n]))
+    ends = [1 << u | 1 << v for u, v in map(g.edges.__getitem__, order)]
+    limit = sys.getrecursionlimit()
+    stop = min(len(order), limit)
+    colors = [0] * g.edge_count  # a popped frame's earlier edges were colored by its ancestors
+    stack = [(0, 0, 0, 0, 0)]  # (edge i, then the nodes holding R, B and P, then edge i - 1's color)
+    push, pop = stack.append, stack.pop
+    while stack:
+        i, r, b, p, c = pop()
+        if i:
+            colors[order[i - 1]] = c
+        while i < stop:  # carry on with the first free color, push the others
+            m = ends[i]
+            if not r & m:
+                if not p & m:
+                    push((i + 1, r, b, p | m, PURPLE))
+                if not b & m:
+                    push((i + 1, r, b | m, p, BLUE))
+                r |= m
+                colors[order[i]] = RED
+            elif not b & m:
+                if not p & m:
+                    push((i + 1, r, b, p | m, PURPLE))
+                b |= m
+                colors[order[i]] = BLUE
+            elif not p & m:
+                p |= m
+                colors[order[i]] = PURPLE
+            else:
+                break
+            i += 1
+        else:  # every edge colored, or the recursion limit
+            if i < len(order):
+                raise RecursionBudgetExceeded(f"coloring enumeration reached the recursion limit, {limit}")
             yield tuple(colors)
-            return
-        u, v = ends[i]
-        taken = used[u] | used[v]
-        for c in COLORS:
-            bit = 1 << c
-            if taken & bit:
-                continue
-            used[u] |= bit
-            used[v] |= bit
-            colors[order[i]] = c
-            yield from rec(i + 1)
-            used[u] ^= bit
-            used[v] ^= bit
-
-    try:
-        with refuse_deep_recursion("coloring enumeration"):
-            yield from rec(0)
-    finally:  # on close() too
-        del rec  # rec holds itself; let go so refcounting frees it
 
 
 def enumerate_colorings(g: CubicGraph) -> list[EdgeColoring]:

@@ -76,9 +76,9 @@ class RecursionBudgetExceeded(ChromaticBracketError):
     """A search hit a bound: the skein step budget, a strand-coloring sum
     (contraction or a skein leaf) keeping more than 14 closed strands (on no
     node), the recursion limit as a depth on an explicit stack (in edges for brute
-    force, loops for the loop-coloring count, matched edges for the perfect-matching
-    search), or the Python stack: coloring enumeration (iter_colorings),
-    contraction, skein and the state expansion recurse as deep as the input."""
+    force and coloring enumeration, loops for the loop-coloring count, matched edges
+    for the perfect-matching search), or the Python stack: contraction, skein and
+    the state expansion recurse as deep as the input."""
 
 
 @contextmanager

@@ -215,40 +215,37 @@ def _strand_sum(nodes: Sequence[tuple[int, ...]], adj: list[dict[int, tuple[int,
     tries = [(RED, BLUE, PURPLE)] * len(order)
     for lo in fixed:
         tries[lo], tries[lo + 1] = (RED,), (BLUE,)
-    colors = [0] * len(order)
-    by_color = [0, 0, 0]
-
-    def rec(d: int, term: int) -> None:
-        nonlocal total
-        if d == stop:
-            total += term
-            return
-        me = 1 << d
-        for c in tries[d]:
-            if by_color[c] & near[d]:
-                continue
-            colors[d] = c
-            t = term
-            for p, a, b in links[d]:
-                t *= a + b if colors[p] == c else a
-            if not t:
-                continue
-            if (signs[d] & ~by_color[c]).bit_count() & 1:
-                t = -t
-            for x, y, z in done[d]:
-                t *= _EPSILON[colors[x], colors[y], colors[z]]
-            by_color[c] |= me
-            rec(d + 1, t)
-            by_color[c] ^= me
-
-    try:
-        for lo, stop in zip(starts, starts[1:]):
-            total = 0
-            rec(lo, 1)
-            mult *= total * (6 if lo in fixed else 1)
-    finally:
-        del rec  # rec holds itself; let go so refcounting frees it
+    ends = set(starts[1:])  # one past each component's last position
+    steps = list(zip(tries, near, links, signs, done, [d + 1 in ends for d in range(len(order))]))
+    colors, by_color = [0] * len(order), [0, 0, 0]
+    for lo in starts[:-1]:
+        mult *= _colorings_sum(lo, 1, steps, colors, by_color) * (6 if lo in fixed else 1)
     return mult
+
+
+def _colorings_sum(d: int, term: int, steps: list, colors: list[int], by_color: list[int]) -> int:
+    """term times the sum, over the colorings of positions d to the end of d's component, of
+    their factors, given the colors before d; steps[d] = (tries, near, links, signs, done,
+    last) as _strand_sum builds them, last true at a component's last position."""
+    tries, near, links, signs, done, last = steps[d]
+    me, total = 1 << d, 0
+    for c in tries:
+        if by_color[c] & near:
+            continue
+        colors[d] = c
+        t = term
+        for p, a, b in links:
+            t *= a + b if colors[p] == c else a
+        if not t:
+            continue
+        if (signs & ~by_color[c]).bit_count() & 1:
+            t = -t
+        for x, y, z in done:
+            t *= _EPSILON[colors[x], colors[y], colors[z]]
+        by_color[c] |= me
+        total += t if last else _colorings_sum(d + 1, t, steps, colors, by_color)
+        by_color[c] ^= me
+    return total
 
 
 def _contract(d: Diagram, include_crossings: bool) -> int:

@@ -199,46 +199,41 @@ def _expansion_counts(g: CubicGraph, matchings: Iterable[PerfectMatching]) -> li
               for (a, b), (c, d) in zip(others[::2], others[1::2])]
     far = [h ^ 1 for h in range(2 * g.edge_count)]  # the other free end of h's path
     mask = [1 << u | 1 << v for u, v in g.edges for _ in (0, 1)]  # the nodes h's path touches
-    loops: list[int] = []  # the node masks of the closed loops
+    with refuse_deep_recursion("state expansion"):
+        return [_expand(0, choices, far, mask, []) if all(choices) else 0
+                for choices in ([switch[e] for e in sorted(m)] for m in matchings)]  # sites in edge-id order
 
-    def rec(i: int) -> int:
-        if i == len(choices):
-            return _count_loop_colorings(loops)
-        total = 0
-        for (a, b), (c, d) in choices[i]:
-            x, y = far[a], far[b]
-            if x == b:  # a and b are one path's ends: it closes
-                loops.append(mask[a])
-            elif mask[a] & mask[b]:
-                continue  # the join would put a pair on one loop
-            else:
-                far[x], far[y] = y, x
-                mask[x] = mask[y] = mask[a] | mask[b]
-            z, w = far[c], far[d]
-            if z == d:
-                loops.append(mask[c])
-                total += rec(i + 1)
-                loops.pop()
-            elif not mask[c] & mask[d]:
-                far[z], far[w] = w, z
-                mask[z] = mask[w] = mask[c] | mask[d]
-                total += rec(i + 1)
-                far[z], far[w], mask[z], mask[w] = c, d, mask[c], mask[d]
-            if x == b:  # undo the first link
-                loops.pop()
-            else:
-                far[x], far[y], mask[x], mask[y] = a, b, mask[a], mask[b]
-        return total
 
-    try:
-        with refuse_deep_recursion("state expansion"):
-            counts = []
-            for m in matchings:
-                choices = [switch[e] for e in sorted(m)]  # the switches of m's sites, in edge-id order
-                counts.append(rec(0) if all(choices) else 0)
-            return counts
-    finally:
-        del rec  # rec holds itself; let go so refcounting frees it
+def _expand(i: int, choices: list, far: list[int], mask: list[int], loops: list[int]) -> int:
+    """Colorings summed over the leaves below site i, each site linking its end pairs by a
+    switch; far and mask as in _expansion_counts, loops the node masks of the closed loops."""
+    if i == len(choices):
+        return _count_loop_colorings(loops)
+    total = 0
+    for (a, b), (c, d) in choices[i]:
+        x, y = far[a], far[b]
+        if x == b:  # a and b are one path's ends: it closes
+            loops.append(mask[a])
+        elif mask[a] & mask[b]:
+            continue  # the join would put a pair on one loop
+        else:
+            far[x], far[y] = y, x
+            mask[x] = mask[y] = mask[a] | mask[b]
+        z, w = far[c], far[d]
+        if z == d:
+            loops.append(mask[c])
+            total += _expand(i + 1, choices, far, mask, loops)
+            loops.pop()
+        elif not mask[c] & mask[d]:
+            far[z], far[w] = w, z
+            mask[z] = mask[w] = mask[c] | mask[d]
+            total += _expand(i + 1, choices, far, mask, loops)
+            far[z], far[w], mask[z], mask[w] = c, d, mask[c], mask[d]
+        if x == b:  # undo the first link
+            loops.pop()
+        else:
+            far[x], far[y], mask[x], mask[y] = a, b, mask[a], mask[b]
+    return total
 
 
 def squeeze(s: State) -> CubicGraph:

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 import chromatic_bracket as cb
 from chromatic_bracket import generators as gen
 from chromatic_bracket.errors import PartialColoring, RecursionBudgetExceeded
-from chromatic_bracket.graph_core import has_loop
+from chromatic_bracket.graph_core import connected_components, has_loop
 from chromatic_bracket.matching import even_matching_sum
 
 # frozen reference counts, checked against an independent brute-force pass
@@ -197,9 +197,8 @@ def test_only_a_search_that_overflows_is_refused():
             cb.count_colorings(deep)
 
 
-def test_the_search_makes_no_python_call_per_edge():
-    g = gen.isaacs_j(9)  # 54 edges; the recursive search made 9 920 calls of itself here
-    cb.count_colorings(g)  # the first count imports heapq
+def python_calls(call) -> tuple[object, int]:
+    """call()'s result and the number of Python call events it made."""
     calls = 0
 
     def profile(frame, event, arg):
@@ -208,13 +207,24 @@ def test_the_search_makes_no_python_call_per_edge():
 
     sys.setprofile(profile)
     try:
-        count = cb.count_colorings(g)
+        result = call()
     finally:
         sys.setprofile(None)
-    assert count == 0
-    # 101 on Python 3.11, none from the search: has_loop's generator steps
+    return result, calls
+
+
+def test_the_search_makes_no_python_call_per_edge():
+    g = gen.isaacs_j(9)  # 54 edges; the recursive search made 9 920 calls of itself here
+    cb.count_colorings(g)  # the first count imports heapq
+    # 102 on Python 3.11, none from the search: has_loop's generator steps
     # once per edge and tightest_first runs a comprehension per node
-    assert calls < 200
+    count, calls = python_calls(lambda: cb.count_colorings(g))
+    assert count == 0 and calls < 200
+    # 175 on Python 3.11 (146 024 with one generator frame per edge), none
+    # from the search: has_loop's generator and the BFS order's generator
+    # step once per edge and per half-edge
+    listed, calls = python_calls(lambda: cb.enumerate_colorings(g))
+    assert listed == [] and calls < 200
 
 
 def test_the_depth_bound_is_the_recursion_limit_not_the_callers_stack():
@@ -230,6 +240,11 @@ def test_the_depth_bound_is_the_recursion_limit_not_the_callers_stack():
             cb.count_colorings(prism_ladder(limit))  # 3 * limit edges, all colorable
         # a recursion of one frame per edge would overflow here
         assert cb.count_colorings(gen.isaacs_j(13)) == 0
+        # listing too: a lister with one frame per edge would overflow on the 60-edge ladder
+        ladder = prism_ladder(20)
+        assert cb.is_proper(ladder, next(cb.iter_colorings(ladder)))
+        with pytest.raises(RecursionBudgetExceeded):
+            next(cb.iter_colorings(prism_ladder(limit)))
     finally:
         sys.setrecursionlimit(old)
 
@@ -247,7 +262,45 @@ K33_COLORINGS = [
 ]
 
 
+def reference_colorings(g: cb.CubicGraph) -> list[tuple[int, ...]]:
+    """The recursive lister iter_colorings replaced: the edges of each component
+    in BFS order from its lowest node, each tried R, B, then P."""
+    if cb.has_loop(g):
+        return []
+    order = [e for nodes in connected_components(g)
+             for e in dict.fromkeys(h // 2 for n in nodes for h in g.incidence[n])]
+    found: list[tuple[int, ...]] = []
+    list_from(g, order, 0, [0] * g.node_count, [0] * g.edge_count, found)
+    return found
+
+
+def list_from(g, order, i, used, colors, found) -> None:
+    if i == len(order):
+        found.append(tuple(colors))
+        return
+    u, v = g.edges[order[i]]
+    for c in cb.COLORS:
+        if not (used[u] | used[v]) >> c & 1:
+            used[u] |= 1 << c
+            used[v] |= 1 << c
+            colors[order[i]] = c
+            list_from(g, order, i + 1, used, colors, found)
+            used[u] ^= 1 << c
+            used[v] ^= 1 << c
+
+
 def test_enumeration_order_is_pinned():
     # formation --coloring-index k names a coloring by its place in this order
     assert cb.enumerate_colorings(gen.prism()) == PRISM_COLORINGS
     assert cb.enumerate_colorings(gen.k33()) == K33_COLORINGS
+    # random_cubic may draw parallel edges and loops
+    graphs = [gen.random_cubic(n, seed) for n in range(2, 13, 2) for seed in range(40)]
+    graphs += [gen.isaacs_j(n) for n in (3, 4, 5)] + [getattr(gen, name)() for name in FIXTURE_COUNTS]
+    graphs += [disjoint_union(gen.k33(), gen.prism()), disjoint_union(gen.petersen(), gen.theta()),
+               disjoint_union(gen.theta(), loop_free_cubic(6, 3), gen.k4())]
+    listed = 0
+    for g in graphs:
+        want = reference_colorings(g)
+        assert list(cb.iter_colorings(g)) == want, g
+        listed += len(want)
+    assert listed > 1000

@@ -13,9 +13,8 @@ import chromatic_bracket as cb
 from chromatic_bracket import generators as gen
 from chromatic_bracket import penrose
 from chromatic_bracket.cli import _load_file
-from chromatic_bracket.coloring import _bfs_components
 from chromatic_bracket.errors import DegreeViolation, ParseError, UnmatchedPort
-from chromatic_bracket.graph_core import components, min_fill_order, tightest_first
+from chromatic_bracket.graph_core import components, connected_components, min_fill_order, tightest_first
 
 
 def test_build_graph_theta():
@@ -354,7 +353,9 @@ def test_tightest_first_falls_back_to_the_earliest_unplaced_item():
 def test_tightest_first_is_pinned_on_petersen_and_isaacs_j5():
     # the brute-force edge orders from before the helper moved to graph_core
     def order(g):
-        return tightest_first([[h // 2 for h in hs] for hs in g.incidence], _bfs_components(g))
+        bfs = [list(dict.fromkeys(h // 2 for n in nodes for h in g.incidence[n]))
+               for nodes in connected_components(g)]  # each component's edges in BFS order
+        return tightest_first([[h // 2 for h in hs] for hs in g.incidence], bfs)
     assert order(gen.petersen()) == [[0, 4, 5, 1, 6, 3, 9, 2, 7, 10, 12, 14, 13, 11, 8]]
     assert order(gen.isaacs_j(5)) == [[0, 4, 5, 1, 6, 3, 9, 2, 7, 8, 10, 15, 11, 16, 20, 29,
                                        19, 14, 24, 25, 21, 12, 17, 26, 23, 22, 13, 18, 28, 27]]

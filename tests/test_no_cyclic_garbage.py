@@ -1,13 +1,17 @@
 """No command and no search leaves a reference cycle behind: everything a run
 allocates is freed by reference counting, so the cyclic garbage collector
-finds nothing to collect. Each recursive search is a closure that calls
-itself by name; it must let go of itself when it returns, raises or is
-closed, or every call leaves a function <-> cell cycle holding its lists."""
+finds nothing to collect. A nested function that calls itself by name holds
+itself through its closure cell, a function <-> cell cycle that keeps its
+lists alive unless it is let go on every exit; no package function defines
+one, and each search is a loop over an explicit stack or a module-level
+function."""
 
 from __future__ import annotations
 
+import ast
 import gc
 import json
+from pathlib import Path
 
 import pytest
 
@@ -111,3 +115,27 @@ DIRECT_CALLS = {
 @pytest.mark.parametrize("call", DIRECT_CALLS.values(), ids=DIRECT_CALLS.keys())
 def test_search_leaves_no_cycle(call):
     assert unreachable_after(call) == 0
+
+
+def self_calling_closures() -> list[str]:
+    """module.function.nested for each function nested in a package function
+    that calls itself by name."""
+    found = []
+    for path in sorted(Path(cb.__file__).parent.glob("*.py")):
+        stack = [(path.stem, node, False) for node in ast.parse(path.read_text()).body]
+        while stack:
+            where, node, nested = stack.pop()
+            if isinstance(node, ast.ClassDef):
+                where = f"{where}.{node.name}"
+            elif isinstance(node, ast.FunctionDef):
+                where = f"{where}.{node.name}"
+                if nested and any(isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                                  and n.func.id == node.name for n in ast.walk(node)):
+                    found.append(where)
+                nested = True
+            stack += [(where, child, nested) for child in ast.iter_child_nodes(node)]
+    return sorted(found)
+
+
+def test_no_package_function_defines_a_closure_that_calls_itself():
+    assert self_calling_closures() == []
